@@ -11,6 +11,7 @@ from .errors import (
     ArcdistError,
     BaseMismatch,
     InconsistentWord,
+    InvalidSequence,
     InvalidTriangulation,
     PreconditionError,
     SchemaError,
@@ -23,9 +24,7 @@ from .surface import (
     Corner,
     Triangulation,
     build_standard_triangulation,
-    flip,
     random_flip_walk,
-    validate,
 )
 from .arc import (
     ArcWord,
@@ -35,7 +34,6 @@ from .arc import (
     straighten_to_edge,
     tighten,
     transport,
-    transport_along,
     transport_inverse,
 )
 from .overlay import (

@@ -194,10 +194,6 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
     return ArcWord(base, start, tuple(word), end)
 
 
-def retighten(word: ArcWord) -> ArcWord:
-    return tighten(word.base, word.start, word.crossings, word.end)
-
-
 # ----------------------------------------------------------------------
 # transport across a flip
 #
@@ -382,14 +378,6 @@ def _transport_zero_length(arc, base, new_base, e, t1, t2, c_pos, c_neg, ta, tb)
         return tighten(new_base, Corner(tb, 2), (-(e + 1),), Corner(ta, 2))
     home = new_base.side_corner(s_par)
     return tighten(new_base, home, (), Corner(home.tri, (home.pos + 1) % 3))
-
-
-def transport_along(arc: ArcWord, flips) -> tuple[ArcWord, Triangulation]:
-    """Transport across a sequence of flips; returns (word, final base)."""
-    cur = arc
-    for e in flips:
-        cur = transport(cur, e)
-    return cur, cur.base
 
 
 # ----------------------------------------------------------------------

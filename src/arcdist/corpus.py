@@ -21,6 +21,7 @@ from .distance import ShadowPairInput, classify, pair_set_distance
 from .errors import VerificationError
 from .leveling import level_number_report
 from .overlay import intersection
+from .serialize import load_shadow_pair
 from .surface import P1, P2, Corner, Triangulation, build_standard_triangulation, edge_of
 
 
@@ -102,7 +103,7 @@ class ExampleRecord:
         return cls(
             name=d["name"],
             genus=d["genus"],
-            shadows=ShadowPairInput.from_json_dict(d["input"]),
+            shadows=load_shadow_pair(d["input"], f"example {d['name']}"),
             expected=d["expected"],
             provenance=d["provenance"],
         )

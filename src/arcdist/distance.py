@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
-from .leveling import ArcSequence
-from .overlay import intersection, overlay_builder, self_intersection
+from .leveling import ArcSequence, validate_sequence
+from .overlay import Realization, _OverlayBuilder, intersection, self_intersection
 from .surface import Triangulation
-from .surgery import path_between
+from .surgery import _path
 
 
 @dataclass(frozen=True)
@@ -109,20 +109,12 @@ class ShadowPairInput:
             "w_side": [a.to_json_dict() for a in self.w_side],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ShadowPairInput":
-        base = Triangulation.from_json_dict(d["triangulation"])
-        return cls(
-            base,
-            tuple(ArcWord.from_json_dict(a, base) for a in d["v_side"]),
-            tuple(ArcWord.from_json_dict(a, base) for a in d["w_side"]),
-        )
 
-
-def _distance_two_witness(v: ArcWord, w: ArcWord) -> ArcWord | None:
-    """An arc disjoint from both, or None when no complement component
-    touches both marked points."""
-    builder = overlay_builder(v, w)
+def _distance_two_witness(real: Realization) -> ArcWord | None:
+    """An arc disjoint from both realized arcs, or None when no complement
+    component touches both marked points."""
+    v, w = real.v, real.w
+    builder = _OverlayBuilder(real)
     builder.summarize()  # runs the minimality self-checks
     routed = builder.route_between_marked()
     if routed is None:
@@ -145,15 +137,16 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
         raise BaseMismatch("arcs live over different triangulations")
     if v == w:
         return DistanceCertificate(v, w, Verdict("exact", value=0))
-    k = intersection(v, w)
+    real = Realization(v, w)
+    k = real.count()
     if k == 0:
         return DistanceCertificate(v, w, Verdict("exact", value=1))
-    u = _distance_two_witness(v, w)
+    u = _distance_two_witness(real)
     if u is not None:
         return DistanceCertificate(
             v, w, Verdict("exact", value=2), witness=u, intersection_vw=k, checked_distance_two=True
         )
-    path = path_between(v, w)
+    path = _path(real)
     note = None
     if max_len is not None and max_depth is not None:
         found = bounded_search(v, w, max_len, max_depth)
@@ -265,7 +258,10 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
     t = cert.verdict.as_tuple()
     if t[0] > t[1]:
         problems.append("verdict: lower exceeds upper")
-    k = intersection(v, w)
+    real = Realization(v, w)
+    k = real.count()
+    if cert.intersection_vw != k:
+        problems.append(f"evidence: intersection_vw is {cert.intersection_vw}, recomputed {k}")
     if cert.verdict.kind == "exact":
         d = cert.verdict.value
         if d == 0:
@@ -294,7 +290,7 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
             problems.append("bounds: lower bound must be 3 (the 0/1/2 checks)")
         if k <= 0:
             problems.append("bounds: arcs are disjoint, distance would be <= 1")
-        if _distance_two_witness(v, w) is not None:
+        if _distance_two_witness(real) is not None:
             problems.append("bounds: a distance-2 witness exists")
         if cert.path is None:
             problems.append("bounds: path evidence missing")
@@ -304,7 +300,5 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
                 problems.append("bounds: path does not join the pair")
             if seq.edge_count != cert.verdict.upper:
                 problems.append("bounds: path length disagrees with the upper bound")
-            from .leveling import validate_sequence
-
             problems += validate_sequence(seq)
     return problems

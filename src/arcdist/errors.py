@@ -25,6 +25,14 @@ class PreconditionError(ArcdistError):
     """An operation was invoked outside of its stated domain."""
 
 
+class InvalidSequence(PreconditionError):
+    """An arc sequence breaks its invariant; ``problems`` lists each violation."""
+
+    def __init__(self, problems):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+
 class VerificationError(ArcdistError):
     """A certificate or a postcondition failed to re-verify.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arc import ArcWord
-from .errors import BaseMismatch, PreconditionError, VerificationError
+from .errors import BaseMismatch, InvalidSequence, PreconditionError, VerificationError
 from .overlay import intersection
 from .surface import Triangulation
 
@@ -31,7 +31,7 @@ class ArcSequence:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         problems = validate_sequence(self)
         if problems:
-            raise PreconditionError("; ".join(problems))
+            raise InvalidSequence(problems)
 
     def __len__(self):
         return len(self.arcs)
@@ -47,11 +47,6 @@ class ArcSequence:
             "triangulation": self.base.to_json_dict(),
             "arcs": [a.to_json_dict() for a in self.arcs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ArcSequence":
-        base = Triangulation.from_json_dict(d["triangulation"])
-        return cls(base, tuple(ArcWord.from_json_dict(a, base) for a in d["arcs"]))
 
 
 def validate_sequence(seq) -> list[str]:
@@ -305,12 +300,12 @@ def level_number_report(shadow_input) -> dict:
 
     path = cert.witness_path()
     seq = ArcSequence(shadow_input.base, tuple(path))
-    pos = arcs_to_leveling(seq)
     if verdict.kind == "exact":
         report["level_number"] = {"kind": "exact", "value": verdict.value}
     else:
         report["level_number"] = {"kind": "bounds", "lower": verdict.lower, "upper": verdict.upper}
     report["level_certificate"] = sequence_to_level_certificate(seq)
-    if pos.ambient_genus != shadow_input.base.genus * pos.n_levels:
+    pos = report["level_certificate"]["level_position"]
+    if pos["ambient_genus"] != shadow_input.base.genus * pos["n_levels"]:
         raise VerificationError("ambient genus law failed")
     return report

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
-from .surface import P1, P2, Corner, edge_of
+from .surface import P1, Corner, edge_of
 from .arc import ArcWord
 
 
@@ -165,6 +165,25 @@ def _order_edges(base, arcs) -> dict[int, list[_Strand]]:
     return {e: sorted(strands, key=cmp_to_key(cmp)) for e, strands in per_edge.items()}
 
 
+def _rank_lookup(edge_order):
+    """rank_of(owner, index, value): a strand's slot along the side ``value``.
+
+    Slots count from the tail of that side, so the two sides of one edge
+    number the same strands in opposite directions.
+    """
+    ranks = {}
+    for strands in edge_order.values():
+        m = len(strands)
+        for r, st in enumerate(strands):
+            ranks[(st.owner, st.index)] = (r, m)
+
+    def rank_of(owner, index, value):
+        r, m = ranks[(owner, index)]
+        return r if value > 0 else m - 1 - r
+
+    return rank_of
+
+
 # ----------------------------------------------------------------------
 # segments and interleave counting
 
@@ -223,7 +242,8 @@ class _Crossing:
 
 
 class Realization:
-    """Both arcs pinned in minimal position; shared by count, overlay, surgery."""
+    """Both arcs pinned in minimal position; built once per pair and shared
+    by the count, the overlay and the surgery step at that pair."""
 
     def __init__(self, v: ArcWord, w: ArcWord):
         if v.base != w.base:
@@ -232,20 +252,11 @@ class Realization:
         self.v, self.w = v, w
         self.arcs = (v, w)
         self.edge_order = _order_edges(self.base, self.arcs)
-        self._ranks = {}
-        for strands in self.edge_order.values():
-            m = len(strands)
-            for r, st in enumerate(strands):
-                self._ranks[(st.owner, st.index)] = (r, m)
-
+        self._rank_of = _rank_lookup(self.edge_order)
         self.segments = tuple(
             _segments_of(self.base, word, o, self._rank_of) for o, word in enumerate(self.arcs)
         )
         self.crossings = self._find_crossings()
-
-    def _rank_of(self, owner, index, value):
-        r, m = self._ranks[(owner, index)]
-        return r if value > 0 else m - 1 - r
 
     def _find_crossings(self):
         by_tri: dict[int, list[_Segment]] = {}
@@ -305,6 +316,7 @@ class Realization:
         return p if seg.a < seg.b else tuple(-x for x in p)
 
     def count(self) -> int:
+        """i(v, w); 0 for equal words, whose copies are nested side by side."""
         return len(self.crossings)
 
 
@@ -323,20 +335,8 @@ def intersection(v: ArcWord, w: ArcWord) -> int:
 
 def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
-    base = word.base
-    arcs = (word, None)
-    edge_order = _order_edges(base, arcs)
-    ranks = {}
-    for strands in edge_order.values():
-        m = len(strands)
-        for r, st in enumerate(strands):
-            ranks[(st.owner, st.index)] = (r, m)
-
-    def rank_of(owner, index, value):
-        r, m = ranks[(owner, index)]
-        return r if value > 0 else m - 1 - r
-
-    segs = _segments_of(base, word, 0, rank_of)
+    rank_of = _rank_lookup(_order_edges(word.base, (word, None)))
+    segs = _segments_of(word.base, word, 0, rank_of)
     by_tri: dict[int, list[_Segment]] = {}
     for seg in segs:
         by_tri.setdefault(seg.tri, []).append(seg)
@@ -393,11 +393,6 @@ class Overlay:
 
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def common_faces(self):
-        """Components whose closure touches both marked points."""
-        both = frozenset((P1, P2))
-        return [c for c in self.components if c.marked_points >= both]
 
 
 class _OverlayBuilder:
@@ -763,14 +758,6 @@ class _OverlayBuilder:
         return start, tuple(word), end
 
 
-def realize(v: ArcWord, w: ArcWord) -> Realization:
-    return Realization(v, w)
-
-
 def build_overlay(v: ArcWord, w: ArcWord) -> Overlay:
     """Overlay complex of two reduced embedded words over one base."""
     return _OverlayBuilder(Realization(v, w)).summarize()
-
-
-def overlay_builder(v: ArcWord, w: ArcWord) -> _OverlayBuilder:
-    return _OverlayBuilder(Realization(v, w))

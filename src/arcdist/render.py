@@ -47,13 +47,10 @@ def render_arcs_svg(arcs: list[ArcWord], labels: list[str] | None = None) -> str
     base = arcs[0].base
     labels = labels or [f"arc {i}" for i in range(len(arcs))]
 
-    # strand slots: realize pairwise against the first arc to place points
-    # consistently; single-arc case uses its own self order
+    # strand slots: realize each arc against the first to place points
+    # consistently; the first arc is drawn from its pairing with itself
     reference = arcs[0]
-    placements = []
-    for a in arcs:
-        real = Realization(reference, a) if a != reference else Realization(a, a)
-        placements.append(real)
+    placements = [Realization(reference, a) for a in arcs]
 
     cols = min(4, base.n_triangles)
     rows = (base.n_triangles + cols - 1) // cols

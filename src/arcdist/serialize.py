@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .arc import ArcWord
 from .distance import DistanceCertificate, ShadowPairInput, Verdict, verify_certificate
-from .errors import ArcdistError, SchemaError
-from .leveling import ArcSequence, arcs_to_leveling, validate_sequence
+from .errors import ArcdistError, InvalidSequence, SchemaError
+from .leveling import ArcSequence, arcs_to_leveling
 from .overlay import intersection
 from .surface import Triangulation
 
@@ -68,10 +68,28 @@ def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
     return Triangulation.from_json_dict(doc)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_arc(doc: dict, base: Triangulation, where="arc") -> ArcWord:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: an arc must be an object")
     _expect_format(doc, "arcdist.arc/1", where)
     for key, kind in (("base_id", str), ("start_corner", list), ("crossings", list), ("end_corner", list)):
         _need(doc, key, kind, where)
+    for key in ("start_corner", "end_corner"):
+        corner = doc[key]
+        if len(corner) != 2 or not all(_is_int(x) for x in corner):
+            raise SchemaError(f"{where}: {key} must be a list of two integers")
+    for i, c in enumerate(doc["crossings"]):
+        if not isinstance(c, dict):
+            raise SchemaError(f"{where}: crossing {i} must be an object")
+        edge, side = c.get("edge"), c.get("side")
+        if not _is_int(edge) or edge < 0:
+            raise SchemaError(f"{where}: crossing {i} needs an integer edge >= 0")
+        if not _is_int(side) or side not in (1, -1):
+            raise SchemaError(f"{where}: crossing {i} needs side 1 or -1")
     return ArcWord.from_json_dict(doc, base)
 
 
@@ -106,19 +124,21 @@ def pair_dict(v: ArcWord, w: ArcWord) -> dict:
     }
 
 
+def _load_arcs(doc: dict, key: str, base: Triangulation, where) -> tuple[ArcWord, ...]:
+    arcs = _need(doc, key, list, where)
+    return tuple(load_arc(a, base, f"{where}.{key}[{i}]") for i, a in enumerate(arcs))
+
+
 def load_shadow_pair(doc: dict, where="shadow input") -> ShadowPairInput:
     _expect_format(doc, "arcdist.shadow_pair/1", where)
-    _need(doc, "triangulation", dict, where)
-    _need(doc, "v_side", list, where)
-    _need(doc, "w_side", list, where)
-    return ShadowPairInput.from_json_dict(doc)
+    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
+    return ShadowPairInput(base, _load_arcs(doc, "v_side", base, where), _load_arcs(doc, "w_side", base, where))
 
 
 def load_sequence(doc: dict, where="arc sequence") -> ArcSequence:
     _expect_format(doc, "arcdist.arc_sequence/1", where)
-    _need(doc, "triangulation", dict, where)
-    _need(doc, "arcs", list, where)
-    return ArcSequence.from_json_dict(doc)
+    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
+    return ArcSequence(base, _load_arcs(doc, "arcs", base, where))
 
 
 def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertificate:
@@ -136,9 +156,7 @@ def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertifi
         raise SchemaError(f"{where}: unknown verdict kind {vd.get('kind')!r}")
     ev = _need(doc, "evidence", dict, where)
     witness = load_arc(ev["witness"], base, where + ".witness") if "witness" in ev else None
-    path = None
-    if "path" in ev:
-        path = ArcSequence(base, tuple(load_arc(a, base, where + ".path") for a in ev["path"]))
+    path = ArcSequence(base, _load_arcs(ev, "path", base, where)) if "path" in ev else None
     return DistanceCertificate(
         v=v,
         w=w,
@@ -156,12 +174,24 @@ def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertifi
 
 
 def verify_document(doc: dict) -> list[str]:
-    """Re-check any certificate-bearing document; failures as messages."""
+    """Re-check any certificate-bearing document; failures as messages.
+
+    A stored arc sequence is validated once, when it is loaded; a sequence
+    whose consecutive arcs cross is a failed check, not invalid input.
+    """
+    try:
+        return _verify(doc)
+    except InvalidSequence as ex:
+        return ex.problems
+
+
+def _verify(doc: dict) -> list[str]:
     tag = doc.get("format")
     if tag == "arcdist.distance_certificate/1":
         return verify_certificate(load_distance_certificate(doc))
     if tag == "arcdist.arc_sequence/1":
-        return validate_sequence(load_sequence(doc))
+        load_sequence(doc)
+        return []
     if tag == "arcdist.surgery_trace/1":
         return _verify_surgery_trace(doc)
     if tag == "arcdist.level_certificate/1":
@@ -196,13 +226,12 @@ def _verify_surgery_trace(doc: dict) -> list[str]:
 def _verify_level_certificate(doc: dict) -> list[str]:
     where = "level certificate"
     base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    arcs = tuple(load_arc(a, base, where) for a in _need(doc, "sequence", list, where))
-    problems = validate_sequence((base, arcs))
-    if problems:
-        return problems
-    seq = ArcSequence(base, arcs)
+    try:
+        seq = ArcSequence(base, _load_arcs(doc, "sequence", base, where))
+    except InvalidSequence as ex:
+        return ex.problems
     pos = arcs_to_leveling(seq)
-    problems += pos.validate()
+    problems = pos.validate()
     stored = _need(doc, "level_position", dict, where)
     if pos.to_json_dict() != stored:
         problems.append("level certificate: stored level position disagrees with the sequence")
@@ -213,9 +242,9 @@ def _verify_level_certificate(doc: dict) -> list[str]:
 
 def _verify_level_report(doc: dict) -> list[str]:
     where = "level report"
-    problems = verify_document(_need(doc, "distance", dict, where))
+    cert = load_distance_certificate(_need(doc, "distance", dict, where))
+    problems = verify_certificate(cert)
     level = _need(doc, "level_number", dict, where)
-    cert = load_distance_certificate(doc["distance"])
     t = cert.verdict.as_tuple()
     if level.get("kind") == "trivial":
         if t != (0, 0):

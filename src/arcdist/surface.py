@@ -61,6 +61,7 @@ class Triangulation:
         "_violations",
         "_hash",
         "_canonical",
+        "_id",
     )
 
     def __init__(self, genus, triangles, p1_corner=None):
@@ -69,6 +70,7 @@ class Triangulation:
         self._side_of = None
         self._vertex_of_corner = None
         self._canonical = None
+        self._id = None
         self._violations = self._analyze(p1_corner)
         self._hash = hash((self.genus, self.triangles, self._p1_anchor))
 
@@ -386,9 +388,15 @@ class Triangulation:
         return t
 
     def triangulation_id(self) -> str:
-        """Content hash used to tie arcs and certificates to their base."""
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Content hash used to tie arcs and certificates to their base.
+
+        Computed on first use, after construction (and a flip's vertex
+        relabelling) has fixed the table, then kept.
+        """
+        if self._id is None:
+            blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            self._id = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._id
 
     # ------------------------------------------------------------------
 
@@ -436,16 +444,6 @@ def build_standard_triangulation(g: int) -> Triangulation:
     if not t.is_valid:
         raise InvalidTriangulation("; ".join(t.validate()))
     return t
-
-
-def validate(t: Triangulation) -> list[str]:
-    """Module-level alias for :meth:`Triangulation.validate`."""
-    return t.validate()
-
-
-def flip(t: Triangulation, e: int) -> Triangulation:
-    """Module-level alias for :meth:`Triangulation.flip`."""
-    return t.flip(e)
 
 
 def random_flip_walk(t: Triangulation, seed: int, steps: int) -> tuple[Triangulation, list[int]]:

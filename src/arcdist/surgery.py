@@ -5,8 +5,13 @@ remaining stretch to P2 misses w, and splice: the new arc follows w from P1
 up to p, then v from p to P2.  The result w' is disjoint from w and crosses
 v strictly fewer times, so iterating walks w to an arc disjoint from v and
 yields a path of at most k + 1 edges in the arc complex.  Both
-postconditions are re-verified on every step; a failure aborts with a
-diagnostic rather than returning an unproven trace.
+postconditions, and the embeddedness of w', are re-verified on every step;
+a failure aborts with a diagnostic rather than returning an unproven trace.
+
+Each step realizes (v, w') once and hands that realization to the next
+step; the finished path is validated once, by the ``ArcSequence``
+constructor.  ``distance.classify`` enters through ``_path`` with the
+realization of (v, w) it already holds.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arc import ArcWord, tighten
-from .errors import BaseMismatch, PreconditionError, VerificationError
-from .leveling import ArcSequence, validate_sequence
+from .errors import PreconditionError, VerificationError
+from .leveling import ArcSequence
 from .overlay import Realization, intersection, self_intersection
 
 
@@ -51,27 +56,22 @@ def _spliced_word(v: ArcWord, w: ArcWord, v_seg: int, w_seg: int) -> ArcWord:
     return tighten(v.base, w.start, raw, v.end)
 
 
-def surgery_step(v: ArcWord, w: ArcWord) -> SurgeryTrace:
-    """The descent step: returns w' with w.w' = 0 and w'.v < w.v.
+def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
+    """The descent step at a realized pair, plus the realization of (v, w').
 
-    The splice point is the last crossing along v; its stretch from there
-    to P2 is disjoint from w by construction.  At the level of reduced
-    words the two smoothings of the corner at p give the same arc, so there
-    is a single resolution; the postconditions are checked mechanically and
-    a failure raises (it would indicate an engine defect, not a valid
-    outcome).
+    The returned realization has already certified v.w' here and is the
+    input of the next step, so a path realizes each pair (v, w') once.
     """
-    if v.base != w.base:
-        raise BaseMismatch("arcs live over different triangulations")
-    real = Realization(v, w)
+    v, w = real.v, real.w
     k = real.count()
     if k == 0:
         raise PreconditionError("surgery needs crossing arcs; these are disjoint")
     p = max(real.crossings, key=lambda x: (x.v_seg, x.v_rank))
     w_prime = _spliced_word(v, w, p.v_seg, p.w_seg)
 
+    after = Realization(v, w_prime)
+    k_vw = after.count()
     k_ww = intersection(w, w_prime)
-    k_vw = intersection(v, w_prime)
     if k_ww != 0 or k_vw >= k or self_intersection(w_prime) != 0:
         raise VerificationError(
             f"surgery postcondition failed: w.w'={k_ww}, v.w'={k_vw} (was {k})"
@@ -84,37 +84,47 @@ def surgery_step(v: ArcWord, w: ArcWord) -> SurgeryTrace:
         w_prime=w_prime,
         intersections_before=k,
         intersections_after=k_vw,
-    )
+    ), after
 
 
-def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
-    """A verified path w = u_0, ..., u_m = v with m <= v.w + 1.
+def surgery_step(v: ArcWord, w: ArcWord) -> SurgeryTrace:
+    """The descent step: returns w' with w.w' = 0 and w'.v < w.v.
 
-    Consecutive arcs are disjoint and the crossing number with v strictly
-    descends along the surgery, mirroring the connectivity argument; the
-    whole sequence is re-validated before returning.
+    The splice point is the last crossing along v; its stretch from there
+    to P2 is disjoint from w by construction.  At the level of reduced
+    words the two smoothings of the corner at p give the same arc, so there
+    is a single resolution; the postconditions are checked mechanically and
+    a failure raises (it would indicate an engine defect, not a valid
+    outcome).
     """
-    if v.base != w.base:
-        raise BaseMismatch("arcs live over different triangulations")
-    k0 = intersection(v, w)
+    return _surgery(Realization(v, w))[0]
+
+
+def _path(real: Realization) -> ArcSequence:
+    """The surgery path from real.w to real.v; see :func:`path_between`."""
+    v, w = real.v, real.w
+    k0 = real.count()
     hops = [w]
-    current = w
-    last = intersection(v, current)
-    while last > 0:
-        trace = surgery_step(v, current)
-        current = trace.w_prime
-        if trace.intersections_after >= last:
-            raise VerificationError("surgery descent stalled")
-        last = trace.intersections_after
-        hops.append(current)
-    if current != v:
+    while real.count() > 0:
+        trace, real = _surgery(real)
+        hops.append(trace.w_prime)
+    if hops[-1] != v:
         hops.append(v)
     seq = ArcSequence(v.base, tuple(hops))
     if seq.edge_count > k0 + 1:
         raise VerificationError(
             f"path length {seq.edge_count} exceeds the {k0 + 1} bound"
         )
-    problems = validate_sequence(seq)
-    if problems:
-        raise VerificationError("; ".join(problems))
     return seq
+
+
+def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
+    """A verified path w = u_0, ..., u_m = v with m <= v.w + 1.
+
+    Each surgery step checks its own postconditions: w' is embedded,
+    disjoint from the arc before it, and crosses v strictly fewer times.
+    The ``ArcSequence`` constructor then validates the whole path once
+    (consecutive arcs disjoint, one base), and the length is checked
+    against the i(v, w) + 1 bound before returning.
+    """
+    return _path(Realization(v, w))

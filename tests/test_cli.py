@@ -4,10 +4,14 @@ import os
 import pytest
 
 from arcdist import build_standard_triangulation, serialize
-from arcdist.arc import random_arc
+from arcdist.arc import edge_word, random_arc
 from arcdist.cli import main
 from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples
-from arcdist.distance import ShadowPairInput
+from arcdist.distance import ShadowPairInput, classify
+from arcdist.leveling import sequence_to_level_certificate
+from arcdist.surgery import path_between
+
+from conftest import seeded_pairs
 
 
 @pytest.fixture()
@@ -165,3 +169,81 @@ def test_outputs_match_schemas(workdir):
     from arcdist.corpus import corpus_json_bytes
 
     check(json.loads(corpus_json_bytes()))
+
+
+def _crossing_pair(g1):
+    v, w = seeded_pairs(g1, "cli-malformed", 1, max_steps=8, require_crossing=True)[0]
+    assert len(v) > 0 and len(w) > 0
+    return v, w
+
+
+def _break_edge(arc):
+    arc["crossings"][0]["edge"] = "x"
+
+
+def _drop_side(arc):
+    del arc["crossings"][0]["side"]
+
+
+def _short_corner(arc):
+    arc["start_corner"] = arc["start_corner"][:1]
+
+
+def _crossing_not_object(arc):
+    arc["crossings"][0] = 3
+
+
+def _wrong_arc_format(arc):
+    arc["format"] = "arcdist.arc/2"
+
+
+@pytest.mark.parametrize("fmt", ["pair", "shadow", "sequence", "certificate"])
+@pytest.mark.parametrize("damage", [_break_edge, _drop_side, _short_corner, _crossing_not_object, _wrong_arc_format])
+def test_malformed_arc_is_a_schema_violation(tmp_path, g1, fmt, damage):
+    v, w = _crossing_pair(g1)
+    if fmt == "pair":
+        doc, argv = serialize.pair_dict(v, w), ["dist"]
+        arc = doc["v"]
+    elif fmt == "shadow":
+        doc, argv = ShadowPairInput(g1, (v,), (w,)).to_json_dict(), ["level"]
+        arc = doc["v_side"][0]
+    elif fmt == "sequence":
+        doc, argv = path_between(v, w).to_json_dict(), ["check-cert"]
+        arc = doc["arcs"][0]
+    else:
+        doc, argv = classify(v, w).to_json_dict(), ["check-cert"]
+        arc = doc["pair"]["v"]
+    damage(arc)
+    path = tmp_path / "doc.json"
+    serialize.write_doc(path, doc)
+    assert main([*argv, str(path)]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["certificate", "sequence", "level-certificate"])
+def test_check_cert_reports_a_crossing_stored_path(tmp_path, g1, capsys, fmt):
+    v, w = _crossing_pair(g1)
+    crossing = [w.to_json_dict(), v.to_json_dict()]
+    if fmt == "certificate":
+        doc = classify(v, w).to_json_dict()
+        doc["evidence"]["path"] = crossing
+    elif fmt == "sequence":
+        doc = path_between(v, w).to_json_dict()
+        doc["arcs"] = crossing
+    else:
+        doc = sequence_to_level_certificate(path_between(v, w))
+        doc["sequence"] = crossing
+    path = tmp_path / "doc.json"
+    serialize.write_doc(path, doc)
+    assert main(["check-cert", str(path)]) == 1
+    assert "failed: index 1: consecutive arcs intersect" in capsys.readouterr().out
+
+
+def test_check_cert_rejects_a_wrong_recorded_intersection(tmp_path, g1):
+    crossing = _crossing_pair(g1)
+    disjoint = (edge_word(g1, 2), edge_word(g1, 3))
+    for v, w in (crossing, disjoint):
+        doc = classify(v, w).to_json_dict()
+        doc["evidence"]["intersection_vw"] = 999
+        path = tmp_path / "cert.json"
+        serialize.write_doc(path, doc)
+        assert main(["check-cert", str(path)]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,17 @@ def test_serialization_round_trip(g1):
     again = Triangulation.from_json_dict(doc)
     assert again == g1
     assert again.triangulation_id() == g1.triangulation_id()
+
+
+def test_triangulation_id_is_a_cached_content_hash(g2):
+    flippable = next(e for e in range(g2.n_edges) if g2.is_flippable(e))
+    tables = [build_standard_triangulation(g) for g in (1, 2, 3, 4)] + [g2.flip(flippable)]
+    for t in tables:
+        blob = json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        first = t.triangulation_id()
+        assert first == hashlib.sha256(blob.encode()).hexdigest()[:16]
+        assert t.triangulation_id() is first
+    assert tables[-1].triangulation_id() != g2.triangulation_id()
 
 
 def test_canonical_form_stable_under_relabelling(g1):
