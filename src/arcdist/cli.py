@@ -52,9 +52,10 @@ def _cmd_tri(args) -> int:
     doc = serialize.load_doc(args.check)
     if doc.get("format") != "arcdist.triangulation/1":
         raise SchemaError(f"{args.check}: not a triangulation file")
+    serialize.check_triangulation_fields(doc, args.check)
     from .surface import Triangulation
 
-    t = Triangulation(doc.get("genus", 0), doc.get("triangles", []), p1_corner=tuple(doc.get("p1_corner", (0, 0))))
+    t = Triangulation(doc["genus"], doc["triangles"], p1_corner=tuple(doc["p1_corner"]))
     problems = t.validate()
     if problems:
         for p in problems:

@@ -2,12 +2,19 @@
 
 Two reduced words are realized simultaneously by fixing, along every
 triangulation edge, the linear order of the points where they cross it.
-The order of two strands is decided by unzipping: follow both of them into
-the triangle on each side of the edge until they part ways; which way a
-strand turns (or whether it terminates at the far corner) fixes its
-position.  Once every edge is ordered, in-triangle chords cross exactly
-when their boundary endpoints interleave, and the total count is the
-geometric intersection number of the two isotopy classes.
+Followed from a crossing into the triangle on either side of its edge, a
+strand makes a sequence of turns (leave by the side nearer the tail of the
+entry side, or nearer its head) and finally ends at the far corner.  The
+turn at a crossing depends only on the word, so each word is read once
+into a forward and a backward turn string, both ending in a terminator,
+and every strand's ray on each side of its edge is a suffix of one of
+them.  Two strands are ordered by comparing those suffixes: the first
+differing turn is where they part ways.  When the two sides of the edge
+disagree, the strands cross once in their shared stretch, and the side
+with the shorter common prefix (the nearer divergence) decides.  Once
+every edge is ordered, in-triangle chords cross exactly when their
+boundary endpoints interleave, and the total count is the geometric
+intersection number of the two isotopy classes.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -35,68 +42,42 @@ from .arc import ArcWord
 # strand ordering
 
 
-class _Ray:
-    """One side of a strand: the walk away from an edge crossing.
+_END = 1  # turn code of a ray that ends at the far corner of its triangle
+_MIRROR = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # a turn walked backward
 
-    ``values`` are the upcoming crossing values in walk order and ``entry``
-    is the corner (t, k) whose side the walk just crossed into triangle t.
+
+def _word_corners(base, word: ArcWord) -> list[tuple[Corner, Corner]]:
+    """Per crossing c: the corner of side c (the triangle the arc leaves)
+    and of side -c (the triangle it enters)."""
+    return [(base.side_corner(c), base.side_corner(-c)) for c in word.crossings]
+
+
+def _turns(corners) -> bytes:
+    """Forward turn string of a word: the code of each turn, then ``_END``.
+
+    After entering a triangle through side k, the arc leaves through side
+    k+2, hugging the tail of side k (code 0), or side k+1, hugging its head
+    (code 2).  The ray's end at the far corner sorts between them (code 1).
     """
-
-    __slots__ = ("base", "entry", "values", "idx")
-
-    def __init__(self, base, entry, values):
-        self.base = base
-        self.entry = entry
-        self.values = values
-        self.idx = 0
-
-    def target(self):
-        """('corner', 0, 0) or ('side', rel, value) in the current triangle."""
-        t, k = self.entry
-        if self.idx >= len(self.values):
-            return ("corner", 0, 0)
-        nv = self.values[self.idx]
-        here = self.base.side_corner(nv)
-        if here.tri != t:
+    codes = bytearray()
+    for (_, entered), (leaving, _) in zip(corners, corners[1:]):
+        if leaving.tri != entered.tri:
             raise InconsistentWord("ray left its triangle")
-        rel = (here.pos - k) % 3
+        rel = (leaving.pos - entered.pos) % 3
         if rel == 0:
             raise InconsistentWord("ray backtracked; word was not reduced")
-        return ("side", rel, nv)
-
-    def advance(self):
-        nv = self.values[self.idx]
-        self.idx += 1
-        opp = self.base.side_corner(-nv)
-        self.entry = Corner(opp.tri, opp.pos)
+        codes.append(0 if rel == 2 else 2)
+    codes.append(_END)
+    return bytes(codes)
 
 
-_RANK = {2: 0, 1: 2}  # exit side k+2 hugs the tail of side k, exit side k+1 the head
-
-
-def _ray_rank(tgt):
-    kind, rel, _ = tgt
-    return 1 if kind == "corner" else _RANK[rel]
-
-
-def _cmp_rays(ra: _Ray, rb: _Ray) -> tuple[int, int]:
-    """Order along the shared entry side (tail to head), plus steps walked.
-
-    Returns (sign, steps): sign 0 means the rays stay parallel until both
-    terminate; steps counts the shared edges crossed before diverging.
-    """
-    steps = 0
-    while True:
-        ta, tb = ra.target(), rb.target()
-        if ta[0] == "side" and tb[0] == "side" and ta[1] == tb[1]:
-            ra.advance()
-            rb.advance()
-            steps += 1
-            continue
-        rka, rkb = _ray_rank(ta), _ray_rank(tb)
-        if rka == rkb:  # both terminate at the far corner together
-            return 0, steps
-        return (-1 if rka < rkb else 1), steps
+def _lcp(a: bytes, b: bytes) -> int:
+    """Common prefix length of two different turn strings: the edges the
+    two rays cross side by side before they part."""
+    n = 0
+    while a[n] == b[n]:
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -106,47 +87,45 @@ class _Strand:
     value: int  # signed crossing label
 
 
-def _strand_ray(base, arcs, st: _Strand, into_positive: bool) -> _Ray:
-    """The ray of a strand into the triangle holding the +/- side of its edge."""
-    word = arcs[st.owner]
-    c = st.value
-    forward = (c > 0) != into_positive  # crossing +f leaves T(+f): its +f ray walks backward
-    if forward:
-        values = word.crossings[st.index + 1 :]
-        entry = base.side_corner(-c)
-    else:
-        values = tuple(-x for x in reversed(word.crossings[: st.index]))
-        entry = base.side_corner(c)
-    return _Ray(base, entry, values)
+def _order_edges(arcs, corners) -> dict[int, list[_Strand]]:
+    """Linear order of both arcs' strands along each edge (+side tail->head).
 
-
-def _order_edges(base, arcs) -> dict[int, list[_Strand]]:
-    """Linear order of both arcs' strands along each edge (+side tail->head)."""
-    per_edge: dict[int, list[_Strand]] = {}
+    The ray of a strand on either side of its edge walks the rest of the
+    word, forward or backward, so its turn codes are a suffix of the word's
+    forward turn string or of its backward one (the forward codes reversed
+    with left and right swapped).  Two rays into the same triangle compare
+    as those suffixes compare: the first differing code is where they part
+    ways, and equal suffixes run parallel until both end at the far corner.
+    The common prefix length counts the edges the rays cross side by side;
+    it is computed only when the two sides of the edge disagree, where the
+    side that parts sooner decides.
+    """
+    per_edge: dict[int, list] = {}
     for owner, word in enumerate(arcs):
         if word is None:
             continue
+        fwd = _turns(corners[owner])
+        bwd = fwd[-2::-1].translate(_MIRROR) + fwd[-1:]
+        n = len(word.crossings)
         for i, c in enumerate(word.crossings):
-            per_edge.setdefault(edge_of(c), []).append(_Strand(owner, i, c))
+            ahead, behind = fwd[i:], bwd[n - 1 - i :]
+            # crossing +f leaves the triangle of side +f, so its +side ray walks backward
+            plus, minus = (ahead, behind) if c < 0 else (behind, ahead)
+            per_edge.setdefault(edge_of(c), []).append((plus, minus, _Strand(owner, i, c)))
 
-    def cmp(p: _Strand, q: _Strand) -> int:
+    def cmp(a, b) -> int:
         """Order of two strands along their edge, positive-side tail to head.
 
-        The rays on each side of the edge are compared until the strands
-        part ways.  When the two divergences disagree, the strands must
+        When the divergences on the two sides disagree, the strands must
         cross once inside the shared stretch: each edge of the stretch then
-        takes its order from the nearer divergence, which flips the order
-        exactly once, at the middle.
+        takes its order from the nearer divergence (the shorter common
+        prefix), which flips the order exactly once, at the middle.
         """
-        if p is q or (p.owner == q.owner and p.index == q.index):
-            return 0
-        d_plus, n_plus = _cmp_rays(
-            _strand_ray(base, arcs, p, True), _strand_ray(base, arcs, q, True)
-        )
-        d_minus, n_minus = _cmp_rays(
-            _strand_ray(base, arcs, p, False), _strand_ray(base, arcs, q, False)
-        )
-        # d_minus is measured along the negative side, so negate it here
+        p_plus, p_minus, p = a
+        q_plus, q_minus, q = b
+        d_plus = (p_plus > q_plus) - (p_plus < q_plus)
+        # measured along the negative side, so negated where it is used
+        d_minus = (p_minus > q_minus) - (p_minus < q_minus)
         if d_plus == 0 and d_minus == 0:
             # fully parallel: only identical words, aligned index and
             # direction; push owner 1 consistently to one side of owner 0
@@ -160,9 +139,11 @@ def _order_edges(base, arcs) -> dict[int, list[_Strand]]:
             return d_plus
         if d_plus == -d_minus:
             return d_plus
-        return d_plus if n_plus <= n_minus else -d_minus
+        return d_plus if _lcp(p_plus, q_plus) <= _lcp(p_minus, q_minus) else -d_minus
 
-    return {e: sorted(strands, key=cmp_to_key(cmp)) for e, strands in per_edge.items()}
+    return {
+        e: [st for _, _, st in sorted(group, key=cmp_to_key(cmp))] for e, group in per_edge.items()
+    }
 
 
 def _rank_lookup(edge_order):
@@ -197,7 +178,7 @@ class _Segment:
     b: tuple
 
 
-def _segments_of(base, word: ArcWord, owner: int, rank_of) -> list[_Segment]:
+def _segments_of(word: ArcWord, owner: int, corners, rank_of) -> list[_Segment]:
     n = len(word.crossings)
     segs = []
     for j in range(n + 1):
@@ -205,20 +186,18 @@ def _segments_of(base, word: ArcWord, owner: int, rank_of) -> list[_Segment]:
             tri = word.start.tri
             a = (word.start.pos, -1)
         else:
-            c = word.crossings[j - 1]
-            entered = base.side_corner(-c)
+            entered = corners[j - 1][1]
             tri = entered.tri
-            a = (entered.pos, rank_of(owner, j - 1, -c))
+            a = (entered.pos, rank_of(owner, j - 1, -word.crossings[j - 1]))
         if j == n:
             if word.end.tri != tri:
                 raise InconsistentWord("segment chain broke")
             b = (word.end.pos, -1)
         else:
-            c = word.crossings[j]
-            leaving = base.side_corner(c)
+            leaving = corners[j][0]
             if leaving.tri != tri:
                 raise InconsistentWord("segment chain broke")
-            b = (leaving.pos, rank_of(owner, j, c))
+            b = (leaving.pos, rank_of(owner, j, word.crossings[j]))
         segs.append(_Segment(owner, j, tri, a, b))
     return segs
 
@@ -251,10 +230,11 @@ class Realization:
         self.base = v.base
         self.v, self.w = v, w
         self.arcs = (v, w)
-        self.edge_order = _order_edges(self.base, self.arcs)
+        corners = tuple(_word_corners(self.base, word) for word in self.arcs)
+        self.edge_order = _order_edges(self.arcs, corners)
         self._rank_of = _rank_lookup(self.edge_order)
         self.segments = tuple(
-            _segments_of(self.base, word, o, self._rank_of) for o, word in enumerate(self.arcs)
+            _segments_of(word, o, corners[o], self._rank_of) for o, word in enumerate(self.arcs)
         )
         self.crossings = self._find_crossings()
 
@@ -335,8 +315,9 @@ def intersection(v: ArcWord, w: ArcWord) -> int:
 
 def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
-    rank_of = _rank_lookup(_order_edges(word.base, (word, None)))
-    segs = _segments_of(word.base, word, 0, rank_of)
+    corners = _word_corners(word.base, word)
+    rank_of = _rank_lookup(_order_edges((word, None), (corners, None)))
+    segs = _segments_of(word, 0, corners, rank_of)
     by_tri: dict[int, list[_Segment]] = {}
     for seg in segs:
         by_tri.setdefault(seg.tri, []).append(seg)
@@ -434,6 +415,9 @@ class _OverlayBuilder:
 
         self.local_edges = []  # (kind, tail node, head node, data)
         self.tri_boundary_items: dict[int, list] = {}
+        self._item_idx: dict[int, dict] = {}  # tri -> {coordinate: item index}
+        self._node_at = pts  # tri -> {coordinate: global node}
+        self._side_strands: dict[int, list] = {}  # tri -> strand count on each side
         self.interval_ids: dict[tuple, int] = {}  # (tri, item index) -> edge id
 
         def add_edge(kind, tail, head, data):
@@ -443,6 +427,12 @@ class _OverlayBuilder:
         for t in range(base.n_triangles):
             items = sorted(pts[t].items())
             self.tri_boundary_items[t] = items
+            self._item_idx[t] = {c: i for i, (c, _) in enumerate(items)}
+            counts = [0, 0, 0]
+            for (k, rank), _ in items:
+                if rank >= 0:
+                    counts[k] += 1
+            self._side_strands[t] = counts
             for idx in range(len(items)):
                 (c1, _), (c2, _) = items[idx], items[(idx + 1) % len(items)]
                 self.interval_ids[(t, idx)] = add_edge("interval", (t, c1), (t, c2), (t, idx, c1[0]))
@@ -486,10 +476,8 @@ class _OverlayBuilder:
         the four germs follow the cyclic boundary order of the four far
         anchors of the two chords.
         """
-        tri = self._node_tri(node)
-        items = self.tri_boundary_items[tri]
-        m = len(items)
-        item_idx = {c: i for i, (c, _) in enumerate(items)}
+        item_idx = self._item_idx[self._node_tri(node)]
+        m = len(item_idx)
 
         if self._is_crossing(node):
             return sorted(gs, key=lambda g: item_idx[self._germ_far_anchor(*g)])
@@ -593,17 +581,14 @@ class _OverlayBuilder:
                 s = base.side(Corner(t, k))
                 opp = base.side_corner(-s)
                 t2, k2 = opp.tri, opp.pos
-                items2 = self.tri_boundary_items[t2]
-                n_pts = sum(1 for c, _ in items if c[0] == k and c[1] >= 0)
-                n_pts2 = sum(1 for c, _ in items2 if c[0] == k2 and c[1] >= 0)
-                if n_pts != n_pts2:
+                n_pts = self._side_strands[t][k]
+                if n_pts != self._side_strands[t2][k2]:
                     raise VerificationError("overlay: glued sides disagree on strand count")
-                start_idx = next(i for i, (c, _) in enumerate(items) if c == (k, -1))
-                j = (idx - start_idx) % m  # j-th interval along side k, from its tail
+                idx2_of = self._item_idx[t2]
+                j = (idx - self._item_idx[t][(k, -1)]) % m  # j-th interval along side k, from its tail
                 if not 0 <= j <= n_pts:
                     raise VerificationError("overlay: interval indexing broke")
-                start2 = next(i for i, (c, _) in enumerate(items2) if c == (k2, -1))
-                idx2 = (start2 + (n_pts - j)) % len(items2)  # gluing reverses
+                idx2 = (idx2_of[(k2, -1)] + (n_pts - j)) % len(idx2_of)  # gluing reverses
                 if (t2, idx2) == (t, idx):
                     raise VerificationError("overlay: interval glued to itself")
                 matched.add((t, idx))
@@ -629,7 +614,7 @@ class _OverlayBuilder:
             if local[0] == "x":
                 return local
             t, coord = local
-            return dict(self.tri_boundary_items[t])[coord]
+            return self._node_at[t][coord]
 
         comp_vertices: dict[int, set] = {c: set() for c in comp_faces}
         comp_chords: dict[int, set] = {c: set() for c in comp_faces}

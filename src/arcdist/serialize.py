@@ -62,14 +62,26 @@ def _expect_format(doc, tag, where):
 
 def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
     _expect_format(doc, "arcdist.triangulation/1", where)
-    _need(doc, "genus", int, where)
-    _need(doc, "triangles", list, where)
-    _need(doc, "p1_corner", list, where)
+    check_triangulation_fields(doc, where)
     return Triangulation.from_json_dict(doc)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_triangulation_fields(doc: dict, where: str):
+    """The structure the triangulation schema asks for; whether the table
+    glues into a surface is :meth:`Triangulation.validate`'s question."""
+    genus = _need(doc, "genus", None, where)
+    if not _is_int(genus) or genus < 1:
+        raise SchemaError(f"{where}: genus must be an integer >= 1")
+    for i, t in enumerate(_need(doc, "triangles", list, where)):
+        if not isinstance(t, list) or len(t) != 3 or not all(_is_int(s) and s != 0 for s in t):
+            raise SchemaError(f"{where}: triangle {i} must be a list of three nonzero integers")
+    corner = _need(doc, "p1_corner", list, where)
+    if len(corner) != 2 or not all(_is_int(x) and x >= 0 for x in corner):
+        raise SchemaError(f"{where}: p1_corner must be a list of two integers >= 0")
 
 
 def load_arc(doc: dict, base: Triangulation, where="arc") -> ArcWord:

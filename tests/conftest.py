@@ -40,3 +40,18 @@ def seeded_arcs(base, tag, count, max_steps=14):
         random_arc(base, rng.randrange(1 << 30), 3 + i % max_steps)
         for i in range(count)
     ]
+
+
+def seeded_arcs_of_length(base, tag, count, lo, hi):
+    """Distinct deterministic arcs with word length in ``lo..hi``.
+
+    Draws flip walks until enough words land in the range: word length, not
+    step count, is what the realization's cost depends on.
+    """
+    rng = random.Random(tag)
+    out = []
+    while len(out) < count:
+        a = random_arc(base, rng.randrange(1 << 30), rng.randint(30, 50))
+        if lo <= len(a) <= hi and a not in out:
+            out.append(a)
+    return out

@@ -1,7 +1,10 @@
+import copy
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcdist import build_standard_triangulation, serialize
 from arcdist.arc import edge_word, random_arc
@@ -247,3 +250,131 @@ def test_check_cert_rejects_a_wrong_recorded_intersection(tmp_path, g1):
         path = tmp_path / "cert.json"
         serialize.write_doc(path, doc)
         assert main(["check-cert", str(path)]) == 1
+
+
+def _pair_g2(g2):
+    return seeded_pairs(g2, "cli-triangulation", 1, max_steps=8)[0]
+
+
+def _format_doc(fmt, v, w):
+    """A valid document of one input format, and the command that loads it."""
+    if fmt == "pair":
+        return serialize.pair_dict(v, w), ["dist"]
+    if fmt == "shadow":
+        return ShadowPairInput(v.base, (v,), (w,)).to_json_dict(), ["level"]
+    if fmt == "sequence":
+        return path_between(v, w).to_json_dict(), ["check-cert"]
+    return classify(v, w).to_json_dict(), ["check-cert"]
+
+
+def _short_p1_corner(tri):
+    tri["p1_corner"] = [0]
+
+
+def _triangle_not_list(tri):
+    tri["triangles"][0] = 5
+
+
+def _string_label(tri):
+    tri["triangles"][0][0] = "x"
+
+
+def _two_sided_triangle(tri):
+    tri["triangles"][0] = tri["triangles"][0][:2]
+
+
+def _zero_label(tri):
+    tri["triangles"][0][0] = 0
+
+
+def _genus_zero(tri):
+    tri["genus"] = 0
+
+
+def _negative_p1_corner(tri):
+    tri["p1_corner"] = [0, -1]
+
+
+_FORMATS = ["pair", "shadow", "sequence", "certificate"]
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize(
+    "damage",
+    [_short_p1_corner, _triangle_not_list, _string_label, _two_sided_triangle, _zero_label,
+     _genus_zero, _negative_p1_corner],
+)
+def test_malformed_triangulation_is_a_schema_violation(tmp_path, g2, fmt, damage):
+    doc, argv = _format_doc(fmt, *_pair_g2(g2))
+    damage(doc["triangulation"])
+    path = tmp_path / "doc.json"
+    serialize.write_doc(path, doc)
+    assert main([*argv, str(path)]) == 3
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_inconsistent_triangulation_table_is_invalid_input(tmp_path, g2, fmt):
+    """Well-formed fields that do not glue into a surface keep exit 5."""
+    doc, argv = _format_doc(fmt, *_pair_g2(g2))
+    doc["triangulation"]["triangles"][0][0] *= -1  # one edge now has two sides of one sign
+    path = tmp_path / "doc.json"
+    serialize.write_doc(path, doc)
+    assert main([*argv, str(path)]) == 5
+
+
+def test_tri_check_rejects_a_malformed_table(tmp_path):
+    doc = build_standard_triangulation(1).to_json_dict()
+    _triangle_not_list(doc)
+    serialize.write_doc(tmp_path / "bad.json", doc)
+    assert main(["tri", "--check", str(tmp_path / "bad.json")]) == 3
+
+
+def _json_paths(node, prefix=()):
+    """Every key or index path into a JSON tree, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_DELETE = object()
+_JUNK = [_DELETE, None, True, 0, -1, 7, 2.5, "x", [], [0], [0, 0, 0], [1, 2], {}, {"edge": 0}]
+
+
+@pytest.fixture(scope="module")
+def valid_docs(g2):
+    v, w = _pair_g2(g2)
+    return {fmt: _format_doc(fmt, v, w) for fmt in _FORMATS}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_end_in_a_documented_exit_code(tmp_path_factory, valid_docs, data):
+    """One field of a valid document replaced or deleted: the command
+    returns a documented exit code and never raises; damage that breaks the
+    triangulation schema is a schema violation."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    fmt = data.draw(st.sampled_from(_FORMATS))
+    doc, argv = valid_docs[fmt]
+    doc = copy.deepcopy(doc)
+    where = data.draw(st.sampled_from(list(_json_paths(doc))))
+    junk = data.draw(st.sampled_from(_JUNK))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if junk is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = copy.deepcopy(junk)
+    path = tmp_path_factory.mktemp("mutated") / "doc.json"
+    serialize.write_doc(path, doc)
+    code = main([*argv, str(path)])
+    assert code in (0, 1, 2, 3, 4, 5)
+    if where[0] == "triangulation" and "triangulation" in doc:
+        schema = json.loads(
+            resources.files("arcdist.data").joinpath("schemas/triangulation.schema.json").read_text()
+        )
+        if not jsonschema.Draft202012Validator(schema).is_valid(doc["triangulation"]):
+            assert code == 3, (where, junk)

@@ -8,10 +8,11 @@ from arcdist import build_standard_triangulation
 from arcdist.arc import enumerate_arcs, random_arc, transport
 from arcdist.distance import classify
 from arcdist.leveling import LevelPosition, arcs_to_leveling, leveling_to_arc_sequence
-from arcdist.overlay import build_overlay, intersection, intersection_via_flips
+from arcdist.overlay import Realization, build_overlay, intersection, intersection_via_flips
+from arcdist.surface import Triangulation, edge_of
 from arcdist.surgery import path_between
 
-from conftest import seeded_pairs
+from conftest import seeded_arcs_of_length, seeded_pairs
 
 
 @pytest.fixture(scope="module")
@@ -62,36 +63,104 @@ def test_order_is_transport_stable_per_edge(g1):
                 assert intersection(transport(v, e), transport(w, e)) == i0
 
 
-def test_strand_order_is_a_total_order(g1, g2):
-    """The produced edge orders must agree with every pairwise comparison;
-    a lurking non-transitivity in the nearest-divergence rule would show up
-    here as a sorted list contradicting one of its own pairs."""
-    from arcdist.overlay import _order_edges, _strand_ray, _cmp_rays
+def _walk_ray(base, word, index, into_positive):
+    """Reference ray of one strand, walked one crossing at a time.
 
+    Yields the rank of each turn along the entry side: 0 when the ray
+    leaves through side k+2 (hugging the tail of entry side k), 2 through
+    side k+1, and finally 1 where it ends at the far corner.
+    """
+    c = word.crossings[index]
+    if (c > 0) != into_positive:  # crossing +f leaves T(+f): its +f ray walks backward
+        entry, values = base.side_corner(-c), word.crossings[index + 1 :]
+    else:
+        entry, values = base.side_corner(c), [-x for x in reversed(word.crossings[:index])]
+    for nv in values:
+        here = base.side_corner(nv)
+        assert here.tri == entry.tri, "ray left its triangle"
+        rel = (here.pos - entry.pos) % 3
+        assert rel != 0, "ray backtracked"
+        yield 0 if rel == 2 else 2
+        entry = base.side_corner(-nv)
+    yield 1
+
+
+def _compare_walks(base, arcs, p, q, into_positive):
+    """(sign, steps): which ray lies nearer the tail, and the edges the two
+    cross side by side first; sign 0 when both end at the corner together."""
+    steps = 0
+    for a, b in zip(
+        _walk_ray(base, arcs[p.owner], p.index, into_positive),
+        _walk_ray(base, arcs[q.owner], q.index, into_positive),
+    ):
+        if a != b:
+            return (-1 if a < b else 1), steps
+        if a == 1:
+            return 0, steps
+        steps += 1
+
+
+def _total_order_pairs(g1, g2):
+    pairs = []
     for base in (g1, g2):
-        for v, w in seeded_pairs(base, f"total-{base.genus}", 15, require_crossing=True):
-            orders = _order_edges(base, (v, w))
-            for e, strands in orders.items():
-                for i in range(len(strands)):
-                    for j in range(i + 1, len(strands)):
-                        p, q = strands[i], strands[j]
-                        d_plus, n_plus = _cmp_rays(
-                            _strand_ray(base, (v, w), p, True), _strand_ray(base, (v, w), q, True)
-                        )
-                        d_minus, n_minus = _cmp_rays(
-                            _strand_ray(base, (v, w), p, False), _strand_ray(base, (v, w), q, False)
-                        )
-                        if d_plus == 0 and d_minus == 0:
-                            continue  # identical words; nesting handled separately
-                        if d_plus == 0:
-                            verdict = -d_minus
-                        elif d_minus == 0:
-                            verdict = d_plus
-                        elif d_plus == -d_minus:
-                            verdict = d_plus
-                        else:
-                            verdict = d_plus if n_plus <= n_minus else -d_minus
-                        assert verdict == -1, (e, p, q)
+        pairs += seeded_pairs(base, f"total-{base.genus}", 15, require_crossing=True)
+    for genus in (3, 4):
+        base = build_standard_triangulation(genus)
+        pairs += seeded_pairs(base, f"total-{genus}", 4, max_steps=22, require_crossing=True)
+    arcs = seeded_arcs_of_length(g1, "total-long", 6, 24, 64)
+    pairs += list(zip(arcs[::2], arcs[1::2]))
+    return pairs
+
+
+def test_strand_order_is_a_total_order(g1, g2):
+    """Every pair in the produced edge orders must agree with a plain ray
+    walk under the nearest-divergence rule; a lurking non-transitivity
+    would show up here as a sorted list contradicting one of its own
+    pairs."""
+    for v, w in _total_order_pairs(g1, g2):
+        base, arcs = v.base, (v, w)
+        orders = Realization(v, w).edge_order
+        expected = sorted(
+            (edge_of(c), o, i) for o, word in enumerate(arcs) for i, c in enumerate(word.crossings)
+        )
+        assert sorted((e, st.owner, st.index) for e, sts in orders.items() for st in sts) == expected
+        for e, strands in orders.items():
+            for i in range(len(strands)):
+                for j in range(i + 1, len(strands)):
+                    p, q = strands[i], strands[j]
+                    d_plus, n_plus = _compare_walks(base, arcs, p, q, True)
+                    d_minus, n_minus = _compare_walks(base, arcs, p, q, False)
+                    if d_plus == 0 and d_minus == 0:
+                        continue  # identical words; nesting handled separately
+                    if d_plus == 0:
+                        verdict = -d_minus
+                    elif d_minus == 0:
+                        verdict = d_plus
+                    elif d_plus == -d_minus:
+                        verdict = d_plus
+                    else:
+                        verdict = d_plus if n_plus <= n_minus else -d_minus
+                    assert verdict == -1, (e, p, q)
+
+
+def test_realization_work_is_linear_in_word_length(g1, monkeypatch):
+    """Building one realization looks up O(|v|+|w|) triangle sides; a
+    comparator that walks rays again makes it grow quadratically."""
+    arcs = seeded_arcs_of_length(g1, "work-bound", 8, 24, 64)
+    pairs = [(v, w) for v, w in itertools.combinations(arcs, 2) if len(v) + len(w) >= 80]
+    assert len(pairs) >= 5
+    calls = [0]
+    side_corner = Triangulation.side_corner
+
+    def counting(self, label):
+        calls[0] += 1
+        return side_corner(self, label)
+
+    monkeypatch.setattr(Triangulation, "side_corner", counting)
+    for v, w in pairs:
+        calls[0] = 0
+        Realization(v, w)
+        assert calls[0] <= 4 * (len(v) + len(w)), (len(v), len(w), calls[0])
 
 
 def test_level_position_json_round_trip(g1):
