@@ -66,10 +66,6 @@ class ArcWord:
     def sort_key(self):
         return (len(self.crossings), self.start, self.crossings, self.end)
 
-    def reversed_values(self) -> tuple[int, ...]:
-        """Crossing values of the same arc traversed from P2 to P1."""
-        return tuple(-c for c in reversed(self.crossings))
-
     def to_json_dict(self) -> dict:
         return {
             "format": "arcdist.arc/1",

@@ -26,7 +26,7 @@ from . import serialize
 from .corpus import load_bundled_examples, run_examples
 from .errors import ArcdistError, BaseMismatch, PreconditionError, SchemaError, VerificationError
 from .leveling import level_number_report
-from .surface import build_standard_triangulation
+from .surface import Triangulation, build_standard_triangulation
 
 EXIT_VERIFY_FAILED = 1
 EXIT_MALFORMED = 2
@@ -50,11 +50,7 @@ def _cmd_tri(args) -> int:
         _emit(t.to_json_dict(), args.output)
         return 0
     doc = serialize.load_doc(args.check)
-    if doc.get("format") != "arcdist.triangulation/1":
-        raise SchemaError(f"{args.check}: not a triangulation file")
-    serialize.check_triangulation_fields(doc, args.check)
-    from .surface import Triangulation
-
+    serialize.check_doc(doc, "arcdist.triangulation/1", args.check)
     t = Triangulation(doc["genus"], doc["triangles"], p1_corner=tuple(doc["p1_corner"]))
     problems = t.validate()
     if problems:
@@ -128,8 +124,7 @@ def _cmd_examples(args) -> int:
         if args.emit:
             os.makedirs(args.emit, exist_ok=True)
             serialize.write_doc(os.path.join(args.emit, f"{row['name']}.record.json"), rec.to_json_dict())
-            report = level_number_report(rec.shadows)
-            serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), report)
+            serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), row["report"])
     seed = os.environ.get("ARCDIST_SEED")
     if seed is not None:
         failed += _examples_spot_check(records, int(seed))

@@ -166,7 +166,7 @@ def render_levels_svg(level_certificate: dict) -> str:
 
 def render_document(doc: dict, out_dir) -> list[str]:
     """Write figures for a certificate-bearing document; returns file names."""
-    from .serialize import load_distance_certificate, load_pair, load_sequence
+    from .serialize import check_doc, load_distance_certificate, load_pair, load_sequence
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,13 +191,12 @@ def render_document(doc: dict, out_dir) -> list[str]:
             render_arcs_svg(list(seq.arcs), [f"s{i}" for i in range(len(seq.arcs))])
         )
         written.append("sequence.svg")
-    elif tag == "arcdist.level_report/1":
-        if "level_certificate" in doc:
-            (out_dir / "levels.svg").write_text(render_levels_svg(doc["level_certificate"]))
+    elif tag in ("arcdist.level_report/1", "arcdist.level_certificate/1"):
+        check_doc(doc, tag, "document")
+        level_certificate = doc if tag == "arcdist.level_certificate/1" else doc.get("level_certificate")
+        if level_certificate is not None:
+            (out_dir / "levels.svg").write_text(render_levels_svg(level_certificate))
             written.append("levels.svg")
-    elif tag == "arcdist.level_certificate/1":
-        (out_dir / "levels.svg").write_text(render_levels_svg(doc))
-        written.append("levels.svg")
     else:
         raise ValueError(f"no renderer for format {tag!r}")
     return written

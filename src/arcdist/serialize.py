@@ -1,16 +1,22 @@
 """Canonical JSON I/O for every file format, plus certificate re-checking.
 
 All files are canonical JSON: sorted keys, compact separators, a single
-trailing newline.  Every document carries a ``format`` tag; loaders check
-structure and raise ``SchemaError`` with a pointed message on malformed
-input, and ``BaseMismatch`` when an arc references a triangulation other
-than the one it is packaged with.  ``verify_document`` re-derives every
-claim of a certificate from the serialized bytes alone.
+trailing newline.  Every document carries a ``format`` tag, the ``$id`` of
+its JSON Schema in ``data/schemas``; those schemas are the one definition of
+the formats.  Every loader checks its document against its schema once,
+raising ``SchemaError`` on any violation, an unknown field included, and
+then builds from the checked dict, raising ``BaseMismatch`` when an arc
+references a triangulation other than the one it is packaged with.
+``verify_document`` re-derives every claim of a certificate from the
+serialized bytes alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
+from importlib import resources
 from pathlib import Path
 
 from .arc import ArcWord
@@ -47,68 +53,87 @@ class MalformedJSON(ArcdistError):
     """The file is not JSON at all (distinct from a schema violation)."""
 
 
-def _need(doc, key, kind, where):
-    if key not in doc:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    if kind is not None and not isinstance(doc[key], kind):
-        raise SchemaError(f"{where}: field {key!r} has the wrong type")
-    return doc[key]
+# ----------------------------------------------------------------------
+# the shipped schemas, checked by the JSON Schema keywords they use
 
 
-def _expect_format(doc, tag, where):
-    if doc.get("format") != tag:
-        raise SchemaError(f"{where}: expected format {tag!r}, found {doc.get('format')!r}")
+@functools.cache
+def _schemas() -> dict[str, dict]:
+    files = resources.files("arcdist.data").joinpath("schemas").iterdir()
+    return {s["$id"]: s for s in (json.loads(f.read_text()) for f in files if f.name.endswith(".json"))}
+
+
+# JSON types; true is not an integer, and a float is never one, not even 1.0,
+# because loaders index with integers
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int}
+
+
+def check_doc(doc, tag: str, where: str):
+    """Raise ``SchemaError`` unless ``doc`` satisfies the shipped schema whose
+    ``$id`` is the format tag ``tag``."""
+    problem = _problem(doc, _schemas()[tag], where)
+    if problem is not None:
+        raise SchemaError(problem)
+
+
+def _problem(x, s: dict, where: str) -> str | None:
+    """The first way ``x`` breaks schema ``s``, or None.  Covers the keywords
+    the shipped schemas use; each ``$ref`` stands alone and names an ``$id``."""
+    if "$ref" in s:
+        return _problem(x, _schemas()[s["$ref"]], where)
+    if "type" in s and (not isinstance(x, _TYPES[s["type"]]) or isinstance(x, bool) != (s["type"] == "boolean")):
+        return f"{where}: expected {s['type']}"
+    allowed = s.get("enum", [s["const"]] if "const" in s else None)
+    if allowed is not None and not any(x == a and isinstance(x, bool) == isinstance(a, bool) for a in allowed):
+        return f"{where}: expected one of {allowed}"
+    if "not" in s and _problem(x, s["not"], where) is None:
+        return f"{where}: value not allowed"
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        if x < s.get("minimum", x) or x > s.get("maximum", x):
+            return f"{where}: out of range"
+    elif isinstance(x, str):
+        if "pattern" in s and not re.search(s["pattern"], x):
+            return f"{where}: does not match {s['pattern']}"
+    elif isinstance(x, list):
+        if not s.get("minItems", 0) <= len(x) <= s.get("maxItems", len(x)):
+            return f"{where}: wrong number of items"
+        if "items" in s:
+            for i, item in enumerate(x):
+                if (problem := _problem(item, s["items"], f"{where}[{i}]")) is not None:
+                    return problem
+    elif isinstance(x, dict):
+        for key in s.get("required", ()):
+            if key not in x:
+                return f"{where}: missing field {key!r}"
+        properties = s.get("properties", {})
+        for key, value in x.items():
+            if key in properties:
+                if (problem := _problem(value, properties[key], f"{where}.{key}")) is not None:
+                    return problem
+            elif s.get("additionalProperties") is False:
+                return f"{where}: unknown field {key!r}"
+    if "oneOf" in s and sum(_problem(x, alt, where) is None for alt in s["oneOf"]) != 1:
+        return f"{where}: matches none of its forms, or more than one"
+    return None
+
+
+# ----------------------------------------------------------------------
+# loaders: check the document once, then build from the checked dict
 
 
 def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
-    _expect_format(doc, "arcdist.triangulation/1", where)
-    check_triangulation_fields(doc, where)
+    check_doc(doc, "arcdist.triangulation/1", where)
     return Triangulation.from_json_dict(doc)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def check_triangulation_fields(doc: dict, where: str):
-    """The structure the triangulation schema asks for; whether the table
-    glues into a surface is :meth:`Triangulation.validate`'s question."""
-    genus = _need(doc, "genus", None, where)
-    if not _is_int(genus) or genus < 1:
-        raise SchemaError(f"{where}: genus must be an integer >= 1")
-    for i, t in enumerate(_need(doc, "triangles", list, where)):
-        if not isinstance(t, list) or len(t) != 3 or not all(_is_int(s) and s != 0 for s in t):
-            raise SchemaError(f"{where}: triangle {i} must be a list of three nonzero integers")
-    corner = _need(doc, "p1_corner", list, where)
-    if len(corner) != 2 or not all(_is_int(x) and x >= 0 for x in corner):
-        raise SchemaError(f"{where}: p1_corner must be a list of two integers >= 0")
-
-
 def load_arc(doc: dict, base: Triangulation, where="arc") -> ArcWord:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: an arc must be an object")
-    _expect_format(doc, "arcdist.arc/1", where)
-    for key, kind in (("base_id", str), ("start_corner", list), ("crossings", list), ("end_corner", list)):
-        _need(doc, key, kind, where)
-    for key in ("start_corner", "end_corner"):
-        corner = doc[key]
-        if len(corner) != 2 or not all(_is_int(x) for x in corner):
-            raise SchemaError(f"{where}: {key} must be a list of two integers")
-    for i, c in enumerate(doc["crossings"]):
-        if not isinstance(c, dict):
-            raise SchemaError(f"{where}: crossing {i} must be an object")
-        edge, side = c.get("edge"), c.get("side")
-        if not _is_int(edge) or edge < 0:
-            raise SchemaError(f"{where}: crossing {i} needs an integer edge >= 0")
-        if not _is_int(side) or side not in (1, -1):
-            raise SchemaError(f"{where}: crossing {i} needs side 1 or -1")
+    check_doc(doc, "arcdist.arc/1", where)
     return ArcWord.from_json_dict(doc, base)
 
 
 def load_arc_file(doc: dict, where="arc file") -> ArcWord:
-    _expect_format(doc, "arcdist.arc_file/1", where)
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    return load_arc(_need(doc, "arc", dict, where), base, where)
+    check_doc(doc, "arcdist.arc_file/1", where)
+    return ArcWord.from_json_dict(doc["arc"], Triangulation.from_json_dict(doc["triangulation"]))
 
 
 def arc_file_dict(arc: ArcWord) -> dict:
@@ -120,11 +145,9 @@ def arc_file_dict(arc: ArcWord) -> dict:
 
 
 def load_pair(doc: dict, where="pair file") -> tuple[ArcWord, ArcWord]:
-    _expect_format(doc, "arcdist.pair/1", where)
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    v = load_arc(_need(doc, "v", dict, where), base, where + ".v")
-    w = load_arc(_need(doc, "w", dict, where), base, where + ".w")
-    return v, w
+    check_doc(doc, "arcdist.pair/1", where)
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    return ArcWord.from_json_dict(doc["v"], base), ArcWord.from_json_dict(doc["w"], base)
 
 
 def pair_dict(v: ArcWord, w: ArcWord) -> dict:
@@ -136,47 +159,42 @@ def pair_dict(v: ArcWord, w: ArcWord) -> dict:
     }
 
 
-def _load_arcs(doc: dict, key: str, base: Triangulation, where) -> tuple[ArcWord, ...]:
-    arcs = _need(doc, key, list, where)
-    return tuple(load_arc(a, base, f"{where}.{key}[{i}]") for i, a in enumerate(arcs))
+def _arcs(docs: list, base: Triangulation) -> tuple[ArcWord, ...]:
+    return tuple(ArcWord.from_json_dict(a, base) for a in docs)
 
 
 def load_shadow_pair(doc: dict, where="shadow input") -> ShadowPairInput:
-    _expect_format(doc, "arcdist.shadow_pair/1", where)
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    return ShadowPairInput(base, _load_arcs(doc, "v_side", base, where), _load_arcs(doc, "w_side", base, where))
+    check_doc(doc, "arcdist.shadow_pair/1", where)
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    return ShadowPairInput(base, _arcs(doc["v_side"], base), _arcs(doc["w_side"], base))
+
+
+def _sequence(doc: dict, key: str) -> ArcSequence:
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    return ArcSequence(base, _arcs(doc[key], base))
 
 
 def load_sequence(doc: dict, where="arc sequence") -> ArcSequence:
-    _expect_format(doc, "arcdist.arc_sequence/1", where)
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    return ArcSequence(base, _load_arcs(doc, "arcs", base, where))
+    check_doc(doc, "arcdist.arc_sequence/1", where)
+    return _sequence(doc, "arcs")
 
 
 def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertificate:
-    _expect_format(doc, "arcdist.distance_certificate/1", where)
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    pair = _need(doc, "pair", dict, where)
-    v = load_arc(_need(pair, "v", dict, where), base, where + ".v")
-    w = load_arc(_need(pair, "w", dict, where), base, where + ".w")
-    vd = _need(doc, "verdict", dict, where)
-    if vd.get("kind") == "exact":
-        verdict = Verdict("exact", value=_need(vd, "value", int, where))
-    elif vd.get("kind") == "bounds":
-        verdict = Verdict("bounds", lower=_need(vd, "lower", int, where), upper=_need(vd, "upper", int, where))
-    else:
-        raise SchemaError(f"{where}: unknown verdict kind {vd.get('kind')!r}")
-    ev = _need(doc, "evidence", dict, where)
-    witness = load_arc(ev["witness"], base, where + ".witness") if "witness" in ev else None
-    path = ArcSequence(base, _load_arcs(ev, "path", base, where)) if "path" in ev else None
+    check_doc(doc, "arcdist.distance_certificate/1", where)
+    return _distance_certificate(doc)
+
+
+def _distance_certificate(doc: dict) -> DistanceCertificate:
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    ev = doc["evidence"]
     return DistanceCertificate(
-        v=v,
-        w=w,
-        verdict=verdict,
-        witness=witness,
-        path=path,
-        intersection_vw=ev.get("intersection_vw", 0),
-        checked_distance_two=ev.get("checked_distance_two", False),
+        v=ArcWord.from_json_dict(doc["pair"]["v"], base),
+        w=ArcWord.from_json_dict(doc["pair"]["w"], base),
+        verdict=Verdict(**doc["verdict"]),
+        witness=ArcWord.from_json_dict(ev["witness"], base) if "witness" in ev else None,
+        path=ArcSequence(base, _arcs(ev["path"], base)) if "path" in ev else None,
+        intersection_vw=ev["intersection_vw"],
+        checked_distance_two=ev["checked_distance_two"],
         search_note=ev.get("search"),
     )
 
@@ -188,46 +206,36 @@ def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertifi
 def verify_document(doc: dict) -> list[str]:
     """Re-check any certificate-bearing document; failures as messages.
 
-    A stored arc sequence is validated once, when it is loaded; a sequence
+    The whole document is checked against its schema once, up front.  A
+    stored arc sequence is validated once, when it is loaded; a sequence
     whose consecutive arcs cross is a failed check, not invalid input.
     """
+    tag = doc.get("format")
+    verify = _VERIFIERS.get(tag) if isinstance(tag, str) else None
+    if verify is None:
+        raise SchemaError(f"no verifier for format {tag!r}")
+    check_doc(doc, tag, "document")
     try:
-        return _verify(doc)
+        return verify(doc)
     except InvalidSequence as ex:
         return ex.problems
 
 
-def _verify(doc: dict) -> list[str]:
-    tag = doc.get("format")
-    if tag == "arcdist.distance_certificate/1":
-        return verify_certificate(load_distance_certificate(doc))
-    if tag == "arcdist.arc_sequence/1":
-        load_sequence(doc)
-        return []
-    if tag == "arcdist.surgery_trace/1":
-        return _verify_surgery_trace(doc)
-    if tag == "arcdist.level_certificate/1":
-        return _verify_level_certificate(doc)
-    if tag == "arcdist.level_report/1":
-        return _verify_level_report(doc)
-    if tag == "arcdist.triangulation/1":
-        return load_triangulation(doc).validate()
-    raise SchemaError(f"no verifier for format {tag!r}")
+def _verify_sequence(doc: dict) -> list[str]:
+    _sequence(doc, "arcs")
+    return []
 
 
 def _verify_surgery_trace(doc: dict) -> list[str]:
-    where = "surgery trace"
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
-    v = load_arc(_need(doc, "v", dict, where), base, where)
-    w = load_arc(_need(doc, "w", dict, where), base, where)
-    wp = load_arc(_need(doc, "w_prime", dict, where), base, where)
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    v, w, wp = (ArcWord.from_json_dict(doc[key], base) for key in ("v", "w", "w_prime"))
     problems = []
     k = intersection(v, w)
-    if k != doc.get("intersections_before"):
-        problems.append(f"trace: v.w = {k}, recorded {doc.get('intersections_before')}")
+    if k != doc["intersections_before"]:
+        problems.append(f"trace: v.w = {k}, recorded {doc['intersections_before']}")
     kp = intersection(v, wp)
-    if kp != doc.get("intersections_after"):
-        problems.append(f"trace: v.w' = {kp}, recorded {doc.get('intersections_after')}")
+    if kp != doc["intersections_after"]:
+        problems.append(f"trace: v.w' = {kp}, recorded {doc['intersections_after']}")
     if intersection(w, wp) != 0:
         problems.append("trace: w and w' intersect")
     if kp >= k:
@@ -236,39 +244,53 @@ def _verify_surgery_trace(doc: dict) -> list[str]:
 
 
 def _verify_level_certificate(doc: dict) -> list[str]:
-    where = "level certificate"
-    base = load_triangulation(_need(doc, "triangulation", dict, where), where)
     try:
-        seq = ArcSequence(base, _load_arcs(doc, "sequence", base, where))
+        seq = _sequence(doc, "sequence")
     except InvalidSequence as ex:
         return ex.problems
     pos = arcs_to_leveling(seq)
     problems = pos.validate()
-    stored = _need(doc, "level_position", dict, where)
-    if pos.to_json_dict() != stored:
+    if pos.to_json_dict() != doc["level_position"]:
         problems.append("level certificate: stored level position disagrees with the sequence")
-    if pos.ambient_genus != base.genus * pos.n_levels:
+    if pos.ambient_genus != seq.base.genus * pos.n_levels:
         problems.append("level certificate: ambient genus law failed")
     return problems
 
 
 def _verify_level_report(doc: dict) -> list[str]:
-    where = "level report"
-    cert = load_distance_certificate(_need(doc, "distance", dict, where))
+    distance = doc["distance"]
+    cert = _distance_certificate(distance)
     problems = verify_certificate(cert)
-    level = _need(doc, "level_number", dict, where)
+    if distance["triangulation"] != doc["triangulation"]:
+        problems.append("report: the distance certificate is over another triangulation")
+    level = doc["level_number"]
     t = cert.verdict.as_tuple()
-    if level.get("kind") == "trivial":
+    if level["kind"] == "trivial":
         if t != (0, 0):
             problems.append("report: trivial flag without a distance-0 verdict")
         return problems
     if "level_certificate" not in doc:
         problems.append("report: level certificate missing")
         return problems
-    problems += _verify_level_certificate(doc["level_certificate"])
-    n = len(doc["level_certificate"]["sequence"]) - 1
-    if level.get("kind") == "exact" and (t != (level["value"], level["value"]) or n != level["value"]):
+    lc = doc["level_certificate"]
+    problems += _verify_level_certificate(lc)
+    if lc["triangulation"] != doc["triangulation"]:
+        problems.append("report: the level certificate is over another triangulation")
+    if (lc["sequence"][0], lc["sequence"][-1]) != (distance["pair"]["v"], distance["pair"]["w"]):
+        problems.append("report: the level certificate does not run from v to w")
+    n = len(lc["sequence"]) - 1
+    if level["kind"] == "exact" and (t != (level["value"], level["value"]) or n != level["value"]):
         problems.append("report: level number disagrees with the distance verdict")
-    if level.get("kind") == "bounds" and (t != (level["lower"], level["upper"]) or n != level["upper"]):
+    if level["kind"] == "bounds" and (t != (level["lower"], level["upper"]) or n != level["upper"]):
         problems.append("report: level bounds disagree with the distance verdict")
     return problems
+
+
+_VERIFIERS = {
+    "arcdist.distance_certificate/1": lambda doc: verify_certificate(_distance_certificate(doc)),
+    "arcdist.arc_sequence/1": _verify_sequence,
+    "arcdist.surgery_trace/1": _verify_surgery_trace,
+    "arcdist.level_certificate/1": _verify_level_certificate,
+    "arcdist.level_report/1": _verify_level_report,
+    "arcdist.triangulation/1": lambda doc: Triangulation.from_json_dict(doc).validate(),
+}

@@ -1,4 +1,7 @@
+import functools
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -55,3 +58,27 @@ def seeded_arcs_of_length(base, tag, count, lo, hi):
         if lo <= len(a) <= hi and a not in out:
             out.append(a)
     return out
+
+
+@functools.cache
+def inlined_schema(tag):
+    """The shipped schema whose ``$id`` is ``tag``, every ``$ref`` replaced
+    by the schema it names, for an off-the-shelf JSON Schema validator.
+
+    Schema ids are plain format tags, not URIs, so cross-schema references
+    are substituted directly (the reference graph is acyclic).
+    """
+    folder = resources.files("arcdist.data").joinpath("schemas")
+    store = {s["$id"]: s for s in (json.loads(f.read_text()) for f in folder.iterdir() if f.name.endswith(".json"))}
+
+    def inline(node):
+        if isinstance(node, dict):
+            ref = node.get("$ref")
+            if ref in store:
+                return inline({k: v for k, v in store[ref].items() if k not in ("$schema", "$id")})
+            return {k: inline(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [inline(x) for x in node]
+        return node
+
+    return inline(store[tag])

@@ -11,10 +11,11 @@ from arcdist.arc import edge_word, random_arc
 from arcdist.cli import main
 from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples
 from arcdist.distance import ShadowPairInput, classify
-from arcdist.leveling import sequence_to_level_certificate
-from arcdist.surgery import path_between
+from arcdist.errors import SchemaError
+from arcdist.leveling import level_number_report, sequence_to_level_certificate
+from arcdist.surgery import path_between, surgery_step
 
-from conftest import seeded_pairs
+from conftest import inlined_schema, seeded_pairs
 
 
 @pytest.fixture()
@@ -134,30 +135,13 @@ def test_corpus_contract():
 
 
 def test_outputs_match_schemas(workdir):
+    """Every output satisfies its shipped schema, by ``jsonschema`` and by
+    the checker the loaders use."""
     jsonschema = pytest.importorskip("jsonschema")
-    from importlib import resources
-
-    store = {}
-    schema_dir = resources.files("arcdist.data").joinpath("schemas")
-    for entry in schema_dir.iterdir():
-        schema = json.loads(entry.read_text())
-        store[schema["$id"]] = schema
-
-    def inline(node):
-        # schema ids are plain format tags, not URIs: substitute cross-schema
-        # references directly (the reference graph is acyclic)
-        if isinstance(node, dict):
-            ref = node.get("$ref")
-            if ref in store:
-                merged = {k: v for k, v in store[ref].items() if k not in ("$schema", "$id")}
-                return inline(merged)
-            return {k: inline(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [inline(x) for x in node]
-        return node
 
     def check(doc):
-        jsonschema.validate(doc, inline(store[doc["format"]]))
+        jsonschema.validate(doc, inlined_schema(doc["format"]))
+        serialize.check_doc(doc, doc["format"], "output")
 
     cert = workdir / "cert.json"
     main(["dist", str(workdir / "pair.json"), "-o", str(cert)])
@@ -264,7 +248,14 @@ def _format_doc(fmt, v, w):
         return ShadowPairInput(v.base, (v,), (w,)).to_json_dict(), ["level"]
     if fmt == "sequence":
         return path_between(v, w).to_json_dict(), ["check-cert"]
-    return classify(v, w).to_json_dict(), ["check-cert"]
+    if fmt == "certificate":
+        return classify(v, w).to_json_dict(), ["check-cert"]
+    if fmt == "level-report":
+        return level_number_report(ShadowPairInput(v.base, (v,), (w,))), ["check-cert"]
+    if fmt == "level-certificate":
+        return sequence_to_level_certificate(path_between(v, w)), ["check-cert"]
+    assert fmt == "surgery-trace"
+    return surgery_step(v, w).to_json_dict(), ["check-cert"]
 
 
 def _short_p1_corner(tri):
@@ -341,23 +332,34 @@ _DELETE = object()
 _JUNK = [_DELETE, None, True, 0, -1, 7, 2.5, "x", [], [0], [0, 0, 0], [1, 2], {}, {"edge": 0}]
 
 
+_CERTIFICATES = ["level-report", "level-certificate", "surgery-trace"]
+
+
+def _bounds_pair(g1):
+    """A crossing genus-1 pair at distance >= 3: its report carries a path."""
+    v, w = seeded_pairs(g1, "cli-mutated", 4, max_steps=12, require_crossing=True)[3]
+    assert classify(v, w).verdict.kind == "bounds"
+    return v, w
+
+
 @pytest.fixture(scope="module")
-def valid_docs(g2):
-    v, w = _pair_g2(g2)
-    return {fmt: _format_doc(fmt, v, w) for fmt in _FORMATS}
+def valid_docs(g1, g2):
+    docs = {fmt: _format_doc(fmt, *_pair_g2(g2)) for fmt in _FORMATS}
+    docs.update({fmt: _format_doc(fmt, *_bounds_pair(g1)) for fmt in _CERTIFICATES})
+    return docs
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_documents_end_in_a_documented_exit_code(tmp_path_factory, valid_docs, data):
     """One field of a valid document replaced or deleted: the command
-    returns a documented exit code and never raises; damage that breaks the
-    triangulation schema is a schema violation."""
+    returns a documented exit code and never raises, and it returns 3
+    exactly when the damaged document breaks its format's schema."""
     jsonschema = pytest.importorskip("jsonschema")
-    from importlib import resources
 
-    fmt = data.draw(st.sampled_from(_FORMATS))
+    fmt = data.draw(st.sampled_from(_FORMATS + _CERTIFICATES))
     doc, argv = valid_docs[fmt]
+    schema = inlined_schema(doc["format"])
     doc = copy.deepcopy(doc)
     where = data.draw(st.sampled_from(list(_json_paths(doc))))
     junk = data.draw(st.sampled_from(_JUNK))
@@ -372,9 +374,144 @@ def test_mutated_documents_end_in_a_documented_exit_code(tmp_path_factory, valid
     serialize.write_doc(path, doc)
     code = main([*argv, str(path)])
     assert code in (0, 1, 2, 3, 4, 5)
-    if where[0] == "triangulation" and "triangulation" in doc:
-        schema = json.loads(
-            resources.files("arcdist.data").joinpath("schemas/triangulation.schema.json").read_text()
-        )
-        if not jsonschema.Draft202012Validator(schema).is_valid(doc["triangulation"]):
-            assert code == 3, (where, junk)
+    broken = not jsonschema.Draft202012Validator(schema).is_valid(doc)
+    assert (code == 3) == broken, (fmt, where, junk, code)
+
+
+def _object_kinds(doc):
+    """The root of ``doc`` and the first object of each kind inside it; an
+    object's kind is its format tag, or else the key it sits under."""
+    out = {"root": doc}
+    for where in _json_paths(doc):
+        node = doc
+        for key in where:
+            node = node[key]
+        if isinstance(node, dict):
+            kind = node.get("format") or next(k for k in reversed(where) if isinstance(k, str))
+            out.setdefault(kind, node)
+    return out
+
+
+@pytest.mark.parametrize("fmt", [*_FORMATS, *_CERTIFICATES, "arc-file", "triangulation", "tri-check"])
+def test_unknown_field_is_a_schema_violation(tmp_path, g1, valid_docs, fmt):
+    """``additionalProperties: false``: an extra key in any object of any
+    input format is exit 3, at the top level and nested."""
+    if fmt == "arc-file":
+        v, w = _bounds_pair(g1)
+        doc, argv = serialize.arc_file_dict(w), ["path", str(tmp_path / "v.json")]
+        serialize.write_doc(tmp_path / "v.json", serialize.arc_file_dict(v))
+    elif fmt == "triangulation":
+        doc, argv = g1.to_json_dict(), ["check-cert"]
+    elif fmt == "tri-check":
+        doc, argv = g1.to_json_dict(), ["tri", "--check"]
+    else:
+        doc, argv = valid_docs[fmt]
+    kinds = _object_kinds(doc)
+    for kind in kinds:
+        damaged = copy.deepcopy(doc)
+        _object_kinds(damaged)[kind]["note"] = "extra"
+        serialize.write_doc(tmp_path / "doc.json", damaged)
+        assert main([*argv, str(tmp_path / "doc.json")]) == 3, kind
+
+
+def test_library_loaders_check_their_schema(g1):
+    arc = edge_word(g1, 2)
+    assert serialize.load_triangulation(g1.to_json_dict()) == g1
+    assert serialize.load_arc(arc.to_json_dict(), g1) == arc
+    with pytest.raises(SchemaError, match="unknown field 'note'"):
+        serialize.load_triangulation({**g1.to_json_dict(), "note": 1})
+    with pytest.raises(SchemaError, match="unknown field 'note'"):
+        serialize.load_arc({**arc.to_json_dict(), "note": 1}, g1)
+
+
+def _level_report(g1, a, b):
+    """The report of a disjoint pair of connector edge words: exact 1."""
+    return level_number_report(ShadowPairInput(g1, (edge_word(g1, a),), (edge_word(g1, b),)))
+
+
+def _bounds_without_upper(doc):
+    doc["level_number"] = {"kind": "bounds", "lower": 1}
+
+
+def _level_certificate_not_object(doc):
+    doc["level_certificate"] = 5
+
+
+def _format_not_string(doc):
+    doc["format"] = [doc["format"]]
+
+
+def _levels_not_integer(doc):
+    doc["level_certificate"]["level_position"]["n_levels"] = "x"
+
+
+def _float_level(doc):
+    doc["level_number"]["value"] = 1.0  # integral, but not an integer
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_bounds_without_upper, _level_certificate_not_object, _format_not_string, _levels_not_integer, _float_level],
+)
+def test_malformed_level_report_is_a_schema_violation(tmp_path, g1, damage):
+    doc = _level_report(g1, 2, 3)
+    damage(doc)
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main(["check-cert", str(tmp_path / "doc.json")]) == 3
+
+
+@pytest.mark.parametrize("damage", [_level_certificate_not_object, _levels_not_integer])
+def test_render_checks_a_level_report(tmp_path, g1, damage):
+    doc = _level_report(g1, 2, 3)
+    damage(doc)
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main(["render", str(tmp_path / "doc.json"), "--svg", str(tmp_path / "figs")]) == 3
+
+
+@pytest.mark.parametrize("argv", [["dist"], ["level"], ["tri", "--check"]])
+def test_loaders_reject_a_format_tag_that_is_not_a_string(tmp_path, g1, argv):
+    doc = {**serialize.pair_dict(edge_word(g1, 2), edge_word(g1, 3)), "format": {}}
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main([*argv, str(tmp_path / "doc.json")]) == 3
+
+
+def _foreign_level_certificate(doc, g1, g2):
+    doc["level_certificate"] = _level_report(g1, 4, 5)["level_certificate"]
+
+
+def _foreign_triangulation(doc, g1, g2):
+    doc["triangulation"] = g2.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_foreign_level_certificate, "the level certificate does not run from v to w"),
+        (_foreign_triangulation, "the distance certificate is over another triangulation"),
+    ],
+    ids=["foreign-level-certificate", "foreign-triangulation"],
+)
+def test_check_cert_binds_a_level_report_to_its_parts(tmp_path, g1, g2, capsys, damage, message):
+    """A report whose level certificate belongs to another pair, or whose own
+    triangulation is another table, fails re-checking."""
+    doc = _level_report(g1, 2, 3)
+    damage(doc, g1, g2)
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main(["check-cert", str(tmp_path / "doc.json")]) == 1
+    assert f"failed: report: {message}" in capsys.readouterr().out
+
+
+def test_examples_classify_each_record_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr("arcdist.distance.classify", counted)
+    monkeypatch.delenv("ARCDIST_SEED", raising=False)
+    records = len(load_bundled_examples())
+    assert main(["examples"]) == 0
+    assert len(calls) == records
+    assert main(["examples", "--emit", str(tmp_path)]) == 0
+    assert len(calls) == 2 * records
