@@ -26,7 +26,7 @@ from . import serialize
 from .corpus import load_bundled_examples, run_examples
 from .errors import ArcdistError, BaseMismatch, PreconditionError, SchemaError, VerificationError
 from .leveling import level_number_report
-from .surface import Triangulation, build_standard_triangulation
+from .surface import build_standard_triangulation
 
 EXIT_VERIFY_FAILED = 1
 EXIT_MALFORMED = 2
@@ -51,7 +51,7 @@ def _cmd_tri(args) -> int:
         return 0
     doc = serialize.load_doc(args.check)
     serialize.check_doc(doc, "arcdist.triangulation/1", args.check)
-    t = Triangulation(doc["genus"], doc["triangles"], p1_corner=tuple(doc["p1_corner"]))
+    t = serialize.triangulation_table(doc)
     problems = t.validate()
     if problems:
         for p in problems:

@@ -44,13 +44,17 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DistanceCertificate:
-    """Verdict plus evidence re-checkable from the arc operations alone."""
+    """Verdict plus evidence re-checkable from the arc operations alone.
+
+    ``witness`` and ``path`` (arcs from w to v) are plain evidence; the
+    certificate's checker, :func:`verify_certificate`, checks them.
+    """
 
     v: ArcWord
     w: ArcWord
     verdict: Verdict
     witness: ArcWord | None = None
-    path: ArcSequence | None = None
+    path: tuple[ArcWord, ...] | None = None
     intersection_vw: int = 0
     checked_distance_two: bool = False
     search_note: str | None = None
@@ -64,7 +68,7 @@ class DistanceCertificate:
             return [self.v, self.w]
         if self.verdict.kind == "exact" and d == 2:
             return [self.v, self.witness, self.w]
-        return list(reversed(self.path.arcs))  # stored from w to v
+        return list(reversed(self.path))  # stored from w to v
 
     def to_json_dict(self) -> dict:
         out = {
@@ -80,7 +84,7 @@ class DistanceCertificate:
         if self.witness is not None:
             out["evidence"]["witness"] = self.witness.to_json_dict()
         if self.path is not None:
-            out["evidence"]["path"] = [a.to_json_dict() for a in self.path.arcs]
+            out["evidence"]["path"] = [a.to_json_dict() for a in self.path]
         if self.search_note:
             out["evidence"]["search"] = self.search_note
         return out
@@ -150,15 +154,15 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
     note = None
     if max_len is not None and max_depth is not None:
         found = bounded_search(v, w, max_len, max_depth)
-        if found is not None and found.edge_count < path.edge_count:
-            path = found
+        if found is not None and found.edge_count < len(path) - 1:
+            path = found.arcs
             note = f"search improved the bound within max_len={max_len}, max_depth={max_depth}"
         else:
             note = f"search within max_len={max_len}, max_depth={max_depth} did not improve the bound"
     return DistanceCertificate(
         v,
         w,
-        Verdict("bounds", lower=3, upper=path.edge_count),
+        Verdict("bounds", lower=3, upper=len(path) - 1),
         path=path,
         intersection_vw=k,
         checked_distance_two=True,
@@ -250,7 +254,11 @@ def pair_set_distance(shadow_input: ShadowPairInput, max_len: int | None = None,
 
 
 def verify_certificate(cert: DistanceCertificate) -> list[str]:
-    """Re-check a certificate using only the arc operations; failures as data."""
+    """Re-check a certificate using only the arc operations; failures as data.
+
+    This is the one check of a stored path, whatever the verdict: its arcs
+    are over the pair's base and consecutive arcs are disjoint.
+    """
     problems = []
     v, w = cert.v, cert.w
     if v.base != w.base:
@@ -258,6 +266,8 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
     t = cert.verdict.as_tuple()
     if t[0] > t[1]:
         problems.append("verdict: lower exceeds upper")
+    if cert.path is not None:
+        problems += validate_sequence((v.base, cert.path))
     real = Realization(v, w)
     k = real.count()
     if cert.intersection_vw != k:
@@ -292,13 +302,12 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
             problems.append("bounds: arcs are disjoint, distance would be <= 1")
         if _distance_two_witness(real) is not None:
             problems.append("bounds: a distance-2 witness exists")
-        if cert.path is None:
+        path = cert.path
+        if path is None:
             problems.append("bounds: path evidence missing")
-        else:
-            seq = cert.path
-            if seq.arcs[0] != w or seq.arcs[-1] != v:
+        elif path:  # an empty path is already reported
+            if path[0] != w or path[-1] != v:
                 problems.append("bounds: path does not join the pair")
-            if seq.edge_count != cert.verdict.upper:
+            if len(path) - 1 != cert.verdict.upper:
                 problems.append("bounds: path length disagrees with the upper bound")
-            problems += validate_sequence(seq)
     return problems

@@ -275,8 +275,9 @@ def level_number_report(shadow_input) -> dict:
 
     Distance 0 is reported separately (only the trivial knot attains it and
     no 0-level position is defined); for d >= 1 the witnessing path is
-    converted into a d-level position.  The level-number equality assumes
-    the knot is nontrivial.
+    converted into a d-level position, and its ``ArcSequence`` is the one
+    validation of that path.  The level-number equality assumes the knot is
+    nontrivial.
     """
     from .distance import pair_set_distance
 

@@ -206,9 +206,10 @@ def _interleaved(s1: _Segment, s2: _Segment) -> bool:
     pts = {s1.a, s1.b, s2.a, s2.b}
     if len(pts) < 4:  # shared boundary point: meeting, not a crossing
         return False
-    order = sorted(pts)
-    flags = [p in (s1.a, s1.b) for p in order]
-    return flags[0] == flags[2] and flags[1] == flags[3] and flags[0] != flags[1]
+    # boundary coordinates are ordered linearly from corner 0, so the chords
+    # cross iff exactly one end of s2 lies strictly between the ends of s1
+    lo, hi = min(s1.a, s1.b), max(s1.a, s1.b)
+    return (lo < s2.a < hi) != (lo < s2.b < hi)
 
 
 @dataclass(frozen=True)

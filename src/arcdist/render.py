@@ -166,7 +166,8 @@ def render_levels_svg(level_certificate: dict) -> str:
 
 def render_document(doc: dict, out_dir) -> list[str]:
     """Write figures for a certificate-bearing document; returns file names."""
-    from .serialize import check_doc, load_distance_certificate, load_pair, load_sequence
+    from .leveling import sequence_to_level_certificate
+    from .serialize import _sequence, check_doc, load_distance_certificate, load_pair, load_sequence
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +196,10 @@ def render_document(doc: dict, out_dir) -> list[str]:
         check_doc(doc, tag, "document")
         level_certificate = doc if tag == "arcdist.level_certificate/1" else doc.get("level_certificate")
         if level_certificate is not None:
-            (out_dir / "levels.svg").write_text(render_levels_svg(level_certificate))
+            # draw the position the sequence certifies, rebuilt as check-cert
+            # rebuilds it, never the stored one unchecked
+            seq = _sequence(level_certificate, "sequence")
+            (out_dir / "levels.svg").write_text(render_levels_svg(sequence_to_level_certificate(seq)))
             written.append("levels.svg")
     else:
         raise ValueError(f"no renderer for format {tag!r}")

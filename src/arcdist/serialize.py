@@ -121,6 +121,12 @@ def _problem(x, s: dict, where: str) -> str | None:
 # loaders: check the document once, then build from the checked dict
 
 
+def triangulation_table(doc: dict) -> Triangulation:
+    """The table of a checked triangulation document, built without raising:
+    a table that glues into no surface reports its defects by ``validate()``."""
+    return Triangulation(doc["genus"], doc["triangles"], p1_corner=tuple(doc["p1_corner"]))
+
+
 def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
     check_doc(doc, "arcdist.triangulation/1", where)
     return Triangulation.from_json_dict(doc)
@@ -192,7 +198,7 @@ def _distance_certificate(doc: dict) -> DistanceCertificate:
         w=ArcWord.from_json_dict(doc["pair"]["w"], base),
         verdict=Verdict(**doc["verdict"]),
         witness=ArcWord.from_json_dict(ev["witness"], base) if "witness" in ev else None,
-        path=ArcSequence(base, _arcs(ev["path"], base)) if "path" in ev else None,
+        path=_arcs(ev["path"], base) if "path" in ev else None,
         intersection_vw=ev["intersection_vw"],
         checked_distance_two=ev["checked_distance_two"],
         search_note=ev.get("search"),
@@ -207,7 +213,8 @@ def verify_document(doc: dict) -> list[str]:
     """Re-check any certificate-bearing document; failures as messages.
 
     The whole document is checked against its schema once, up front.  A
-    stored arc sequence is validated once, when it is loaded; a sequence
+    stored arc sequence is validated once: when it is loaded, or, for the
+    path of a distance certificate, by ``verify_certificate``.  A sequence
     whose consecutive arcs cross is a failed check, not invalid input.
     """
     tag = doc.get("format")
@@ -292,5 +299,5 @@ _VERIFIERS = {
     "arcdist.surgery_trace/1": _verify_surgery_trace,
     "arcdist.level_certificate/1": _verify_level_certificate,
     "arcdist.level_report/1": _verify_level_report,
-    "arcdist.triangulation/1": lambda doc: Triangulation.from_json_dict(doc).validate(),
+    "arcdist.triangulation/1": lambda doc: triangulation_table(doc).validate(),
 }

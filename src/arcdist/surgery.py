@@ -9,9 +9,11 @@ postconditions, and the embeddedness of w', are re-verified on every step;
 a failure aborts with a diagnostic rather than returning an unproven trace.
 
 Each step realizes (v, w') once and hands that realization to the next
-step; the finished path is validated once, by the ``ArcSequence``
-constructor.  ``distance.classify`` enters through ``_path`` with the
-realization of (v, w) it already holds.
+step.  Each step's w.w' = 0 postcondition proves its hop, so ``_path``
+returns the hops as plain arcs; ``path_between`` wraps them in the one
+``ArcSequence``, and ``distance.classify`` enters through ``_path`` with
+the realization of (v, w) it already holds and stores the hops as evidence
+for ``verify_certificate`` to check.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ def surgery_step(v: ArcWord, w: ArcWord) -> SurgeryTrace:
     return _surgery(Realization(v, w))[0]
 
 
-def _path(real: Realization) -> ArcSequence:
-    """The surgery path from real.w to real.v; see :func:`path_between`."""
+def _path(real: Realization) -> tuple[ArcWord, ...]:
+    """The hops real.w, ..., real.v of the surgery path, each proven
+    disjoint from the one before by its step's postcondition; see
+    :func:`path_between`."""
     v, w = real.v, real.w
     k0 = real.count()
     hops = [w]
@@ -110,12 +114,11 @@ def _path(real: Realization) -> ArcSequence:
         hops.append(trace.w_prime)
     if hops[-1] != v:
         hops.append(v)
-    seq = ArcSequence(v.base, tuple(hops))
-    if seq.edge_count > k0 + 1:
+    if len(hops) - 1 > k0 + 1:
         raise VerificationError(
-            f"path length {seq.edge_count} exceeds the {k0 + 1} bound"
+            f"path length {len(hops) - 1} exceeds the {k0 + 1} bound"
         )
-    return seq
+    return tuple(hops)
 
 
 def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
@@ -123,8 +126,8 @@ def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
 
     Each surgery step checks its own postconditions: w' is embedded,
     disjoint from the arc before it, and crosses v strictly fewer times.
-    The ``ArcSequence`` constructor then validates the whole path once
-    (consecutive arcs disjoint, one base), and the length is checked
-    against the i(v, w) + 1 bound before returning.
+    The length is checked against the i(v, w) + 1 bound, and the
+    ``ArcSequence`` constructor then validates the whole path once
+    (consecutive arcs disjoint, one base).
     """
-    return _path(Realization(v, w))
+    return ArcSequence(v.base, _path(Realization(v, w)))

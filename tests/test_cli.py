@@ -13,6 +13,7 @@ from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examp
 from arcdist.distance import ShadowPairInput, classify
 from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate
+from arcdist.render import render_levels_svg
 from arcdist.surgery import path_between, surgery_step
 
 from conftest import inlined_schema, seeded_pairs
@@ -223,6 +224,27 @@ def test_check_cert_reports_a_crossing_stored_path(tmp_path, g1, capsys, fmt):
     serialize.write_doc(path, doc)
     assert main(["check-cert", str(path)]) == 1
     assert "failed: index 1: consecutive arcs intersect" in capsys.readouterr().out
+
+
+def test_check_cert_reports_an_empty_stored_path(tmp_path, g1, capsys):
+    doc = classify(*_bounds_pair(g1)).to_json_dict()
+    doc["evidence"]["path"] = []
+    serialize.write_doc(tmp_path / "cert.json", doc)
+    assert main(["check-cert", str(tmp_path / "cert.json")]) == 1
+    assert capsys.readouterr().out == "failed: sequence: empty\n"
+
+
+def test_check_cert_reports_triangulation_violations(tmp_path, capsys):
+    """A table that glues into no surface fails check-cert as it fails
+    tri --check: exit 1 with its violations."""
+    doc = build_standard_triangulation(1).to_json_dict()
+    doc["triangles"][0] = [3, 1, 4]
+    serialize.write_doc(tmp_path / "bad.json", doc)
+    assert main(["tri", "--check", str(tmp_path / "bad.json")]) == 1
+    violations = [line.removeprefix("violation: ") for line in capsys.readouterr().out.splitlines()]
+    assert violations
+    assert main(["check-cert", str(tmp_path / "bad.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"failed: {p}" for p in violations]
 
 
 def test_check_cert_rejects_a_wrong_recorded_intersection(tmp_path, g1):
@@ -460,12 +482,41 @@ def test_malformed_level_report_is_a_schema_violation(tmp_path, g1, damage):
     assert main(["check-cert", str(tmp_path / "doc.json")]) == 3
 
 
-@pytest.mark.parametrize("damage", [_level_certificate_not_object, _levels_not_integer])
-def test_render_checks_a_level_report(tmp_path, g1, damage):
+def _too_many_levels(doc):
+    doc["level_certificate"]["level_position"]["n_levels"] = 5
+
+
+def _crossing_sequence(doc):
+    v, w = _crossing_pair(build_standard_triangulation(1))
+    doc["level_certificate"]["sequence"] = [v.to_json_dict(), w.to_json_dict()]
+
+
+@pytest.mark.parametrize(
+    "damage, code",
+    [
+        pytest.param(damage, code, id=damage.__name__)
+        for damage, code in [
+            (_level_certificate_not_object, 3),
+            (_levels_not_integer, 3),
+            (_too_many_levels, 0),  # the stored position is not what is drawn
+            (_crossing_sequence, 5),  # as render on a crossing arc sequence
+        ]
+    ],
+)
+def test_render_checks_a_level_report(tmp_path, g1, damage, code):
     doc = _level_report(g1, 2, 3)
     damage(doc)
     serialize.write_doc(tmp_path / "doc.json", doc)
-    assert main(["render", str(tmp_path / "doc.json"), "--svg", str(tmp_path / "figs")]) == 3
+    assert main(["render", str(tmp_path / "doc.json"), "--svg", str(tmp_path / "figs")]) == code
+
+
+@pytest.mark.parametrize("fmt", ["level-report", "level-certificate"])
+def test_render_draws_the_level_position_of_a_valid_document(tmp_path, g1, fmt):
+    report = _level_report(g1, 2, 3)
+    doc = report if fmt == "level-report" else report["level_certificate"]
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main(["render", str(tmp_path / "doc.json"), "--svg", str(tmp_path / "figs")]) == 0
+    assert (tmp_path / "figs" / "levels.svg").read_text() == render_levels_svg(report["level_certificate"])
 
 
 @pytest.mark.parametrize("argv", [["dist"], ["level"], ["tri", "--check"]])

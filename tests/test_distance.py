@@ -12,6 +12,7 @@ from arcdist.distance import (
     pair_set_distance,
     verify_certificate,
 )
+from arcdist.leveling import validate_sequence
 from arcdist.overlay import intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document
 
@@ -64,6 +65,26 @@ def test_bounds_beyond_two(g1):
         assert cert.path is not None
         assert verify_certificate(cert) == []
     assert found >= 1
+
+
+def test_a_bounds_path_is_validated_once_by_its_checker(g1, monkeypatch):
+    """classify proves each hop by a surgery postcondition and stores the
+    path as plain evidence; verify_certificate validates it once."""
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return validate_sequence(seq)
+
+    monkeypatch.setattr("arcdist.leveling.validate_sequence", counted)
+    monkeypatch.setattr("arcdist.distance.validate_sequence", counted)
+    cert = classify(random_arc(g1, 31002, 30), random_arc(g1, 31003, 30))
+    assert cert.verdict.kind == "bounds"
+    assert isinstance(cert.path, tuple)
+    assert (cert.path[0], cert.path[-1]) == (cert.w, cert.v)
+    assert calls == []
+    assert verify_certificate(cert) == []
+    assert len(calls) == 1
 
 
 def test_criterion_agrees_with_neighbor_scan(g1, g2):
