@@ -4,12 +4,15 @@ Distances 0 and 1 are immediate from equality and disjointness.  Distance 2
 holds exactly when, with the pair realized in minimal position, some
 complement component touches both marked points: a common disjoint arc can
 then be drawn inside that component, and conversely any arc disjoint from
-both can be isotoped into a component of the complement.  The witness is
-constructed by routing through the component and re-verified, so the
-criterion is never trusted without a checkable artifact.  For distance at
-least 3 the certificate carries bounds: the lower bound 3 from the failed
-0/1/2 checks, the upper bound from the surgery path (optionally improved by
-a bounded search through the low-complexity part of the arc complex).
+both can be isotoped into a component of the complement.  The components
+come from the sign-vector pass (``overlay.complement_components``), which
+also runs the minimality checks; only when one touches both marked points
+is the face tracer built, to route the witness through it.  The witness is
+re-verified, so the criterion is never trusted without a checkable
+artifact.  For distance at least 3 the certificate carries bounds: the
+lower bound 3 from the failed 0/1/2 checks, the upper bound from the
+surgery path (optionally improved by a bounded search through the
+low-complexity part of the arc complex).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
-from .overlay import Realization, _OverlayBuilder, intersection, self_intersection
+from .overlay import Realization, _OverlayBuilder, complement_components, intersection, self_intersection
 from .surface import Triangulation
 from .surgery import _path
 
@@ -116,13 +119,17 @@ class ShadowPairInput:
 
 def _distance_two_witness(real: Realization) -> ArcWord | None:
     """An arc disjoint from both realized arcs, or None when no complement
-    component touches both marked points."""
+    component touches both marked points.
+
+    The sign-vector components decide, and run the minimality checks; the
+    face tracer is built only to route the witness through the component.
+    """
     v, w = real.v, real.w
-    builder = _OverlayBuilder(real)
-    builder.summarize()  # runs the minimality self-checks
-    routed = builder.route_between_marked()
-    if routed is None:
+    if not any(len(comp.marked_points) == 2 for comp in complement_components(real)):
         return None
+    routed = _OverlayBuilder(real).route_between_marked()
+    if routed is None:
+        raise VerificationError("overlay: face tracing finds no component the sign vectors found")
     start, word, end = routed
     u = tighten(v.base, start, word, end)
     if self_intersection(u) != 0 or intersection(u, v) != 0 or intersection(u, w) != 0:
@@ -153,9 +160,9 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
     path = _path(real)
     note = None
     if max_len is not None and max_depth is not None:
-        found = bounded_search(v, w, max_len, max_depth)
-        if found is not None and found.edge_count < len(path) - 1:
-            path = found.arcs
+        found = _search(v, w, max_len, max_depth)
+        if found is not None and len(found) < len(path):
+            path = found
             note = f"search improved the bound within max_len={max_len}, max_depth={max_depth}"
         else:
             note = f"search within max_len={max_len}, max_depth={max_depth} did not improve the bound"
@@ -177,12 +184,19 @@ def bounded_search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> ArcS
     found inside them, never that no path exists.  Exploration order is
     canonical, so the result is deterministic.
     """
+    hops = _search(v, w, max_len, max_depth)
+    return None if hops is None else ArcSequence(v.base, hops)
+
+
+def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWord, ...] | None:
+    """The hops w, ..., v of :func:`bounded_search`, each proven disjoint
+    from the one before by the search's own intersection test."""
     if max_len <= 0 or max_depth <= 0:
         raise PreconditionError("search bounds must be positive")
     if v.base != w.base:
         raise BaseMismatch("arcs live over different triangulations")
     if v == w:
-        return ArcSequence(v.base, (v,))
+        return (v,)
     universe = enumerate_arcs(v.base, max_len)
     if v not in universe:
         universe.append(v)
@@ -222,7 +236,7 @@ def bounded_search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> ArcS
     while prev[hops[-1]] is not None:
         hops.append(prev[hops[-1]])
     hops.reverse()  # now w ... v
-    return ArcSequence(v.base, tuple(hops))
+    return tuple(hops)
 
 
 def common_neighbor_scan(v: ArcWord, w: ArcWord, max_len: int) -> ArcWord | None:

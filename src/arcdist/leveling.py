@@ -171,18 +171,19 @@ class LevelPosition:
         )
 
 
-def arcs_to_leveling(seq: ArcSequence) -> LevelPosition:
+def arcs_to_leveling(seq) -> LevelPosition:
     """Build the n-level position certified by a path s_0..s_n.
 
     Level 1 carries s_0 with the stubs of s_1; level j the stubs of s_{j-1}
     and s_j; level n carries s_n.  Tube j thickens s_j, and the knot climbs
     the P1 side through the alpha stubs and descends the P2 side through
-    the beta stubs, closing into a single cycle.
+    the beta stubs, closing into a single cycle.  Accepts an ArcSequence or
+    a plain (base, arcs) pair whose path the caller has already validated.
     """
-    n = len(seq.arcs) - 1
+    base, arcs = (seq.base, seq.arcs) if isinstance(seq, ArcSequence) else seq
+    n = len(arcs) - 1
     if n < 1:
         raise PreconditionError("leveling needs at least two arcs (a 1-level position)")
-    arcs = seq.arcs
 
     def arc_entry(i, level):
         return ("arc", i, level)
@@ -220,7 +221,7 @@ def arcs_to_leveling(seq: ArcSequence) -> LevelPosition:
 
     pos = LevelPosition(
         n_levels=n,
-        surface_genus=seq.base.genus,
+        surface_genus=base.genus,
         first_arc=arcs[0],
         last_arc=arcs[n],
         levels=tuple(levels),

@@ -22,10 +22,16 @@ arc to a triangulation edge and counting the other word's crossings with
 it, and the two are compared pair-by-pair in the test suite.
 
 The same realization induces a cell decomposition of the surface (the
-overlay): faces are the complement components of the two arcs, computed by
-gluing per-triangle arrangements across the edges.  The overlay certifies
-minimality (no bigons or endpoint half-bigons survive) and drives the
-distance-2 criterion in :mod:`arcdist.distance`.
+overlay): faces are the complement components of the two arcs, glued from
+per-triangle arrangements across the edges.  Two computations of it exist.
+``complement_components`` keys each local face by its sign vector (the
+chords it lies beyond) in one linear pass per triangle; it decides the
+distance-2 criterion in :mod:`arcdist.distance` and certifies minimality at
+run time (Euler characteristic 2 - 2g, no bigon or endpoint half-bigon
+survives).  The face tracer (``_OverlayBuilder``, behind ``build_overlay``)
+sorts the germs at every node and walks each face; it routes the witness
+arc of an exact-2 verdict, and the test suite checks that both give the
+same components, as it checks the two intersection counts.
 """
 
 from __future__ import annotations
@@ -377,6 +383,212 @@ class Overlay:
         return len(self.crossings)
 
 
+def _glued_intervals(base, coords) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each pair of boundary intervals glued across a triangulation edge.
+
+    ``coords[t]`` lists triangle t's boundary items in ccw order: corners
+    ``(k, -1)`` and strand points ``(k, rank)``.  Interval idx runs from
+    item idx to the next, and the j-th interval along side k, counted from
+    its tail corner, is glued to interval n - j of the opposite side, where
+    n is the edge's strand count (the gluing reverses direction).  Each
+    pair ``((t, idx), (t2, idx2))`` is listed once.
+    """
+    corner_idx, strands = [], []
+    for cs in coords:
+        at, counts = {}, [0, 0, 0]
+        for i, (k, rank) in enumerate(cs):
+            if rank < 0:
+                at[k] = i
+            else:
+                counts[k] += 1
+        corner_idx.append(at)
+        strands.append(counts)
+    pairs = []
+    matched = set()
+    for t, cs in enumerate(coords):
+        m = len(cs)
+        for idx in range(m):
+            if (t, idx) in matched:
+                continue
+            k = cs[idx][0]  # the side this interval lies on
+            opp = base.side_corner(-base.side(Corner(t, k)))
+            t2, k2 = opp.tri, opp.pos
+            n_pts = strands[t][k]
+            if n_pts != strands[t2][k2]:
+                raise VerificationError("overlay: glued sides disagree on strand count")
+            j = (idx - corner_idx[t][k]) % m  # j-th interval along side k, from its tail
+            if not 0 <= j <= n_pts:
+                raise VerificationError("overlay: interval indexing broke")
+            idx2 = (corner_idx[t2][k2] + (n_pts - j)) % len(coords[t2])  # gluing reverses
+            if (t2, idx2) == (t, idx):
+                raise VerificationError("overlay: interval glued to itself")
+            matched.add((t, idx))
+            matched.add((t2, idx2))
+            pairs.append(((t, idx), (t2, idx2)))
+    return pairs
+
+
+def _check_minimal(components, chi_global: int, genus: int) -> None:
+    """The overlay is a cell structure on the surface, and no bigon or
+    endpoint half-bigon survives: the realization is in minimal position."""
+    expected = 2 - 2 * genus
+    if chi_global != expected:
+        raise VerificationError(f"overlay: global euler characteristic {chi_global} != {expected}")
+    for comp in components:
+        if comp.is_disc and not comp.marked_points and comp.boundary_crossings == 2:
+            raise VerificationError("overlay: bigon between the arcs survived")
+        if comp.is_disc and len(comp.marked_points) == 1 and comp.boundary_crossings == 1:
+            raise VerificationError("overlay: endpoint half-bigon survived")
+
+
+def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
+    """The complement components of two realized arcs, without face tracing.
+
+    Within a triangle the chords of both arcs cross at most once, so a local
+    face is fixed by its sign vector: the set of chords it lies beyond.
+    Each chord gets one bit; sweeping the boundary ccw, the key of each gap
+    is the XOR of the chord ends passed so far.  At a corner the chord ends
+    are passed in the reverse of their ccw rotation (far anchor descending,
+    owner tie-break as in ``_OverlayBuilder._sort_germs``), and each sector
+    between them touches the corner's marked point.  A chord piece's sides
+    start from the keys around its low end and toggle the bit of each chord
+    crossed along the way.  Faces are the distinct ``(triangle, key)``
+    pairs, glued across edges along the same intervals as the face tracer.
+
+    Returns the same records as ``build_overlay(v, w).components`` (in
+    another order) and runs the same minimality checks, raising
+    ``VerificationError`` on failure.
+    """
+    base = real.base
+    in_tri = [[] for _ in range(base.n_triangles)]
+    for segs in real.segments:
+        for s in segs:
+            in_tri[s.tri].append(s)
+    # crossing partners along each segment, in order from its end a
+    along = ({}, {})
+    for x in real.crossings:  # sorted along v
+        along[0].setdefault(x.v_seg, []).append(x.w_seg)
+        along[1].setdefault(x.w_seg, []).append((x.w_rank, x.v_seg))
+    for w_seg, partners in along[1].items():
+        along[1][w_seg] = [v_seg for _, v_seg in sorted(partners)]
+    bits = tuple([0] * len(segs) for segs in real.segments)  # each chord's bit in its triangle
+
+    coords, gap_faces = [], []
+    # face ids on each side of every chord piece, around every crossing and
+    # strand point, and in every corner sector (with its marked point)
+    pieces, quads, points, sectors = [], [], [], []
+    n_faces = 0
+    for t, chords in enumerate(in_tri):
+        faces: dict[int, int] = {}  # key -> face id
+
+        def face(key):
+            fid = faces.get(key)
+            if fid is None:
+                fid = faces[key] = n_faces + len(faces)
+            return fid
+
+        ends = {(0, -1): [], (1, -1): [], (2, -1): []}  # coordinate -> (chord, far end, tie)
+        for i, s in enumerate(chords):
+            bits[s.owner][s.index] = 1 << i
+            ends.setdefault(s.a, []).append((i, s.b, s.owner))
+            ends.setdefault(s.b, []).append((i, s.a, -s.owner))
+        items = sorted(ends)
+        low = [None] * len(chords)  # key of the gap before each chord's low end
+        gaps = []
+        key = 0
+        for c in items:
+            here = ends[c]
+            if c[1] < 0:
+                vertex = base.vertex_of(Corner(t, c[0]))
+                # far ends ccw from the corner, descending: (far < c, far)
+                here.sort(key=lambda e: (e[1] < c, e[1], e[2]), reverse=True)
+                sectors.append((vertex, face(key)))
+            for i, _, _ in here:
+                if low[i] is None:
+                    low[i] = key
+                key ^= 1 << i
+                if c[1] < 0:
+                    sectors.append((vertex, face(key)))
+            gaps.append(face(key))
+        for i, s in enumerate(chords):
+            b, key = 1 << i, low[i]
+            other = bits[1 - s.owner]
+            partners = along[s.owner].get(s.index, ())
+            for p in partners if s.a < s.b else partners[::-1]:
+                ob = other[p]
+                pieces.append((face(key), face(key ^ b)))
+                if s.owner == 0:
+                    quads.append((face(key), face(key ^ b), face(key ^ ob), face(key ^ b ^ ob)))
+                key ^= ob
+            pieces.append((face(key), face(key ^ b)))
+        positive = [base.side(Corner(t, k)) > 0 for k in range(3)]
+        for i, (k, rank) in enumerate(items):
+            if rank >= 0 and positive[k]:  # each strand point once, from the + side of its edge
+                points.append((gaps[i - 1], gaps[i]))
+        coords.append(items)
+        gap_faces.append(gaps)
+        n_faces += len(faces)
+
+    parent = list(range(n_faces))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    glued = _glued_intervals(base, coords)
+    for (t, idx), (t2, idx2) in glued:
+        ra, rb = find(gap_faces[t][idx]), find(gap_faces[t2][idx2])
+        if ra != rb:
+            parent[ra] = rb
+    root = [find(f) for f in range(n_faces)]
+
+    n_faces_of = [0] * n_faces
+    n_vertices = [0] * n_faces
+    n_edges = [0] * n_faces
+    n_cross = [0] * n_faces
+    marked: dict[int, set] = {}
+    for r in root:
+        n_faces_of[r] += 1
+    for (t, idx), _ in glued:
+        n_edges[root[gap_faces[t][idx]]] += 1
+    for near, far in pieces:
+        n_edges[root[near]] += 1
+        if root[far] != root[near]:
+            n_edges[root[far]] += 1
+    for near, far in points:
+        n_vertices[root[near]] += 1
+        if root[far] != root[near]:
+            n_vertices[root[far]] += 1
+    for quad in quads:
+        for r in {root[f] for f in quad}:
+            n_vertices[r] += 1
+            n_cross[r] += 1
+    for vertex, f in sectors:
+        marked.setdefault(root[f], set()).add(vertex)
+
+    components = []
+    for r in range(n_faces):
+        if root[r] != r:
+            continue
+        points_at = frozenset(marked.get(r, ()))
+        chi = n_vertices[r] + len(points_at) - n_edges[r] + n_faces_of[r]
+        components.append(
+            OverlayFace(
+                faces=n_faces_of[r],
+                euler_characteristic=chi,
+                boundary_crossings=n_cross[r],
+                marked_points=points_at,
+                is_disc=(chi == 1),
+            )
+        )
+    all_marked = {vertex for vertex, _ in sectors}
+    chi_global = len(points) + len(all_marked) + len(quads) - len(pieces) - len(glued) + n_faces
+    _check_minimal(components, chi_global, base.genus)
+    return tuple(components)
+
+
 class _OverlayBuilder:
     """Glue per-triangle chord arrangements into the surface cell complex.
 
@@ -418,7 +630,6 @@ class _OverlayBuilder:
         self.tri_boundary_items: dict[int, list] = {}
         self._item_idx: dict[int, dict] = {}  # tri -> {coordinate: item index}
         self._node_at = pts  # tri -> {coordinate: global node}
-        self._side_strands: dict[int, list] = {}  # tri -> strand count on each side
         self.interval_ids: dict[tuple, int] = {}  # (tri, item index) -> edge id
 
         def add_edge(kind, tail, head, data):
@@ -429,11 +640,6 @@ class _OverlayBuilder:
             items = sorted(pts[t].items())
             self.tri_boundary_items[t] = items
             self._item_idx[t] = {c: i for i, (c, _) in enumerate(items)}
-            counts = [0, 0, 0]
-            for (k, rank), _ in items:
-                if rank >= 0:
-                    counts[k] += 1
-            self._side_strands[t] = counts
             for idx in range(len(items)):
                 (c1, _), (c2, _) = items[idx], items[(idx + 1) % len(items)]
                 self.interval_ids[(t, idx)] = add_edge("interval", (t, c1), (t, c2), (t, idx, c1[0]))
@@ -569,35 +775,13 @@ class _OverlayBuilder:
             if ra != rb:
                 parent[ra] = rb
 
-        base = self.base
+        coords = [[c for c, _ in self.tri_boundary_items[t]] for t in range(self.base.n_triangles)]
         glued_pairs = []
-        matched = set()
-        for t in range(base.n_triangles):
-            items = self.tri_boundary_items[t]
-            m = len(items)
-            for idx in range(m):
-                if (t, idx) in matched:
-                    continue
-                k = items[idx][0][0]  # the side this interval lies on
-                s = base.side(Corner(t, k))
-                opp = base.side_corner(-s)
-                t2, k2 = opp.tri, opp.pos
-                n_pts = self._side_strands[t][k]
-                if n_pts != self._side_strands[t2][k2]:
-                    raise VerificationError("overlay: glued sides disagree on strand count")
-                idx2_of = self._item_idx[t2]
-                j = (idx - self._item_idx[t][(k, -1)]) % m  # j-th interval along side k, from its tail
-                if not 0 <= j <= n_pts:
-                    raise VerificationError("overlay: interval indexing broke")
-                idx2 = (idx2_of[(k2, -1)] + (n_pts - j)) % len(idx2_of)  # gluing reverses
-                if (t2, idx2) == (t, idx):
-                    raise VerificationError("overlay: interval glued to itself")
-                matched.add((t, idx))
-                matched.add((t2, idx2))
-                e1, e2 = self.interval_ids[(t, idx)], self.interval_ids[(t2, idx2)]
-                f1, f2 = self.he_face[(e1, True)], self.he_face[(e2, True)]
-                union(f1, f2)
-                glued_pairs.append((e1, e2, f1, f2))
+        for (t, idx), (t2, idx2) in _glued_intervals(self.base, coords):
+            e1, e2 = self.interval_ids[(t, idx)], self.interval_ids[(t2, idx2)]
+            f1, f2 = self.he_face[(e1, True)], self.he_face[(e2, True)]
+            union(f1, f2)
+            glued_pairs.append((e1, e2, f1, f2))
 
         self.parent = parent
         self.find = find
@@ -661,15 +845,7 @@ class _OverlayBuilder:
         all_chords = sum(1 for (kind, *_ ) in self.local_edges if kind == "chord")
         total_e = all_chords + len({(min(a, b), max(a, b)) for a, b, _, _ in self.glued_pairs})
         chi_global = len(total_v) - total_e + total_f
-        expected = 2 - 2 * base.genus
-        if chi_global != expected:
-            raise VerificationError(f"overlay: global euler characteristic {chi_global} != {expected}")
-
-        for comp in components:
-            if comp.is_disc and not comp.marked_points and comp.boundary_crossings == 2:
-                raise VerificationError("overlay: bigon between the arcs survived")
-            if comp.is_disc and len(comp.marked_points) == 1 and comp.boundary_crossings == 1:
-                raise VerificationError("overlay: endpoint half-bigon survived")
+        _check_minimal(components, chi_global, base.genus)
 
         return Overlay(
             v=self.real.v,

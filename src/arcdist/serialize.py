@@ -22,7 +22,7 @@ from pathlib import Path
 from .arc import ArcWord
 from .distance import DistanceCertificate, ShadowPairInput, Verdict, verify_certificate
 from .errors import ArcdistError, InvalidSequence, SchemaError
-from .leveling import ArcSequence, arcs_to_leveling
+from .leveling import ArcSequence, arcs_to_leveling, validate_sequence
 from .overlay import intersection
 from .surface import Triangulation
 
@@ -214,8 +214,10 @@ def verify_document(doc: dict) -> list[str]:
 
     The whole document is checked against its schema once, up front.  A
     stored arc sequence is validated once: when it is loaded, or, for the
-    path of a distance certificate, by ``verify_certificate``.  A sequence
-    whose consecutive arcs cross is a failed check, not invalid input.
+    path of a distance certificate, by ``verify_certificate``; a level
+    report's level certificate that repeats that path from v to w is
+    compared with it as arcs.  A sequence whose consecutive arcs cross is
+    a failed check, not invalid input.
     """
     tag = doc.get("format")
     verify = _VERIFIERS.get(tag) if isinstance(tag, str) else None
@@ -250,16 +252,23 @@ def _verify_surgery_trace(doc: dict) -> list[str]:
     return problems
 
 
-def _verify_level_certificate(doc: dict) -> list[str]:
-    try:
-        seq = _sequence(doc, "sequence")
-    except InvalidSequence as ex:
-        return ex.problems
-    pos = arcs_to_leveling(seq)
+def _verify_level_certificate(doc: dict, proven: tuple | None = None) -> list[str]:
+    """Re-check a level certificate against its sequence.
+
+    ``proven`` is a path its own checker has already validated, given from
+    v to w; a sequence equal to it as arcs is not validated again.
+    """
+    base = Triangulation.from_json_dict(doc["triangulation"])
+    arcs = _arcs(doc["sequence"], base)
+    if arcs != proven:
+        problems = validate_sequence((base, arcs))
+        if problems:
+            return problems
+    pos = arcs_to_leveling((base, arcs))
     problems = pos.validate()
     if pos.to_json_dict() != doc["level_position"]:
         problems.append("level certificate: stored level position disagrees with the sequence")
-    if pos.ambient_genus != seq.base.genus * pos.n_levels:
+    if pos.ambient_genus != base.genus * pos.n_levels:
         problems.append("level certificate: ambient genus law failed")
     return problems
 
@@ -280,7 +289,8 @@ def _verify_level_report(doc: dict) -> list[str]:
         problems.append("report: level certificate missing")
         return problems
     lc = doc["level_certificate"]
-    problems += _verify_level_certificate(lc)
+    # verify_certificate has validated the certificate's path, stored from w to v
+    problems += _verify_level_certificate(lc, None if cert.path is None else cert.path[::-1])
     if lc["triangulation"] != doc["triangulation"]:
         problems.append("report: the level certificate is over another triangulation")
     if (lc["sequence"][0], lc["sequence"][-1]) != (distance["pair"]["v"], distance["pair"]["w"]):

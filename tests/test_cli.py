@@ -12,7 +12,7 @@ from arcdist.cli import main
 from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples
 from arcdist.distance import ShadowPairInput, classify
 from arcdist.errors import SchemaError
-from arcdist.leveling import level_number_report, sequence_to_level_certificate
+from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
 from arcdist.render import render_levels_svg
 from arcdist.surgery import path_between, surgery_step
 
@@ -566,3 +566,21 @@ def test_examples_classify_each_record_once(tmp_path, monkeypatch):
     assert len(calls) == records
     assert main(["examples", "--emit", str(tmp_path)]) == 0
     assert len(calls) == 2 * records
+
+
+def test_check_cert_validates_a_bounds_report_path_once(tmp_path, g1, monkeypatch, capsys):
+    """The level certificate of a bounds report carries the certificate's
+    path read from v to w: it is compared as arcs, not validated again."""
+    v, w = _bounds_pair(g1)
+    serialize.write_doc(tmp_path / "report.json", level_number_report(ShadowPairInput(g1, (v,), (w,))))
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return validate_sequence(seq)
+
+    for module in ("leveling", "distance", "serialize"):
+        monkeypatch.setattr(f"arcdist.{module}.validate_sequence", counted)
+    assert main(["check-cert", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == "verified: arcdist.level_report/1\n"
+    assert len(calls) == 1

@@ -13,7 +13,7 @@ from arcdist.distance import (
     verify_certificate,
 )
 from arcdist.leveling import validate_sequence
-from arcdist.overlay import intersection
+from arcdist.overlay import _OverlayBuilder, intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document
 
 from conftest import seeded_pairs
@@ -176,3 +176,51 @@ def test_certificate_round_trip_and_tamper_detection(g1):
         else:
             bad["verdict"]["upper"] += 1
         assert verify_document(bad) != []
+
+
+def test_distance_two_builds_the_face_tracer_only_for_a_witness(g1, monkeypatch):
+    """The sign-vector pass decides distance 2 and runs the minimality
+    checks; the face tracer is built only to route an exact-2 witness."""
+    v2, w2 = next(
+        (v, w)
+        for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
+        if classify(v, w).verdict.as_tuple() == (2, 2)
+    )
+    built = []
+
+    class CountedBuilder(_OverlayBuilder):
+        def __init__(self, real):
+            built.append(real)
+            super().__init__(real)
+
+    monkeypatch.setattr("arcdist.distance._OverlayBuilder", CountedBuilder)
+    bounds = classify(random_arc(g1, 31002, 30), random_arc(g1, 31003, 30))
+    assert bounds.verdict.kind == "bounds"
+    assert verify_certificate(bounds) == []
+    assert built == []
+    exact = classify(v2, w2)
+    assert exact.verdict.as_tuple() == (2, 2)
+    assert len(built) == 1
+    assert verify_certificate(exact) == []
+    assert len(built) == 1
+
+
+def test_classify_search_validates_no_sequence(g1, monkeypatch):
+    """The search's own intersection test proves each hop, so classify
+    validates nothing, even when it discards the path it found;
+    bounded_search still returns one validated ArcSequence."""
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return validate_sequence(seq)
+
+    monkeypatch.setattr("arcdist.leveling.validate_sequence", counted)
+    monkeypatch.setattr("arcdist.distance.validate_sequence", counted)
+    v, w = random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)
+    cert = classify(v, w, max_len=4, max_depth=4)
+    assert cert.verdict.kind == "bounds"
+    assert cert.search_note.startswith("search within")
+    assert calls == []
+    assert bounded_search(v, w, max_len=4, max_depth=4) is not None
+    assert len(calls) == 1

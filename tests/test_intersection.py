@@ -1,14 +1,18 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from arcdist import BaseMismatch
+from arcdist import BaseMismatch, VerificationError, build_standard_triangulation, overlay
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport
 from arcdist.overlay import (
+    Realization,
+    _OverlayBuilder,
     _Segment,
     _interleaved,
     build_overlay,
+    complement_components,
     intersection,
     intersection_via_flips,
     self_intersection,
@@ -255,3 +259,91 @@ def test_overlay_face_marked_incidence(g1):
         for comp in ov.components:
             seen |= comp.marked_points
         assert seen == {0, 1}
+
+
+def _traced_and_signed(v, w):
+    """The face tracer's components and distance-2 answer next to the
+    sign-vector pass's, for one realized pair."""
+    real = Realization(v, w)
+    builder = _OverlayBuilder(real)
+    traced = Counter(builder.summarize().components)
+    signed = complement_components(real)
+    yes = any(len(comp.marked_points) == 2 for comp in signed)
+    return traced, Counter(signed), builder.route_between_marked() is not None, yes
+
+
+def _long_pairs(base, tag, steps, wanted):
+    """Crossing pairs from long flip walks, drawn until ``wanted`` of them
+    are not at distance 2 (at genus 3-4 short walks give almost none)."""
+    rng = random.Random(tag)
+    out, no = [], 0
+    while no < wanted:
+        seed = rng.randrange(1 << 30)
+        v, w = random_arc(base, seed, steps), random_arc(base, seed + 1, steps)
+        if intersection(v, w) == 0:
+            continue
+        real = Realization(v, w)
+        no += not any(len(comp.marked_points) == 2 for comp in complement_components(real))
+        out.append((v, w))
+        assert len(out) <= 8 * wanted, "long walks stopped giving non-distance-2 pairs"
+    return out
+
+
+@pytest.mark.parametrize("genus, steps", [(1, 30), (2, 120), (3, 120), (4, 200)])
+def test_sign_vector_components_match_the_face_tracer(genus, steps):
+    """The sign-vector pass and the face tracer agree on the components (as
+    multisets of records) and on the distance-2 answer, with both answers
+    present at every genus, crossing pairs at genus 3-4 included."""
+    base = build_standard_triangulation(genus)
+    pairs = seeded_pairs(base, f"signs-{genus}", 100) + _long_pairs(base, f"signs-long-{genus}", steps, 2)
+    answers = Counter()
+    for v, w in pairs:
+        traced, signed, traced_yes, yes = _traced_and_signed(v, w)
+        assert signed == traced
+        assert yes == traced_yes
+        answers[yes, intersection(v, w) > 0] += 1
+    assert answers[True, True] and answers[False, True]
+
+
+def test_sign_vector_components_of_equal_words(g1, g2):
+    """Equal words drawn twice, length 0 included: the copies run parallel,
+    and at shared corners only the owner tie-break tells them apart."""
+    words = [random_arc(base, 900 + seed, 30) for base in (g1, g2) for seed in range(4)]
+    for base in (g1, g2, build_standard_triangulation(3)):
+        words += enumerate_arcs(base, 1)
+    assert any(len(a) == 0 for a in words) and any(len(a) > 8 for a in words)
+    for a in words:
+        traced, signed, traced_yes, yes = _traced_and_signed(a, a)
+        assert signed == traced
+        assert yes == traced_yes
+
+
+def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
+    """Swapping two adjacent strands of different arcs on one edge, where
+    that adds crossings, leaves a bigon or half-bigon: both the sign-vector
+    pass and the face tracer must refuse the realization, alike."""
+    order_edges = overlay._order_edges
+    seen = Counter()
+    for v, w in seeded_pairs(g1, "swap", 12, max_steps=30, require_crossing=True):
+        k = intersection(v, w)
+        for e, strands in Realization(v, w).edge_order.items():
+            for i in range(len(strands) - 1):
+                if strands[i].owner == strands[i + 1].owner:
+                    continue
+
+                def swapped(arcs, corners, e=e, i=i):
+                    out = order_edges(arcs, corners)
+                    out[e][i], out[e][i + 1] = out[e][i + 1], out[e][i]
+                    return out
+
+                monkeypatch.setattr(overlay, "_order_edges", swapped)
+                real = Realization(v, w)
+                if real.count() > k:
+                    with pytest.raises(VerificationError) as signed:
+                        complement_components(real)
+                    with pytest.raises(VerificationError) as traced:
+                        build_overlay(v, w)
+                    assert str(signed.value) == str(traced.value)
+                    seen[str(signed.value)] += 1
+                monkeypatch.setattr(overlay, "_order_edges", order_edges)
+    assert seen.keys() == {"overlay: bigon between the arcs survived", "overlay: endpoint half-bigon survived"}
