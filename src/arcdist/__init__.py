@@ -36,13 +36,8 @@ from .arc import (
     transport,
     transport_inverse,
 )
-from .overlay import (
-    Overlay,
-    build_overlay,
-    intersection,
-    intersection_via_flips,
-    self_intersection,
-)
+from .realization import intersection, intersection_via_flips, self_intersection
+from .overlay import Overlay, build_overlay
 from .surgery import SurgeryTrace, path_between, surgery_step
 from .distance import (
     DistanceCertificate,

@@ -421,7 +421,7 @@ def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:
     Deterministic order (by length, then start corner, then word).  Words
     are generated reduced; embeddedness is filtered via self-intersection.
     """
-    from .overlay import self_intersection
+    from .realization import self_intersection
 
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")

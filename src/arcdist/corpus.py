@@ -20,7 +20,7 @@ from .arc import ArcWord, edge_word, enumerate_arcs
 from .distance import ShadowPairInput, classify, pair_set_distance
 from .errors import VerificationError
 from .leveling import level_number_report
-from .overlay import intersection
+from .realization import intersection
 from .serialize import load_shadow_pair
 from .surface import P1, P2, Corner, Triangulation, build_standard_triangulation, edge_of
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
-from .overlay import Realization, _OverlayBuilder, complement_components, intersection, self_intersection
+from .overlay import _OverlayBuilder, complement_components
+from .realization import Realization, intersection, self_intersection
 from .surface import Triangulation
 from .surgery import _path
 

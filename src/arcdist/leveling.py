@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .arc import ArcWord
 from .errors import BaseMismatch, InvalidSequence, PreconditionError, VerificationError
-from .overlay import intersection
+from .realization import intersection
 from .surface import Triangulation
 
 

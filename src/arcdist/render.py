@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from .arc import ArcWord
-from .overlay import Realization
+from .realization import Realization
 from .surface import Corner, edge_of
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")

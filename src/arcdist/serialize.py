@@ -23,7 +23,7 @@ from .arc import ArcWord
 from .distance import DistanceCertificate, ShadowPairInput, Verdict, verify_certificate
 from .errors import ArcdistError, InvalidSequence, SchemaError
 from .leveling import ArcSequence, arcs_to_leveling, validate_sequence
-from .overlay import intersection
+from .realization import intersection
 from .surface import Triangulation
 
 
@@ -215,9 +215,10 @@ def verify_document(doc: dict) -> list[str]:
     The whole document is checked against its schema once, up front.  A
     stored arc sequence is validated once: when it is loaded, or, for the
     path of a distance certificate, by ``verify_certificate``; a level
-    report's level certificate that repeats that path from v to w is
-    compared with it as arcs.  A sequence whose consecutive arcs cross is
-    a failed check, not invalid input.
+    report's level certificate that repeats that path from v to w, or the
+    path v, u, w through an exact-2 witness u, is compared with it as
+    arcs.  A sequence whose consecutive arcs cross is a failed check, not
+    invalid input.
     """
     tag = doc.get("format")
     verify = _VERIFIERS.get(tag) if isinstance(tag, str) else None
@@ -289,8 +290,15 @@ def _verify_level_report(doc: dict) -> list[str]:
         problems.append("report: level certificate missing")
         return problems
     lc = doc["level_certificate"]
-    # verify_certificate has validated the certificate's path, stored from w to v
-    problems += _verify_level_certificate(lc, None if cert.path is None else cert.path[::-1])
+    # verify_certificate has checked the certificate's path (stored from w to
+    # v) or its exact-2 witness u, which makes [v, u, w] a checked path
+    if cert.path is not None:
+        proven = cert.path[::-1]
+    elif t == (2, 2) and cert.witness is not None:
+        proven = (cert.v, cert.witness, cert.w)
+    else:
+        proven = None
+    problems += _verify_level_certificate(lc, proven)
     if lc["triangulation"] != doc["triangulation"]:
         problems.append("report: the level certificate is over another triangulation")
     if (lc["sequence"][0], lc["sequence"][-1]) != (distance["pair"]["v"], distance["pair"]["w"]):

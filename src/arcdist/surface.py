@@ -56,6 +56,7 @@ class Triangulation:
         "genus",
         "triangles",
         "_p1_anchor",
+        "_n_labels",
         "_side_of",
         "_vertex_of_corner",
         "_violations",
@@ -67,15 +68,22 @@ class Triangulation:
     def __init__(self, genus, triangles, p1_corner=None):
         self.genus = int(genus)
         self.triangles = tuple(tuple(int(s) for s in t) for t in triangles)
+        self._n_labels = 0
         self._side_of = None
         self._vertex_of_corner = None
         self._canonical = None
         self._id = None
+        self._hash = None
         self._violations = self._analyze(p1_corner)
-        self._hash = hash((self.genus, self.triangles, self._p1_anchor))
 
     # ------------------------------------------------------------------
     # construction-time analysis
+    #
+    # A valid table keeps two flat lists.  ``_side_of[s]`` is the Corner
+    # holding signed label s; the list has 2E+1 slots, so Python's negative
+    # indexing places -s at slot 2E+1-s, and slot 0 is unused.
+    # ``_vertex_of_corner[3*tri + pos]`` is P1 or P2.  The queries check the
+    # range themselves, because a bare list index would wrap silently.
 
     def _analyze(self, p1_corner):
         violations = []
@@ -101,7 +109,7 @@ class Triangulation:
             self._p1_anchor = None
             return violations
 
-        self._side_of = {}
+        self._side_of = [None] * (2 * n_edges + 1)
         for ti, t in enumerate(self.triangles):
             for k, s in enumerate(t):
                 self._side_of[s] = Corner(ti, k)
@@ -139,17 +147,18 @@ class Triangulation:
             p1_corner = Corner(0, 0)
         else:
             p1_corner = Corner(*p1_corner)
-        vmap = {}
-        for ci, cls in enumerate(classes):
-            for c in cls:
-                vmap[c] = ci
-        if p1_corner not in vmap:
+        if not (0 <= p1_corner.tri < f and 0 <= p1_corner.pos < 3):
             self._p1_anchor = None
             return [f"p1 corner: {p1_corner} is not a corner of the table"]
-        if vmap[p1_corner] != 0:
-            vmap = {c: 1 - x for c, x in vmap.items()}
-        self._vertex_of_corner = vmap
-        self._p1_anchor = min(c for c, x in vmap.items() if x == P1)
+        vertex = [0] * (3 * f)
+        for ci, cls in enumerate(classes):
+            for c in cls:
+                vertex[3 * c.tri + c.pos] = ci
+        if vertex[3 * p1_corner.tri + p1_corner.pos] != P1:
+            vertex = [1 - x for x in vertex]
+        self._vertex_of_corner = vertex
+        self._p1_anchor = Corner(*divmod(vertex.index(P1), 3))
+        self._n_labels = n_edges  # the lookups answer from here on
         return []
 
     def _corner_orbits(self):
@@ -203,20 +212,27 @@ class Triangulation:
 
     def side_corner(self, label: int) -> Corner:
         """The (triangle, position) holding a signed label."""
+        n = self._n_labels  # 0 on an invalid table
+        if -n <= label <= n and label:
+            return self._side_of[label]
         self._require_valid()
-        return self._side_of[label]
+        raise KeyError(label)
 
     def tri_of(self, label: int) -> int:
         return self.side_corner(label).tri
 
     def vertex_of(self, corner: Corner) -> int:
         """P1 or P2 for a corner."""
+        tri, pos = corner
+        i = 3 * tri + pos
+        if 0 <= pos < 3 and 0 <= i < 2 * self._n_labels:  # 3F = 2E corners, none on an invalid table
+            return self._vertex_of_corner[i]
         self._require_valid()
-        return self._vertex_of_corner[Corner(*corner)]
+        raise KeyError(Corner(tri, pos))
 
     def corners_at(self, vertex: int) -> list[Corner]:
         self._require_valid()
-        return sorted(c for c, x in self._vertex_of_corner.items() if x == vertex)
+        return [Corner(*divmod(i, 3)) for i, x in enumerate(self._vertex_of_corner) if x == vertex]
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         """(tail vertex, head vertex) of the positive side of edge ``e``."""
@@ -228,8 +244,7 @@ class Triangulation:
         return [e for e in range(self.n_edges) if self.edge_endpoints(e)[0] != self.edge_endpoints(e)[1]]
 
     def is_flippable(self, e: int) -> bool:
-        self._require_valid()
-        return self.tri_of(e + 1) != self.tri_of(-(e + 1))
+        return self.side_corner(e + 1).tri != self.side_corner(-(e + 1)).tri
 
     # ------------------------------------------------------------------
     # the flip
@@ -248,15 +263,25 @@ class Triangulation:
     #
     # Old +e runs q2->q0 in t1 = (+e, A, B); old -e runs q0->q2 in
     # t2 = (-e, C, D).  New +e runs q3->q1, placed at position 0:
-    # t1 := (+e, B, C) and t2 := (-e, D, A).
+    # t1 := (+e, B, C) and t2 := (-e, D, A).  Old t1's corners at positions
+    # a1, a1+1, a1+2 are X and Y (the tail and head of old +e) and Z (t1's
+    # apex); W is old t2's apex.  New t1's corners are (W, Z, X), new t2's
+    # are (Z, W, Y).
 
     def flip(self, e: int) -> "Triangulation":
         """Replace edge ``e`` by the opposite diagonal of its quad.
 
         The new diagonal keeps the label ``e`` and sits at position 0 of
         both rewritten triangles.  Note the table-level flip has order four
-        (two flips reverse the stored direction of ``e``); use
-        :meth:`flip_inverse` to undo a flip exactly.
+        (two flips reverse the stored direction of ``e``);
+        :func:`arcdist.arc.transport_inverse` undoes a flip of an arc
+        exactly, through :meth:`double_flip_side_map`.
+
+        Only the two triangles of the quad change.  The new table shares
+        every other triangle and ``Corner`` with this one and rewrites the
+        six side and corner entries of the quad; its P1/P2 labels are read
+        off the quad's corners, each rewritten side's tail checked against
+        the head of its glued partner, and both labels must remain.
         """
         self._require_valid()
         s = e + 1
@@ -265,19 +290,38 @@ class Triangulation:
         if t1 == t2:
             raise UnflippableEdge(f"edge {e}: both sides lie in triangle {t1}")
         a1, a2 = c_pos.pos, c_neg.pos
-        side_a = self.triangles[t1][(a1 + 1) % 3]
-        side_b = self.triangles[t1][(a1 + 2) % 3]
-        side_c = self.triangles[t2][(a2 + 1) % 3]
-        side_d = self.triangles[t2][(a2 + 2) % 3]
+        old1, old2 = self.triangles[t1], self.triangles[t2]
+        side_a, side_b = old1[(a1 + 1) % 3], old1[(a1 + 2) % 3]
+        side_c, side_d = old2[(a2 + 1) % 3], old2[(a2 + 2) % 3]
+        vertex = self._vertex_of_corner
+        x, y, z = vertex[3 * t1 + a1], vertex[3 * t1 + (a1 + 1) % 3], vertex[3 * t1 + (a1 + 2) % 3]
+        w = vertex[3 * t2 + (a2 + 2) % 3]
 
-        new_tris = list(self.triangles)
-        new_tris[t1] = (s, side_b, side_c)
-        new_tris[t2] = (-s, side_d, side_a)
+        tris = list(self.triangles)
+        tris[t1] = (s, side_b, side_c)
+        tris[t2] = (-s, side_d, side_a)
+        side_of = self._side_of.copy()
+        side_of[s], side_of[side_b], side_of[side_c] = Corner(t1, 0), Corner(t1, 1), Corner(t1, 2)
+        side_of[-s], side_of[side_d], side_of[side_a] = Corner(t2, 0), Corner(t2, 1), Corner(t2, 2)
+        vertex = vertex.copy()
+        vertex[3 * t1 : 3 * t1 + 3] = (w, z, x)
+        vertex[3 * t2 : 3 * t2 + 3] = (z, w, y)
+        for label, tail in ((s, w), (side_b, z), (side_c, x), (-s, z), (side_d, w), (side_a, y)):
+            partner = side_of[-label]
+            if vertex[3 * partner.tri + (partner.pos + 1) % 3] != tail:
+                raise InvalidTriangulation("vertex transport: inconsistent votes")
+        if P1 not in vertex or P2 not in vertex:
+            raise InvalidTriangulation("vertex transport: votes do not cover both marked points")
 
-        flipped = Triangulation(self.genus, new_tris, p1_corner=Corner(0, 0))
-        if not flipped.is_valid:  # cannot happen on a valid input
-            raise InvalidTriangulation("flip produced an invalid table: " + "; ".join(flipped._violations))
-        flipped._relabel_vertices_from(self, skip_edge=e)
+        flipped = Triangulation.__new__(Triangulation)
+        flipped.genus = self.genus
+        flipped.triangles = tuple(tris)
+        flipped._n_labels = self._n_labels
+        flipped._side_of = side_of
+        flipped._vertex_of_corner = vertex
+        flipped._p1_anchor = Corner(*divmod(vertex.index(P1), 3))
+        flipped._violations = []
+        flipped._hash = flipped._canonical = flipped._id = None
         return flipped
 
     def double_flip_side_map(self, e: int):
@@ -290,31 +334,6 @@ class Triangulation:
         returns that map as a callable.
         """
         return lambda s: -s if edge_of(s) == e else s
-
-    def _relabel_vertices_from(self, old: "Triangulation", skip_edge):
-        """Transport the P1/P2 labels through a local retriangulation.
-
-        Every edge other than the flipped one is pointwise unchanged, so the
-        tail of each of its directed sides stays at the same marked point.
-        Each such side casts a vote; the votes must cover both classes and
-        agree (guaranteed for a flippable edge).
-        """
-        votes = {}
-        for s, c_old in old._side_of.items():
-            if skip_edge is not None and edge_of(s) == skip_edge:
-                continue
-            c_new = self._side_of[s]
-            label = old._vertex_of_corner[c_old]
-            cls = self._vertex_of_corner[c_new]
-            prev = votes.setdefault(cls, label)
-            if prev != label:
-                raise InvalidTriangulation("vertex transport: inconsistent votes")
-        if sorted(votes.values()) != [0, 1]:
-            raise InvalidTriangulation("vertex transport: votes do not cover both marked points")
-        if votes[0] != P1:
-            self._vertex_of_corner = {c: 1 - x for c, x in self._vertex_of_corner.items()}
-        self._p1_anchor = min(c for c, x in self._vertex_of_corner.items() if x == P1)
-        self._hash = hash((self.genus, self.triangles, self._p1_anchor))
 
     # ------------------------------------------------------------------
     # canonical form and isomorphism
@@ -390,8 +409,7 @@ class Triangulation:
     def triangulation_id(self) -> str:
         """Content hash used to tie arcs and certificates to their base.
 
-        Computed on first use, after construction (and a flip's vertex
-        relabelling) has fixed the table, then kept.
+        Computed on first use, then kept.
         """
         if self._id is None:
             blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -409,6 +427,8 @@ class Triangulation:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.genus, self.triangles, self._p1_anchor))
         return self._hash
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .arc import ArcWord, tighten
 from .errors import PreconditionError, VerificationError
 from .leveling import ArcSequence
-from .overlay import Realization, intersection, self_intersection
+from .realization import Realization, intersection, self_intersection
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examp
 from arcdist.distance import ShadowPairInput, classify
 from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
+from arcdist.realization import Realization
 from arcdist.render import render_levels_svg
 from arcdist.surgery import path_between, surgery_step
 
@@ -584,3 +585,22 @@ def test_check_cert_validates_a_bounds_report_path_once(tmp_path, g1, monkeypatc
     assert main(["check-cert", str(tmp_path / "report.json")]) == 0
     assert capsys.readouterr().out == "verified: arcdist.level_report/1\n"
     assert len(calls) == 1
+
+
+def test_check_cert_realizes_an_exact_two_report_pair_once(g1, monkeypatch):
+    """The level certificate of an exact-2 report is the path v, u, w
+    through the witness, whose two hops ``verify_certificate`` has just
+    checked: one realization per distinct pair, (v, w), (u, v) and (u, w)."""
+    v, w = random_arc(g1, 0, 20), random_arc(g1, 1, 20)
+    doc = json.loads(serialize.dumps(level_number_report(ShadowPairInput(g1, (v,), (w,)))))
+    assert doc["distance"]["verdict"] == {"kind": "exact", "value": 2}
+    calls = []
+    init = Realization.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Realization, "__init__", counted)
+    assert serialize.verify_document(doc) == []
+    assert len(calls) == 3

@@ -4,19 +4,18 @@ from collections import Counter
 
 import pytest
 
-from arcdist import BaseMismatch, VerificationError, build_standard_triangulation, overlay
+from arcdist import BaseMismatch, VerificationError, build_standard_triangulation, realization
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport
 from arcdist.overlay import (
     Realization,
     _OverlayBuilder,
-    _Segment,
-    _interleaved,
     build_overlay,
     complement_components,
     intersection,
     intersection_via_flips,
     self_intersection,
 )
+from arcdist.realization import _Segment, _interleaved
 from arcdist.surface import edge_of
 
 from conftest import seeded_pairs
@@ -322,7 +321,7 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
     """Swapping two adjacent strands of different arcs on one edge, where
     that adds crossings, leaves a bigon or half-bigon: both the sign-vector
     pass and the face tracer must refuse the realization, alike."""
-    order_edges = overlay._order_edges
+    order_edges = realization._order_edges
     seen = Counter()
     for v, w in seeded_pairs(g1, "swap", 12, max_steps=30, require_crossing=True):
         k = intersection(v, w)
@@ -336,7 +335,7 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
                     out[e][i], out[e][i + 1] = out[e][i + 1], out[e][i]
                     return out
 
-                monkeypatch.setattr(overlay, "_order_edges", swapped)
+                monkeypatch.setattr(realization, "_order_edges", swapped)
                 real = Realization(v, w)
                 if real.count() > k:
                     with pytest.raises(VerificationError) as signed:
@@ -345,5 +344,5 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
                         build_overlay(v, w)
                     assert str(signed.value) == str(traced.value)
                     seen[str(signed.value)] += 1
-                monkeypatch.setattr(overlay, "_order_edges", order_edges)
+                monkeypatch.setattr(realization, "_order_edges", order_edges)
     assert seen.keys() == {"overlay: bigon between the arcs survived", "overlay: endpoint half-bigon survived"}

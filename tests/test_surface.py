@@ -1,9 +1,14 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from arcdist import (
+    P1,
+    P2,
+    Corner,
+    InvalidTriangulation,
     Triangulation,
     UnflippableEdge,
     build_standard_triangulation,
@@ -134,3 +139,85 @@ def test_canonical_form_stable_under_relabelling(g1):
     relabeled = Triangulation(1, tris, p1_corner=(0, 1))
     assert relabeled.validate() == []
     assert relabeled.is_isomorphic_to(g1)
+
+
+def _flippable(t):
+    return [e for e in range(t.n_edges) if t.is_flippable(e)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_local_flip_matches_a_table_built_from_scratch(g):
+    """Every flip of a seeded walk against the full analysis of its table.
+
+    The scratch table is anchored through a corner outside the flipped quad,
+    whose label the flip did not touch, so the comparison also checks which
+    class the local flip calls P1."""
+    cur = build_standard_triangulation(g)
+    rng = random.Random(f"local-flip-{g}")
+    for _ in range(3000):
+        e = rng.choice(_flippable(cur))
+        quad = {cur.tri_of(e + 1), cur.tri_of(-(e + 1))}
+        outside = next(Corner(t, 0) for t in range(cur.n_triangles) if t not in quad)
+        flipped = cur.flip(e)
+        full = Triangulation(g, flipped.triangles, p1_corner=outside)
+        if cur.vertex_of(outside) == P2:  # anchor at a corner of the other class
+            full = Triangulation(g, flipped.triangles, p1_corner=full.corners_at(P2)[0])
+        assert full.validate() == []
+        for s in range(1, flipped.n_edges + 1):
+            assert flipped.side_corner(s) == full.side_corner(s)
+            assert flipped.side_corner(-s) == full.side_corner(-s)
+        for t in range(flipped.n_triangles):
+            for k in range(3):
+                assert flipped.vertex_of(Corner(t, k)) == full.vertex_of(Corner(t, k))
+        assert flipped.corners_at(P1) == full.corners_at(P1)
+        assert flipped.corners_at(P2) == full.corners_at(P2)
+        assert flipped == full and hash(flipped) == hash(full)
+        assert flipped.triangulation_id() == full.triangulation_id()
+        cur = flipped
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_local_flip_refuses_a_tampered_quad_corner(g):
+    """The flip reads the labels of four quad corners (both ends of the
+    diagonal and the two apexes); a wrong one at any of them fails the
+    check of the rewritten sides against their glued partners."""
+    for table in (build_standard_triangulation(g), random_flip_walk(build_standard_triangulation(g), g, 25)[0]):
+        for e in _flippable(table):
+            c_pos, c_neg = table.side_corner(e + 1), table.side_corner(-(e + 1))
+            read = [Corner(c_pos.tri, (c_pos.pos + k) % 3) for k in range(3)]
+            read.append(Corner(c_neg.tri, (c_neg.pos + 2) % 3))
+            for corner in read:
+                bad = Triangulation(g, table.triangles, p1_corner=table.to_json_dict()["p1_corner"])
+                bad._vertex_of_corner[3 * corner.tri + corner.pos] ^= 1
+                with pytest.raises(InvalidTriangulation, match="vertex transport"):
+                    bad.flip(e)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_lookups_outside_the_table_raise_key_error(g):
+    """The flat side and corner tables are indexed by label and by
+    3 * tri + pos; a label or corner outside the table must not wrap
+    around to another entry."""
+    standard = build_standard_triangulation(g)
+    flipped = standard.flip(_flippable(standard)[0])
+    for t in (standard, flipped):
+        n_edges, n_tris = t.n_edges, t.n_triangles
+        for label in (0, n_edges + 1, -(n_edges + 1)):
+            with pytest.raises(KeyError):
+                t.side_corner(label)
+        for tri in range(n_tris):
+            for corner in ((tri, 3), (tri, -1)):
+                with pytest.raises(KeyError):
+                    t.vertex_of(corner)
+        with pytest.raises(KeyError):
+            t.vertex_of((n_tris, 0))
+
+
+def test_lookups_on_an_invalid_table_raise_invalid_triangulation():
+    """A table that glues edge by edge but splits a marked point has its
+    side table built during the analysis; the lookups must still refuse it."""
+    reglued = Triangulation(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)])
+    assert any("vertex count" in v for v in reglued.validate())
+    for query in (lambda: reglued.side_corner(1), lambda: reglued.vertex_of((0, 0)), lambda: reglued.flip(1)):
+        with pytest.raises(InvalidTriangulation):
+            query()
