@@ -26,12 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    BaseMismatch,
-    InconsistentWord,
-    PreconditionError,
-    UnflippableEdge,
-)
+from .errors import BaseMismatch, InconsistentWord, PreconditionError
 from .surface import P1, P2, Corner, Triangulation, edge_of
 
 
@@ -193,187 +188,67 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
 # ----------------------------------------------------------------------
 # transport across a flip
 #
-# Quad of edge e before the flip, with old +e running q2->q0 (see
-# surface.flip for the picture): t1 = (+e, A, B), t2 = (-e, C, D); after
-# the flip the new +e runs q3->q1 and sits at position 0 of both
-# t_a := (+e, B, C) and t_b := (-e, D, A).  Transport keeps every crossing
-# of an edge other than e verbatim, drops old +-e crossings, and inserts
-# new-diagonal crossings exactly where a run through the quad connects the
-# two new triangles.  Corner anchors inside the quad are remapped:
+# Both directions rewrite an arc onto a table that differs from its base
+# only in the two triangles of edge e's quad (same indices), where e is the
+# other diagonal.  The four outer quad sides keep their labels, so:
 #
-#   old corner at q0 (merge):  (t1, pos(A))  or (t2, pos(-e))  -> (t_b, 2)
-#   old corner at q2 (merge):  (t1, pos(+e)) or (t2, pos(C))   -> (t_a, 2)
-#   old corner at q1 (split):  (t1, pos(B)) -> (t_a, 1) or (t_b, 0)
-#   old corner at q3 (split):  (t2, pos(D)) -> (t_a, 0) or (t_b, 1)
-#
-# where the split choice follows the first/last crossing of the word (a
-# reduced word leaves a diagonal endpoint across the diagonal).
+# * crossings of e are dropped;
+# * while the arc is in the quad, one crossing of the new diagonal (the
+#   side of e in the arc's current new triangle) is added whenever the next
+#   side, or the end corner, lies in the other new triangle;
+# * a quad corner moves to the tail, in the new table, of the outer side it
+#   is the tail of (on a side of e: the head of the outer side it is the
+#   head of); every other corner stays;
+# * tighten removes the corner bigon left when a diagonal endpoint lands
+#   in the wrong new triangle.
 
 
 def transport(arc: ArcWord, e: int) -> ArcWord:
     """The same isotopy class written over ``arc.base.flip(e)``."""
-    base = arc.base
-    new_base = base.flip(e)
-    return _rewrite_across_flip(arc, base, new_base, e)
+    return _rewrite_in_quad(arc, arc.base.flip(e), e)
 
 
 def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
     """Undo ``transport(-, e)``: rewrite ``arc`` over the pre-flip base.
 
-    ``previous.flip(e)`` must equal ``arc.base``.  Implemented by a second
-    forward flip followed by the pure double-flip relabelling back onto
-    ``previous`` (see ``Triangulation.double_flip_side_map``).
+    ``previous.flip(e)`` must equal ``arc.base``.
     """
     if previous.flip(e) != arc.base:
         raise BaseMismatch("previous.flip(e) does not give the arc's base")
-    twice = arc.base.flip(e)
-    moved = _rewrite_across_flip(arc, arc.base, twice, e)
-    smap = previous.double_flip_side_map(e)
+    return _rewrite_in_quad(arc, previous, e)
+
+
+def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
+    """``arc`` over ``new``, which differs from its base only in ``e``'s quad."""
+    old = arc.base
+    quad = (old.side_corner(e + 1).tri, old.side_corner(-(e + 1)).tri)
 
     def corner(c: Corner) -> Corner:
-        s = smap(twice.side(c))
-        home = previous.side_corner(s)
-        return Corner(home.tri, home.pos)
+        if c.tri not in quad:
+            return c
+        outer = old.side(c)
+        if edge_of(outer) != e:
+            return new.side_corner(outer)
+        head = new.side_corner(old.side(Corner(c.tri, (c.pos + 2) % 3)))
+        return Corner(head.tri, (head.pos + 1) % 3)
 
-    word = [smap(c) for c in moved.crossings]
-    return tighten(previous, corner(moved.start), word, corner(moved.end))
+    def diagonal(tri: int) -> int:
+        return e + 1 if new.side_corner(e + 1).tri == tri else -(e + 1)
 
-
-def _rewrite_across_flip(arc: ArcWord, base: Triangulation, new_base: Triangulation, e: int) -> ArcWord:
-    s = e + 1
-    c_pos, c_neg = base.side_corner(s), base.side_corner(-s)
-    t1, t2 = c_pos.tri, c_neg.tri
-    if t1 == t2:
-        raise UnflippableEdge(f"edge {e}: both sides lie in triangle {t1}")
-    side_a = base.side(Corner(t1, (c_pos.pos + 1) % 3))
-    side_b = base.side(Corner(t1, (c_pos.pos + 2) % 3))
-    side_c = base.side(Corner(t2, (c_neg.pos + 1) % 3))
-    side_d = base.side(Corner(t2, (c_neg.pos + 2) % 3))
-    ta, tb = t1, t2  # flip puts (+e, B, C) at t1's index and (-e, D, A) at t2's
-
-    quad_tris = {t1, t2}
-    in_quad = lambda tri: tri in quad_tris
-    new_tri_of_side = {side_a: tb, side_b: ta, side_c: ta, side_d: tb}
-
-    def diag_cross(state):
-        return s if state == ta else -s
-
-    word = list(arc.crossings)
-    start, end = arc.start, arc.end
+    start, end = corner(arc.start), corner(arc.end)
+    here = start.tri if start.tri in quad else None  # new triangle, while in the quad
     out = []
-    state = None  # new-quad triangle holding the arc point after the last event
-
-    # -- start corner ---------------------------------------------------
-    new_start = None
-    if in_quad(start.tri):
-        if not word:
-            return _transport_zero_length(arc, base, new_base, e, t1, t2, c_pos, c_neg, ta, tb)
-        q = _old_quad_corner(base, start, t1, t2, c_pos, c_neg)
-        if q == "q0":
-            new_start, state = Corner(tb, 2), tb
-        elif q == "q2":
-            new_start, state = Corner(ta, 2), ta
-        elif q == "q1":
-            if word[0] != s:
-                raise InconsistentWord("reduced word must leave the diagonal endpoint across it")
-            word.pop(0)
-            if not word:
-                # whole arc was the single diagonal crossing: parallel to new e
-                return tighten(new_base, Corner(tb, 0), (), Corner(tb, 1))
-            nxt = word[0]
-            if nxt == side_c:
-                new_start, state = Corner(ta, 1), ta
-            elif nxt == side_d:
-                new_start, state = Corner(tb, 0), tb
-            else:
-                raise InconsistentWord("inconsistent run out of the quad")
-        else:  # q3
-            if word[0] != -s:
-                raise InconsistentWord("reduced word must leave the diagonal endpoint across it")
-            word.pop(0)
-            if not word:
-                return tighten(new_base, Corner(ta, 0), (), Corner(ta, 1))
-            nxt = word[0]
-            if nxt == side_a:
-                new_start, state = Corner(tb, 1), tb
-            elif nxt == side_b:
-                new_start, state = Corner(ta, 0), ta
-            else:
-                raise InconsistentWord("inconsistent run out of the quad")
-    else:
-        new_start = start
-
-    # -- end corner preprocessing ----------------------------------------
-    end_q = None
-    if in_quad(end.tri):
-        end_q = _old_quad_corner(base, end, t1, t2, c_pos, c_neg)
-        if end_q == "q1":
-            if not word or word[-1] != -s:
-                raise InconsistentWord("reduced word must reach the diagonal endpoint across it")
-            word.pop()
-        elif end_q == "q3":
-            if not word or word[-1] != s:
-                raise InconsistentWord("reduced word must reach the diagonal endpoint across it")
-            word.pop()
-
-    # -- crossings -------------------------------------------------------
-    for c in word:
+    for c in arc.crossings:
         if edge_of(c) == e:
-            continue  # internal quad move; resolved by entry/exit anchors
-        if state is not None:
-            target = new_tri_of_side.get(c)
-            if target is None:
-                raise InconsistentWord("exited the quad through a non-quad side")
-            if target != state:
-                out.append(diag_cross(state))
-                state = target
+            continue
+        if here is not None and new.side_corner(c).tri != here:
+            out.append(diagonal(here))
         out.append(c)
-        landing = base.side_corner(-c).tri
-        state = new_tri_of_side.get(-c) if in_quad(landing) else None
-
-    # -- end corner -------------------------------------------------------
-    if end_q is None:
-        new_end = end
-    elif end_q == "q0":
-        if state is None:
-            raise InconsistentWord("word ends in the quad without entering it")
-        if state != tb:
-            out.append(diag_cross(state))
-        new_end = Corner(tb, 2)
-    elif end_q == "q2":
-        if state is None:
-            raise InconsistentWord("word ends in the quad without entering it")
-        if state != ta:
-            out.append(diag_cross(state))
-        new_end = Corner(ta, 2)
-    elif end_q == "q1":
-        new_end = Corner(ta, 1) if state == ta else Corner(tb, 0)
-    else:  # q3
-        new_end = Corner(ta, 0) if state == ta else Corner(tb, 1)
-
-    return tighten(new_base, new_start, out, new_end)
-
-
-def _old_quad_corner(base: Triangulation, corner: Corner, t1, t2, c_pos, c_neg) -> str:
-    """Name the quad corner (q0..q3) held by an old corner of t1 or t2."""
-    if corner.tri == t1:
-        rel = (corner.pos - c_pos.pos) % 3
-        return {0: "q2", 1: "q0", 2: "q1"}[rel]
-    rel = (corner.pos - c_neg.pos) % 3
-    return {0: "q0", 1: "q2", 2: "q3"}[rel]
-
-
-def _transport_zero_length(arc, base, new_base, e, t1, t2, c_pos, c_neg, ta, tb):
-    """Zero-crossing word whose triangle is inside the quad."""
-    s_par = base.side(arc.start)  # the side the arc parallels, directed P1->P2
-    if edge_of(s_par) == e:
-        # parallel to the flipped diagonal: afterwards it crosses the new one
-        start_q = _old_quad_corner(base, arc.start, t1, t2, c_pos, c_neg)
-        if start_q == "q2":
-            return tighten(new_base, Corner(ta, 2), (e + 1,), Corner(tb, 2))
-        return tighten(new_base, Corner(tb, 2), (-(e + 1),), Corner(ta, 2))
-    home = new_base.side_corner(s_par)
-    return tighten(new_base, home, (), Corner(home.tri, (home.pos + 1) % 3))
+        landing = new.side_corner(-c).tri
+        here = landing if landing in quad else None
+    if here is not None and end.tri != here:
+        out.append(diagonal(here))
+    return tighten(new, start, out, end)
 
 
 # ----------------------------------------------------------------------

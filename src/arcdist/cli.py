@@ -12,8 +12,9 @@ Subcommands::
 
 Exit codes: 0 success / verified, 1 verification failed, 2 malformed JSON,
 3 schema violation, 4 triangulation mismatch, 5 invalid input for the
-operation.  All emitted JSON is canonical (sorted keys, compact, one
-trailing newline), so outputs are byte-stable and diffable.
+operation, an output path that cannot be written included.  All emitted
+JSON is canonical (sorted keys, compact, one trailing newline), so outputs
+are byte-stable and diffable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from . import serialize
 from .corpus import load_bundled_examples, run_examples
@@ -35,13 +37,26 @@ EXIT_BASE_MISMATCH = 4
 EXIT_BAD_INPUT = 5
 
 
+@contextmanager
+def _writing(path):
+    """An output path that cannot be created or written is invalid input.
+
+    Only the CLI's own file writes go through here, so a broken stdout pipe
+    is never reported as one.
+    """
+    try:
+        yield
+    except OSError as ex:
+        raise PreconditionError(f"cannot write {path}: {ex.strerror or ex}") from None
+
+
 def _emit(doc: dict, out_path):
-    text = serialize.dumps(doc)
     if out_path:
-        serialize.write_doc(out_path, doc)
+        with _writing(out_path):
+            serialize.write_doc(out_path, doc)
         print(f"wrote {out_path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize.dumps(doc))
 
 
 def _cmd_tri(args) -> int:
@@ -106,7 +121,8 @@ def _cmd_render(args) -> int:
     from .render import render_document
 
     doc = serialize.load_doc(args.file)
-    written = render_document(doc, args.svg)
+    with _writing(args.svg):
+        written = render_document(doc, args.svg)
     for name in written:
         print(f"wrote {os.path.join(args.svg, name)}")
     return 0
@@ -122,9 +138,10 @@ def _cmd_examples(args) -> int:
         if not row["passed"]:
             failed += 1
         if args.emit:
-            os.makedirs(args.emit, exist_ok=True)
-            serialize.write_doc(os.path.join(args.emit, f"{row['name']}.record.json"), rec.to_json_dict())
-            serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), row["report"])
+            with _writing(args.emit):
+                os.makedirs(args.emit, exist_ok=True)
+                serialize.write_doc(os.path.join(args.emit, f"{row['name']}.record.json"), rec.to_json_dict())
+                serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), row["report"])
     seed = os.environ.get("ARCDIST_SEED")
     if seed is not None:
         failed += _examples_spot_check(records, int(seed))

@@ -143,8 +143,10 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
 
     When search bounds are supplied, a breadth-first search through the
     arcs of length <= max_len may shorten the upper bound coming from the
-    surgery path.
+    surgery path.  Giving only one of the two bounds is an error.
     """
+    if (max_len is None) != (max_depth is None):
+        raise PreconditionError("search bounds: give both max_len and max_depth, or neither")
     if v.base != w.base:
         raise BaseMismatch("arcs live over different triangulations")
     if v == w:
@@ -160,7 +162,7 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
         )
     path = _path(real)
     note = None
-    if max_len is not None and max_depth is not None:
+    if max_len is not None:
         found = _search(v, w, max_len, max_depth)
         if found is not None and len(found) < len(path):
             path = found

@@ -272,10 +272,11 @@ class Triangulation:
         """Replace edge ``e`` by the opposite diagonal of its quad.
 
         The new diagonal keeps the label ``e`` and sits at position 0 of
-        both rewritten triangles.  Note the table-level flip has order four
-        (two flips reverse the stored direction of ``e``);
-        :func:`arcdist.arc.transport_inverse` undoes a flip of an arc
-        exactly, through :meth:`double_flip_side_map`.
+        both rewritten triangles, which keep their indices.  Flipping ``e``
+        again restores the surface but not the stored table (the diagonal's
+        direction and the triangles' rotations differ), so
+        :func:`arcdist.arc.transport_inverse` rewrites an arc onto the
+        table it came from rather than flipping twice.
 
         Only the two triangles of the quad change.  The new table shares
         every other triangle and ``Corner`` with this one and rewrites the
@@ -323,17 +324,6 @@ class Triangulation:
         flipped._violations = []
         flipped._hash = flipped._canonical = flipped._id = None
         return flipped
-
-    def double_flip_side_map(self, e: int):
-        """Side correspondence from ``self.flip(e).flip(e)`` back to ``self``.
-
-        Two flips of ``e`` restore the geometric triangulation exactly, but
-        the table stores the diagonal with the opposite sign (and the two
-        adjacent triangles trade roles).  The induced relabelling on signed
-        labels is ``s -> s`` away from ``e`` and ``+-e -> -+e`` on it; this
-        returns that map as a callable.
-        """
-        return lambda s: -s if edge_of(s) == e else s
 
     # ------------------------------------------------------------------
     # canonical form and isomorphism

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from arcdist import Corner, InconsistentWord, P1, P2
+from arcdist import (
+    BaseMismatch,
+    Corner,
+    InconsistentWord,
+    P1,
+    P2,
+    UnflippableEdge,
+    build_standard_triangulation,
+    random_flip_walk,
+)
 from arcdist.arc import (
     ArcWord,
     edge_word,
@@ -13,7 +22,7 @@ from arcdist.arc import (
     transport,
     transport_inverse,
 )
-from arcdist.overlay import self_intersection
+from arcdist.overlay import intersection, self_intersection
 from arcdist.surface import edge_of
 
 from conftest import seeded_arcs
@@ -188,6 +197,47 @@ def test_transport_round_trip_walks(g1, g2):
             assert word == a
             done += 1
     assert done == 200
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_transport_round_trips_every_short_arc(genus):
+    """Every arc of length <= 3, every flippable edge, on the standard table
+    and two walked ones: the corner cases of the quad rewrite (zero-crossing
+    words, words that start or end at a diagonal endpoint, quads whose
+    outer sides are glued to each other) are all among them."""
+    standard = build_standard_triangulation(genus)
+    rng = random.Random(f"quad-rewrite-{genus}")
+    trips = zero = at_apex = 0
+    for base in (standard, random_flip_walk(standard, 1, 8)[0], random_flip_walk(standard, 2, 8)[0]):
+        arcs = enumerate_arcs(base, 3)
+        pairs = [tuple(rng.sample(arcs, 2)) for _ in range(3)]
+        overlay = [intersection(a, b) for a, b in pairs]
+        for e in range(base.n_edges):
+            if not base.is_flippable(e):
+                continue
+            for a in arcs:
+                assert transport_inverse(transport(a, e), base, e) == a
+                trips += 1
+                zero += not a.crossings
+                at_apex += bool(a.crossings) and edge_of(a.crossings[-1]) == e
+            assert [intersection(transport(a, e), transport(b, e)) for a, b in pairs] == overlay
+    assert trips > 200 and zero > 0 and at_apex > 0
+
+
+def test_transport_errors(g1):
+    a = seeded_arcs(g1, "transport-errors", 1)[0]
+    moved = transport(a, 0)
+    with pytest.raises(BaseMismatch):
+        transport_inverse(moved, g1, 1)  # flipping edge 1 of g1 does not give moved.base
+    with pytest.raises(BaseMismatch):
+        transport_inverse(moved, moved.base, 0)
+    walked, _ = random_flip_walk(g1, 3, 10)
+    e = next(e for e in range(walked.n_edges) if not walked.is_flippable(e))
+    b = enumerate_arcs(walked, 2)[-1]
+    with pytest.raises(UnflippableEdge):
+        transport(b, e)
+    with pytest.raises(UnflippableEdge):
+        transport_inverse(b, walked, e)
 
 
 def test_random_arc_deterministic_and_embedded(g1, g2):

@@ -99,6 +99,31 @@ def test_exit_codes(tmp_path, workdir):
     assert main(["check-cert", str(cert)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda d: (["dist", str(d / "pair.json"), "-o", str(d / "missing" / "cert.json")], d / "missing" / "cert.json"),
+        lambda d: (["tri", "--standard", "1", "-o", str(d / "missing" / "tri.json")], d / "missing" / "tri.json"),
+        lambda d: (["examples", "--emit", str(d / "v.json")], d / "v.json"),
+        lambda d: (["render", str(d / "pair.json"), "--svg", str(d / "v.json")], d / "v.json"),
+    ],
+    ids=["dist", "tri", "examples", "render"],
+)
+def test_an_unwritable_output_path_is_invalid_input(workdir, capsys, command):
+    argv, path = command(workdir)
+    assert main(argv) == 5
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"invalid input: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--max-depth"])
+def test_dist_rejects_a_lone_search_bound(tmp_path, g1, capsys, flag):
+    pair = tmp_path / "pair.json"
+    serialize.write_doc(pair, serialize.pair_dict(random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)))
+    assert main(["dist", str(pair), flag, "4"]) == 5
+    assert "search bounds" in capsys.readouterr().err
+
+
 def test_examples_pass_and_emit(tmp_path, capsys):
     emit = tmp_path / "emitted"
     assert main(["examples", "--emit", str(emit)]) == 0

@@ -126,6 +126,16 @@ def test_bounded_search_rejects_bad_bounds(g1):
         bounded_search(edge_word(g1, 2), edge_word(g1, 3), 0, 3)
 
 
+def test_classify_rejects_a_lone_search_bound(g1):
+    v, w = random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)
+    assert classify(v, w).verdict.kind == "bounds"
+    for bound in ({"max_len": 4}, {"max_depth": 4}):
+        with pytest.raises(PreconditionError, match="search bounds"):
+            classify(v, w, **bound)
+        with pytest.raises(PreconditionError, match="search bounds"):
+            classify(v, v, **bound)
+
+
 def test_classify_search_can_tighten_bound(g1):
     for seed in (31002, 31010, 31014):
         v = random_arc(g1, seed, 30)
