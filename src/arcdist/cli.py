@@ -12,9 +12,10 @@ Subcommands::
 
 Exit codes: 0 success / verified, 1 verification failed, 2 malformed JSON,
 3 schema violation, 4 triangulation mismatch, 5 invalid input for the
-operation, an output path that cannot be written included.  All emitted
-JSON is canonical (sorted keys, compact, one trailing newline), so outputs
-are byte-stable and diffable.
+operation, an output path that cannot be written included, 141 stdout
+closed by its reader (a shell's status for SIGPIPE, with nothing on
+stderr).  All emitted JSON is canonical (sorted keys, compact, one trailing
+newline), so outputs are byte-stable and diffable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_MALFORMED = 2
 EXIT_SCHEMA = 3
 EXIT_BASE_MISMATCH = 4
 EXIT_BAD_INPUT = 5
+EXIT_CLOSED_STDOUT = 141
 
 
 @contextmanager
@@ -221,7 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except serialize.MalformedJSON as ex:
         print(f"malformed JSON: {ex}", file=sys.stderr)
         return EXIT_MALFORMED

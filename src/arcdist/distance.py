@@ -6,12 +6,12 @@ complement component touches both marked points: a common disjoint arc can
 then be drawn inside that component, and conversely any arc disjoint from
 both can be isotoped into a component of the complement.  The components
 come from the sign-vector pass (``overlay.complement_components``), which
-also runs the minimality checks; only when one touches both marked points
-is the face tracer built, to route the witness through it.  The witness is
-re-verified, so the criterion is never trusted without a checkable
-artifact.  For distance at least 3 the certificate carries bounds: the
-lower bound 3 from the failed 0/1/2 checks, the upper bound from the
-surgery path (optionally improved by a bounded search through the
+also runs the minimality checks and, when one touches both marked points,
+routes the witness through it: one overlay computation per pair.  The
+witness is re-verified, so the criterion is never trusted without a
+checkable artifact.  For distance at least 3 the certificate carries
+bounds: the lower bound 3 from the failed 0/1/2 checks, the upper bound
+from the surgery path (optionally improved by a bounded search through the
 low-complexity part of the arc complex).
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
-from .overlay import _OverlayBuilder, complement_components
+from .overlay import complement_components
 from .realization import Realization, intersection, self_intersection
 from .surface import Triangulation
 from .surgery import _path
@@ -122,17 +122,14 @@ def _distance_two_witness(real: Realization) -> ArcWord | None:
     """An arc disjoint from both realized arcs, or None when no complement
     component touches both marked points.
 
-    The sign-vector components decide, and run the minimality checks; the
-    face tracer is built only to route the witness through the component.
+    The sign-vector pass finds the components, runs the minimality checks
+    and routes the raw witness; it is tightened here and verified.
     """
     v, w = real.v, real.w
-    if not any(len(comp.marked_points) == 2 for comp in complement_components(real)):
-        return None
-    routed = _OverlayBuilder(real).route_between_marked()
+    _, routed = complement_components(real)
     if routed is None:
-        raise VerificationError("overlay: face tracing finds no component the sign vectors found")
-    start, word, end = routed
-    u = tighten(v.base, start, word, end)
+        return None
+    u = tighten(v.base, *routed)
     if self_intersection(u) != 0 or intersection(u, v) != 0 or intersection(u, w) != 0:
         raise VerificationError("distance-2 witness failed to verify")
     return u

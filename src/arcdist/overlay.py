@@ -10,21 +10,24 @@ A realization induces a cell decomposition of the surface (the overlay):
 faces are the complement components of the two arcs, glued from
 per-triangle arrangements across the edges.  Two computations of it exist.
 ``complement_components`` keys each local face by its sign vector (the
-chords it lies beyond) in one linear pass per triangle; it decides the
-distance-2 criterion in :mod:`arcdist.distance` and certifies minimality at
-run time (Euler characteristic 2 - 2g, no bigon or endpoint half-bigon
-survives).  The face tracer (``_OverlayBuilder``, behind ``build_overlay``)
-sorts the germs at every node and walks each face; it routes the witness
-arc of an exact-2 verdict, and the test suite checks that both give the
-same components, as it checks the two intersection counts.
+chords it lies beyond) in one linear pass per triangle; it is the only one
+that runs at run time.  It certifies minimality (Euler characteristic
+2 - 2g, no bigon or endpoint half-bigon survives) and, for the distance-2
+criterion in :mod:`arcdist.distance`, routes the witness arc of an exact-2
+verdict through a component touching both marked points.  The face tracer
+(``_OverlayBuilder``, behind ``build_overlay``) sorts the germs at every
+node and walks each face; it is the test suite's reference, which checks
+that both give the same components, as it checks the two intersection
+counts.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import VerificationError
-from .surface import P1, Corner
+from .surface import P1, P2, Corner
 from .arc import ArcWord
 
 # the realization layer's public names, re-exported for callers of this module
@@ -118,8 +121,9 @@ def _check_minimal(components, chi_global: int, genus: int) -> None:
             raise VerificationError("overlay: endpoint half-bigon survived")
 
 
-def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
-    """The complement components of two realized arcs, without face tracing.
+def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], tuple | None]:
+    """The complement components of two realized arcs, without face tracing,
+    and a raw route from P1 to P2 through one of them.
 
     Within a triangle the chords of both arcs cross at most once, so a local
     face is fixed by its sign vector: the set of chords it lies beyond.
@@ -132,9 +136,10 @@ def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
     crossed along the way.  Faces are the distinct ``(triangle, key)``
     pairs, glued across edges along the same intervals as the face tracer.
 
-    Returns the same records as ``build_overlay(v, w).components`` (in
-    another order) and runs the same minimality checks, raising
-    ``VerificationError`` on failure.
+    Returns ``(components, route)``: the records of
+    ``build_overlay(v, w).components`` (in another order) and the route of
+    :func:`_marked_route`.  Runs the same minimality checks as the face
+    tracer, raising ``VerificationError`` on failure.
     """
     base = real.base
     in_tri = [[] for _ in range(base.n_triangles)]
@@ -152,8 +157,9 @@ def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
 
     coords, gap_faces = [], []
     # face ids on each side of every chord piece, around every crossing and
-    # strand point, and in every corner sector (with its marked point)
-    pieces, quads, points, sectors = [], [], [], []
+    # strand point; and per marked point, each face touching it, with the
+    # corner first reached ccw from the face's first interval
+    pieces, quads, points, touch = [], [], [], {P1: {}, P2: {}}
     n_faces = 0
     for t, chords in enumerate(in_tri):
         faces: dict[int, int] = {}  # key -> face id
@@ -171,22 +177,32 @@ def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
             ends.setdefault(s.b, []).append((i, s.a, -s.owner))
         items = sorted(ends)
         low = [None] * len(chords)  # key of the gap before each chord's low end
-        gaps = []
+        keys, sectors = [], []  # key of each gap; (item, corner side, key) of each sector
         key = 0
-        for c in items:
+        for idx, c in enumerate(items):
             here = ends[c]
             if c[1] < 0:
-                vertex = base.vertex_of(Corner(t, c[0]))
                 # far ends ccw from the corner, descending: (far < c, far)
                 here.sort(key=lambda e: (e[1] < c, e[1], e[2]), reverse=True)
-                sectors.append((vertex, face(key)))
+                sectors.append((idx, c[0], key))
             for i, _, _ in here:
                 if low[i] is None:
                     low[i] = key
                 key ^= 1 << i
                 if c[1] < 0:
-                    sectors.append((vertex, face(key)))
-            gaps.append(face(key))
+                    sectors.append((idx, c[0], key))
+            keys.append(key)
+        # face ids ascend with each face's first interval, as the tracer's do
+        gaps = [face(key) for key in keys]
+        first = {}
+        for idx, f in enumerate(gaps):
+            first.setdefault(f, idx)
+        for idx, k, key in sectors:
+            f = face(key)
+            corner = Corner(t, k)
+            reach = ((idx - first.get(f, idx)) % len(items), corner)
+            at = touch[base.vertex_of(corner)]
+            at[f] = min(at.get(f, reach), reach)
         for i, s in enumerate(chords):
             b, key = 1 << i, low[i]
             other = bits[1 - s.owner]
@@ -242,8 +258,9 @@ def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
         for r in {root[f] for f in quad}:
             n_vertices[r] += 1
             n_cross[r] += 1
-    for vertex, f in sectors:
-        marked.setdefault(root[f], set()).add(vertex)
+    for vertex, faces_at in touch.items():
+        for f in faces_at:
+            marked.setdefault(root[f], set()).add(vertex)
 
     components = []
     for r in range(n_faces):
@@ -260,10 +277,53 @@ def complement_components(real: Realization) -> tuple[OverlayFace, ...]:
                 is_disc=(chi == 1),
             )
         )
-    all_marked = {vertex for vertex, _ in sectors}
+    all_marked = {vertex for vertex, faces_at in touch.items() if faces_at}
     chi_global = len(points) + len(all_marked) + len(quads) - len(pieces) - len(glued) + n_faces
     _check_minimal(components, chi_global, base.genus)
-    return tuple(components)
+    return tuple(components), _marked_route(base, coords, gap_faces, glued, root, touch)
+
+
+def _marked_route(base, coords, gap_faces, glued, root, touch):
+    """A raw crossing word from P1 to P2 through one complement component.
+
+    Returns None when no component touches both marked points; otherwise a
+    ``(start corner, crossings, end corner)`` triple avoiding both arcs.
+    Face ids ascend with each face's first ``(triangle, interval)``, so the
+    choices are the face tracer's, which fix the witness bytes: the
+    component with the first union-find root (a face on no triangle side,
+    such as the sliver between equal words, counts last), breadth-first
+    search from its P1 faces in id order over neighbours sorted by
+    ``(face, side label)``, and as each end face's corner the one first
+    reached ccw from its first interval.
+    """
+    at1, at2 = touch[P1], touch[P2]  # face -> (reach, corner)
+    both = {root[f] for f in at1} & {root[f] for f in at2}
+    if not both:
+        return None
+    sided = {f for gaps in gap_faces for f in gaps}
+    comp = min(both, key=lambda r: (r not in sided, r))  # faces on no triangle side last
+    adj: dict[int, list] = {}
+    for (t, idx), (t2, idx2) in glued:
+        f1, f2 = gap_faces[t][idx], gap_faces[t2][idx2]
+        if root[f1] == comp:
+            value = base.side(Corner(t, coords[t][idx][0]))
+            adj.setdefault(f1, []).append((f2, value))
+            adj.setdefault(f2, []).append((f1, -value))
+    starts = sorted(f for f in at1 if root[f] == comp)
+    prev = dict.fromkeys(starts)
+    queue = deque(starts)
+    # union-find classes are glue-connected, so a P2 face of comp is reached
+    while (cur := queue.popleft()) not in at2:
+        for nxt, value in sorted(adj.get(cur, ())):
+            if nxt not in prev:
+                prev[nxt] = (cur, value)
+                queue.append(nxt)
+    end = at2[cur][1]
+    word = []
+    while prev[cur] is not None:
+        cur, value = prev[cur]
+        word.append(value)
+    return at1[cur][1], tuple(reversed(word)), end
 
 
 class _OverlayBuilder:
@@ -387,9 +447,6 @@ class _OverlayBuilder:
 
     def _glue(self):
         # half edges: (eid, dir); next with face on the left
-        def opposite(h):
-            return (h[0], not h[1])
-
         def head_of(h):
             kind, tail, head, data = self.local_edges[h[0]]
             return head if h[1] else tail
@@ -531,70 +588,6 @@ class _OverlayBuilder:
             components=tuple(components),
             euler_characteristic=chi_global,
         )
-
-    # -- witness routing (used by the distance module) -------------------
-
-    def route_between_marked(self):
-        """A raw crossing word from P1 to P2 through one complement component.
-
-        Returns None when no component touches both marked points; otherwise
-        a (start corner, crossings, end corner) triple avoiding both arcs.
-        """
-        base = self.base
-        find = self.find
-        # faces touching a marked corner, with the corners
-        p1_faces = {}
-        p2_faces = {}
-        for fid in self.inner_faces:
-            for eid, d in self.faces[fid]:
-                kind, tail, head, data = self.local_edges[eid]
-                for node in (tail, head):
-                    if node[0] == "x" or node[1][1] != -1:
-                        continue
-                    corner = Corner(node[0], node[1][0])
-                    if base.vertex_of(corner) == P1:
-                        p1_faces.setdefault(fid, corner)
-                    else:
-                        p2_faces.setdefault(fid, corner)
-
-        comps_ok = {find(f) for f in p1_faces} & {find(f) for f in p2_faces}
-        if not comps_ok:
-            return None
-        comp = min(comps_ok)
-
-        adj: dict[int, list] = {}
-        for e1, e2, f1, f2 in self.glued_pairs:
-            if find(f1) != comp:
-                continue
-            t, idx, k = self.local_edges[e1][3]
-            value = base.side(Corner(t, k))
-            adj.setdefault(f1, []).append((f2, value))
-            adj.setdefault(f2, []).append((f1, -value))
-
-        starts = sorted(f for f in p1_faces if find(f) == comp)
-        prev = {f: None for f in starts}
-        queue = list(starts)
-        goal = None
-        while queue:
-            cur = queue.pop(0)
-            if cur in p2_faces and find(cur) == comp:
-                goal = cur
-                break
-            for nxt, value in sorted(adj.get(cur, ())):
-                if nxt not in prev:
-                    prev[nxt] = (cur, value)
-                    queue.append(nxt)
-        if goal is None:
-            raise VerificationError("overlay: marked component not connected")
-        word = []
-        cur = goal
-        while prev[cur] is not None:
-            cur, value = prev[cur]
-            word.append(value)
-        word.reverse()
-        start = p1_faces[cur]
-        end = p2_faces[goal]
-        return start, tuple(word), end
 
 
 def build_overlay(v: ArcWord, w: ArcWord) -> Overlay:

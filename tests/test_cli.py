@@ -1,11 +1,14 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcdist
 from arcdist import build_standard_triangulation, serialize
 from arcdist.arc import edge_word, random_arc
 from arcdist.cli import main
@@ -122,6 +125,23 @@ def test_dist_rejects_a_lone_search_bound(tmp_path, g1, capsys, flag):
     serialize.write_doc(pair, serialize.pair_dict(random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)))
     assert main(["dist", str(pair), flag, "4"]) == 5
     assert "search bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["tri", "--standard", "4"], ["examples"]], ids=["tri", "examples"])
+def test_a_closed_stdout_exits_141_quietly(argv):
+    """A reader that stops early is not a failure: the process exits 141 (a
+    shell's status for SIGPIPE) and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write to stdout breaks the pipe
+    src = os.path.dirname(os.path.dirname(arcdist.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "arcdist.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_examples_pass_and_emit(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from arcdist import PreconditionError
 from arcdist.arc import edge_word, random_arc
+from arcdist.cli import main
 from arcdist.distance import (
     ShadowPairInput,
     bounded_search,
@@ -12,9 +13,9 @@ from arcdist.distance import (
     pair_set_distance,
     verify_certificate,
 )
-from arcdist.leveling import validate_sequence
+from arcdist.leveling import level_number_report, validate_sequence
 from arcdist.overlay import _OverlayBuilder, intersection
-from arcdist.serialize import dumps, load_distance_certificate, verify_document
+from arcdist.serialize import dumps, load_distance_certificate, verify_document, write_doc
 
 from conftest import seeded_pairs
 
@@ -188,31 +189,33 @@ def test_certificate_round_trip_and_tamper_detection(g1):
         assert verify_document(bad) != []
 
 
-def test_distance_two_builds_the_face_tracer_only_for_a_witness(g1, monkeypatch):
-    """The sign-vector pass decides distance 2 and runs the minimality
-    checks; the face tracer is built only to route an exact-2 witness."""
+def test_no_run_time_path_builds_the_face_tracer(g1, tmp_path, monkeypatch, capsys):
+    """The sign-vector pass decides distance 2, runs the minimality checks
+    and routes the exact-2 witness; the face tracer is only a test
+    reference, built by no run-time path: classify, verify_certificate,
+    level_number_report and check-cert, on a bounds and an exact-2 pair."""
     v2, w2 = next(
         (v, w)
         for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
         if classify(v, w).verdict.as_tuple() == (2, 2)
     )
     built = []
+    init = _OverlayBuilder.__init__
 
-    class CountedBuilder(_OverlayBuilder):
-        def __init__(self, real):
-            built.append(real)
-            super().__init__(real)
+    def counted(self, real):
+        built.append(real)
+        init(self, real)
 
-    monkeypatch.setattr("arcdist.distance._OverlayBuilder", CountedBuilder)
-    bounds = classify(random_arc(g1, 31002, 30), random_arc(g1, 31003, 30))
-    assert bounds.verdict.kind == "bounds"
-    assert verify_certificate(bounds) == []
+    monkeypatch.setattr(_OverlayBuilder, "__init__", counted)
+    bounds = (random_arc(g1, 31002, 30), random_arc(g1, 31003, 30))
+    for (v, w), verdict in ((bounds, (3, 5)), ((v2, w2), (2, 2))):
+        cert = classify(v, w)
+        assert cert.verdict.as_tuple() == verdict
+        assert verify_certificate(cert) == []
+        write_doc(tmp_path / "report.json", level_number_report(ShadowPairInput(g1, (v,), (w,))))
+        assert main(["check-cert", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == "verified: arcdist.level_report/1\n" * 2
     assert built == []
-    exact = classify(v2, w2)
-    assert exact.verdict.as_tuple() == (2, 2)
-    assert len(built) == 1
-    assert verify_certificate(exact) == []
-    assert len(built) == 1
 
 
 def test_classify_search_validates_no_sequence(g1, monkeypatch):

@@ -264,11 +264,12 @@ def _traced_and_signed(v, w):
     """The face tracer's components and distance-2 answer next to the
     sign-vector pass's, for one realized pair."""
     real = Realization(v, w)
-    builder = _OverlayBuilder(real)
-    traced = Counter(builder.summarize().components)
-    signed = complement_components(real)
+    traced = _OverlayBuilder(real).summarize().components
+    signed, route = complement_components(real)
     yes = any(len(comp.marked_points) == 2 for comp in signed)
-    return traced, Counter(signed), builder.route_between_marked() is not None, yes
+    assert yes == (route is not None)
+    traced_yes = any(len(comp.marked_points) == 2 for comp in traced)
+    return Counter(traced), Counter(signed), traced_yes, yes
 
 
 def _long_pairs(base, tag, steps, wanted):
@@ -282,7 +283,7 @@ def _long_pairs(base, tag, steps, wanted):
         if intersection(v, w) == 0:
             continue
         real = Realization(v, w)
-        no += not any(len(comp.marked_points) == 2 for comp in complement_components(real))
+        no += complement_components(real)[1] is None
         out.append((v, w))
         assert len(out) <= 8 * wanted, "long walks stopped giving non-distance-2 pairs"
     return out

@@ -1,22 +1,30 @@
 """Byte contract: certificates and emitted example files are pinned by digest.
 
-The digest covers the canonical bytes of ``classify(...).to_json_dict()``
+``DIGEST`` covers the canonical bytes of ``classify(...).to_json_dict()``
 on seeded crossing pairs of genus 1 and 2, then every file written by
-``arcdist examples --emit``.  A refactor that changes any verdict,
-certificate or output byte changes the digest; a deliberate format change
-updates it here, in review.
+``arcdist examples --emit``.  ``LONG_DIGEST`` covers the certificates of
+crossing pairs from long flip walks at genus 3 and 4, exact-2 witnesses
+among them.  A refactor that changes any verdict, certificate or output
+byte changes a digest; a deliberate format change updates it here, in
+review.
 """
 
 import hashlib
 import os
+import random
+from collections import Counter
 
+from arcdist import build_standard_triangulation
+from arcdist.arc import random_arc
 from arcdist.cli import main
 from arcdist.distance import classify
+from arcdist.overlay import intersection
 from arcdist.serialize import dumps
 
 from conftest import seeded_pairs
 
 DIGEST = "e0eece70024441ee93314b45e15b92dc93506d2a3c06314460d5127964535848"
+LONG_DIGEST = "945be88f7d3c5f6686e8aeaa284847ac3a5945c09e6d11c739798b339cb2707b"
 
 
 def test_output_bytes_are_pinned(tmp_path, g1, g2):
@@ -30,3 +38,28 @@ def test_output_bytes_are_pinned(tmp_path, g1, g2):
         h.update(name.encode() + b"\n")
         h.update((emit / name).read_bytes())
     assert h.hexdigest() == DIGEST
+
+
+def _long_crossing_pairs(base, tag, count, steps):
+    """Crossing pairs of arcs from ``steps``-flip walks, seeded from the tag."""
+    rng = random.Random(tag)
+    out = []
+    while len(out) < count:
+        seed = rng.randrange(1 << 30)
+        v, w = random_arc(base, seed, steps), random_arc(base, seed + 1, steps)
+        if intersection(v, w) > 0:
+            out.append((v, w))
+    return out
+
+
+def test_genus_three_and_four_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    verdicts = Counter()
+    for genus, steps in ((3, 120), (4, 200)):
+        base = build_standard_triangulation(genus)
+        for v, w in _long_crossing_pairs(base, f"byte-contract-long-{genus}", 20, steps):
+            cert = classify(v, w)
+            verdicts[genus, cert.verdict.kind == "exact"] += 1
+            h.update(dumps(cert.to_json_dict()).encode())
+    assert all(verdicts[genus, exact] for genus in (3, 4) for exact in (True, False))
+    assert h.hexdigest() == LONG_DIGEST
