@@ -303,6 +303,8 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
             if u is None:
                 problems.append("exact(2): witness missing")
             else:
+                if self_intersection(u) != 0:
+                    problems.append("exact(2): witness is not embedded")
                 if intersection(u, v) != 0 or intersection(u, w) != 0:
                     problems.append("exact(2): witness is not disjoint from both arcs")
                 if u == v or u == w:

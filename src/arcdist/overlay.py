@@ -165,10 +165,7 @@ def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], t
         faces: dict[int, int] = {}  # key -> face id
 
         def face(key):
-            fid = faces.get(key)
-            if fid is None:
-                fid = faces[key] = n_faces + len(faces)
-            return fid
+            return faces.setdefault(key, n_faces + len(faces))
 
         ends = {(0, -1): [], (1, -1): [], (2, -1): []}  # coordinate -> (chord, far end, tie)
         for i, s in enumerate(chords):
@@ -209,9 +206,10 @@ def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], t
             partners = along[s.owner].get(s.index, ())
             for p in partners if s.a < s.b else partners[::-1]:
                 ob = other[p]
-                pieces.append((face(key), face(key ^ b)))
+                piece = (face(key), face(key ^ b))
+                pieces.append(piece)
                 if s.owner == 0:
-                    quads.append((face(key), face(key ^ b), face(key ^ ob), face(key ^ b ^ ob)))
+                    quads.append((*piece, face(key ^ ob), face(key ^ b ^ ob)))
                 key ^= ob
             pieces.append((face(key), face(key ^ b)))
         positive = [base.side(Corner(t, k)) > 0 for k in range(3)]

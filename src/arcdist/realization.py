@@ -21,7 +21,10 @@ disagree, the strands cross once in their shared stretch, and the side
 with the shorter common prefix (the nearer divergence) decides.  Once
 every edge is ordered, in-triangle chords cross exactly when their
 boundary endpoints interleave, and the total count is the geometric
-intersection number of the two isotopy classes.
+intersection number of the two isotopy classes.  That is one interval
+test per pair of segments in a triangle; it records the end of each chord
+that lies inside the other, and sorting those ends ranks the crossings
+along every segment.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -31,8 +34,8 @@ it, and the two are compared pair-by-pair in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
 from .surface import Corner, edge_of
@@ -81,8 +84,7 @@ def _lcp(a: bytes, b: bytes) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class _Strand:
+class _Strand(NamedTuple):
     owner: int
     index: int
     value: int  # signed crossing label
@@ -151,17 +153,18 @@ def _rank_lookup(edge_order):
     """rank_of(owner, index, value): a strand's slot along the side ``value``.
 
     Slots count from the tail of that side, so the two sides of one edge
-    number the same strands in opposite directions.
+    number the same strands in opposite directions; both are stored.
     """
     ranks = {}
     for strands in edge_order.values():
         m = len(strands)
-        for r, st in enumerate(strands):
-            ranks[(st.owner, st.index)] = (r, m)
+        for r, (owner, index, value) in enumerate(strands):
+            plus = abs(value)
+            ranks[owner, index, plus] = r
+            ranks[owner, index, -plus] = m - 1 - r
 
     def rank_of(owner, index, value):
-        r, m = ranks[(owner, index)]
-        return r if value > 0 else m - 1 - r
+        return ranks[owner, index, value]
 
     return rank_of
 
@@ -170,8 +173,7 @@ def _rank_lookup(edge_order):
 # segments and interleave counting
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     owner: int
     index: int  # anchors index..index+1 of the owning word
     tri: int
@@ -203,28 +205,33 @@ def _segments_of(word: ArcWord, owner: int, corners, rank_of) -> list[_Segment]:
     return segs
 
 
-def _interleaved(s1: _Segment, s2: _Segment) -> bool:
-    pts = {s1.a, s1.b, s2.a, s2.b}
-    if len(pts) < 4:  # shared boundary point: meeting, not a crossing
-        return False
-    # boundary coordinates are ordered linearly from corner 0, so the chords
-    # cross iff exactly one end of s2 lies strictly between the ends of s1
-    lo, hi = min(s1.a, s1.b), max(s1.a, s1.b)
-    return (lo < s2.a < hi) != (lo < s2.b < hi)
+def _by_triangle(segs) -> dict[int, list]:
+    """Per triangle, each segment with its ends in boundary order ``(lo, hi)``."""
+    out: dict[int, list] = {}
+    for s in segs:
+        a, b = s.a, s.b
+        out.setdefault(s.tri, []).append((s, a, b) if a < b else (s, b, a))
+    return out
 
 
-@dataclass(frozen=True)
-class _Crossing:
+class _Crossing(NamedTuple):
     v_seg: int
     w_seg: int
     tri: int
-    v_rank: int = 0  # order along the v segment, filled in by the realization
-    w_rank: int = 0
+    v_rank: int  # order along the v segment, from its end a
+    w_rank: int  # order along the w segment, from its end a
 
 
 class Realization:
     """Both arcs pinned in minimal position; built once per pair and shared
-    by the count, the overlay and the surgery step at that pair."""
+    by the count, the overlay and the surgery step at that pair.
+
+    Boundary coordinates are ordered linearly from corner 0 of a triangle,
+    so two chords there cross exactly when their ends interleave: one
+    interval test per v/w segment pair.  A crossing's place along each
+    chord is the other chord's end that lies inside it, so the crossings of
+    a segment are ranked by sorting those recorded ends from its end a.
+    """
 
     def __init__(self, v: ArcWord, w: ArcWord):
         if v.base != w.base:
@@ -240,62 +247,39 @@ class Realization:
         )
         self.crossings = self._find_crossings()
 
-    def _find_crossings(self):
-        by_tri: dict[int, list[_Segment]] = {}
-        for seg in self.segments[1]:
-            by_tri.setdefault(seg.tri, []).append(seg)
-        raw = []
-        for vseg in self.segments[0]:
-            for wseg in by_tri.get(vseg.tri, ()):
-                if _interleaved(vseg, wseg):
-                    raw.append((vseg, wseg))
-        # order the crossings along each participating segment
-        along_v = self._rank_along(raw, 0)
-        along_w = self._rank_along(raw, 1)
-        out = []
-        for vseg, wseg in raw:
-            out.append(
-                _Crossing(
-                    vseg.index,
-                    wseg.index,
-                    vseg.tri,
-                    along_v[(vseg.index, wseg.index)],
-                    along_w[(vseg.index, wseg.index)],
-                )
-            )
-        return tuple(sorted(out, key=lambda x: (x.v_seg, x.v_rank)))
-
-    def _rank_along(self, raw, which):
-        ranks = {}
-        groups: dict[int, list[tuple[_Segment, _Segment]]] = {}
-        for vseg, wseg in raw:
-            mine = (vseg, wseg)[which]
-            groups.setdefault(mine.index, []).append((vseg, wseg))
-        for _, pairs in groups.items():
-            mine = (pairs[0][0], pairs[0][1])[which]
-            order = []
-            for vseg, wseg in pairs:
-                other = (wseg, vseg)[which]
-                order.append((self._position_from(mine, other), (vseg.index, wseg.index)))
-            order.sort()
-            for r, (_, key) in enumerate(order):
-                ranks[key] = r
-        return ranks
-
-    @staticmethod
-    def _position_from(seg: _Segment, other: _Segment) -> tuple:
-        """Sort key for where ``other`` crosses ``seg``, measured from seg.a.
-
-        The crossing chords of a segment are pairwise disjoint, so their
-        order along it matches the boundary order of their endpoints on the
-        side of seg.a.
-        """
-        lo, hi = min(seg.a, seg.b), max(seg.a, seg.b)
-        inner = [p for p in (other.a, other.b) if lo < p < hi]
-        if len(inner) != 1:
-            raise VerificationError("crossing chord does not separate the segment ends")
-        p = inner[0]
-        return p if seg.a < seg.b else tuple(-x for x in p)
+    def _find_crossings(self) -> tuple[_Crossing, ...]:
+        """Every crossing once, sorted along v, with its ranks along both
+        segments.  A w chord that crosses a v chord must also separate the
+        v chord's ends; that is checked on every hit."""
+        by_tri = _by_triangle(self.segments[1])
+        found = []  # (v segment, w segment, triangle, rank along v), sorted along v
+        on_w: dict[int, list] = {}  # w segment -> (v end inside it, crossing number)
+        for vs in self.segments[0]:
+            a, b = vs.a, vs.b
+            lo, hi = (a, b) if a < b else (b, a)
+            hits = []
+            for ws, wlo, whi in by_tri.get(vs.tri, ()):
+                if lo < wlo < hi < whi:
+                    inside = wlo
+                elif wlo < lo < whi < hi:
+                    inside = whi
+                else:
+                    continue
+                a_in = wlo < a < whi
+                if a_in == (wlo < b < whi):
+                    raise VerificationError("crossing chord does not separate the segment ends")
+                hits.append((inside, ws.index, a if a_in else b))
+            hits.sort(reverse=a > b)
+            for r, (_, w_seg, v_end) in enumerate(hits):
+                on_w.setdefault(w_seg, []).append((v_end, len(found)))
+                found.append((vs.index, w_seg, vs.tri, r))
+        w_rank = [0] * len(found)
+        w_segs = self.segments[1]
+        for w_seg, ends in on_w.items():
+            ends.sort(reverse=w_segs[w_seg].a > w_segs[w_seg].b)
+            for r, (_, k) in enumerate(ends):
+                w_rank[k] = r
+        return tuple(_Crossing(*x, w_rank[k]) for k, x in enumerate(found))
 
     def count(self) -> int:
         """i(v, w); 0 for equal words, whose copies are nested side by side."""
@@ -319,15 +303,11 @@ def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
     corners = _word_corners(word.base, word)
     rank_of = _rank_lookup(_order_edges((word, None), (corners, None)))
-    segs = _segments_of(word, 0, corners, rank_of)
-    by_tri: dict[int, list[_Segment]] = {}
-    for seg in segs:
-        by_tri.setdefault(seg.tri, []).append(seg)
     total = 0
-    for group in by_tri.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if _interleaved(group[i], group[j]):
+    for group in _by_triangle(_segments_of(word, 0, corners, rank_of)).values():
+        for i, (_, lo, hi) in enumerate(group):
+            for _, wlo, whi in group[i + 1 :]:
+                if lo < wlo < hi < whi or wlo < lo < whi < hi:
                     total += 1
     return total
 

@@ -198,7 +198,8 @@ def render_document(doc: dict, out_dir) -> list[str]:
         if level_certificate is not None:
             # draw the position the sequence certifies, rebuilt as check-cert
             # rebuilds it, never the stored one unchecked
-            seq = _sequence(level_certificate, "sequence")
+            where = "document" if level_certificate is doc else "document.level_certificate"
+            seq = _sequence(level_certificate, "sequence", where)
             (out_dir / "levels.svg").write_text(render_levels_svg(sequence_to_level_certificate(seq)))
             written.append("levels.svg")
     else:

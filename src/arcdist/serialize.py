@@ -6,7 +6,9 @@ its JSON Schema in ``data/schemas``; those schemas are the one definition of
 the formats.  Every loader checks its document against its schema once,
 raising ``SchemaError`` on any violation, an unknown field included, and
 then builds from the checked dict, raising ``BaseMismatch`` when an arc
-references a triangulation other than the one it is packaged with.
+references a triangulation other than the one it is packaged with and
+``PreconditionError`` when an arc crosses itself: vertices of the arc
+complex are embedded arcs.
 ``verify_document`` re-derives every claim of a certificate from the
 serialized bytes alone.
 """
@@ -21,9 +23,9 @@ from pathlib import Path
 
 from .arc import ArcWord
 from .distance import DistanceCertificate, ShadowPairInput, Verdict, verify_certificate
-from .errors import ArcdistError, InvalidSequence, SchemaError
+from .errors import ArcdistError, InvalidSequence, PreconditionError, SchemaError
 from .leveling import ArcSequence, arcs_to_leveling, validate_sequence
-from .realization import intersection
+from .realization import intersection, self_intersection
 from .surface import Triangulation
 
 
@@ -132,14 +134,24 @@ def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
     return Triangulation.from_json_dict(doc)
 
 
+def _arc(d: dict, base: Triangulation, where: str) -> ArcWord:
+    """The embedded arc of a checked arc dict; every arc read from a document
+    is built here."""
+    a = ArcWord.from_json_dict(d, base)
+    k = self_intersection(a)
+    if k:
+        raise PreconditionError(f"{where}: arc is not embedded (self-crossings: {k})")
+    return a
+
+
 def load_arc(doc: dict, base: Triangulation, where="arc") -> ArcWord:
     check_doc(doc, "arcdist.arc/1", where)
-    return ArcWord.from_json_dict(doc, base)
+    return _arc(doc, base, where)
 
 
 def load_arc_file(doc: dict, where="arc file") -> ArcWord:
     check_doc(doc, "arcdist.arc_file/1", where)
-    return ArcWord.from_json_dict(doc["arc"], Triangulation.from_json_dict(doc["triangulation"]))
+    return _arc(doc["arc"], Triangulation.from_json_dict(doc["triangulation"]), f"{where}.arc")
 
 
 def arc_file_dict(arc: ArcWord) -> dict:
@@ -153,7 +165,7 @@ def arc_file_dict(arc: ArcWord) -> dict:
 def load_pair(doc: dict, where="pair file") -> tuple[ArcWord, ArcWord]:
     check_doc(doc, "arcdist.pair/1", where)
     base = Triangulation.from_json_dict(doc["triangulation"])
-    return ArcWord.from_json_dict(doc["v"], base), ArcWord.from_json_dict(doc["w"], base)
+    return _arc(doc["v"], base, f"{where}.v"), _arc(doc["w"], base, f"{where}.w")
 
 
 def pair_dict(v: ArcWord, w: ArcWord) -> dict:
@@ -165,40 +177,42 @@ def pair_dict(v: ArcWord, w: ArcWord) -> dict:
     }
 
 
-def _arcs(docs: list, base: Triangulation) -> tuple[ArcWord, ...]:
-    return tuple(ArcWord.from_json_dict(a, base) for a in docs)
+def _arcs(docs: list, base: Triangulation, where: str) -> tuple[ArcWord, ...]:
+    return tuple(_arc(a, base, f"{where}[{i}]") for i, a in enumerate(docs))
 
 
 def load_shadow_pair(doc: dict, where="shadow input") -> ShadowPairInput:
     check_doc(doc, "arcdist.shadow_pair/1", where)
     base = Triangulation.from_json_dict(doc["triangulation"])
-    return ShadowPairInput(base, _arcs(doc["v_side"], base), _arcs(doc["w_side"], base))
+    return ShadowPairInput(
+        base, _arcs(doc["v_side"], base, f"{where}.v_side"), _arcs(doc["w_side"], base, f"{where}.w_side")
+    )
 
 
-def _sequence(doc: dict, key: str) -> ArcSequence:
+def _sequence(doc: dict, key: str, where: str) -> ArcSequence:
     base = Triangulation.from_json_dict(doc["triangulation"])
-    return ArcSequence(base, _arcs(doc[key], base))
+    return ArcSequence(base, _arcs(doc[key], base, f"{where}.{key}"))
 
 
 def load_sequence(doc: dict, where="arc sequence") -> ArcSequence:
     check_doc(doc, "arcdist.arc_sequence/1", where)
-    return _sequence(doc, "arcs")
+    return _sequence(doc, "arcs", where)
 
 
 def load_distance_certificate(doc: dict, where="certificate") -> DistanceCertificate:
     check_doc(doc, "arcdist.distance_certificate/1", where)
-    return _distance_certificate(doc)
+    return _distance_certificate(doc, where)
 
 
-def _distance_certificate(doc: dict) -> DistanceCertificate:
+def _distance_certificate(doc: dict, where: str) -> DistanceCertificate:
     base = Triangulation.from_json_dict(doc["triangulation"])
     ev = doc["evidence"]
     return DistanceCertificate(
-        v=ArcWord.from_json_dict(doc["pair"]["v"], base),
-        w=ArcWord.from_json_dict(doc["pair"]["w"], base),
+        v=_arc(doc["pair"]["v"], base, f"{where}.pair.v"),
+        w=_arc(doc["pair"]["w"], base, f"{where}.pair.w"),
         verdict=Verdict(**doc["verdict"]),
-        witness=ArcWord.from_json_dict(ev["witness"], base) if "witness" in ev else None,
-        path=_arcs(ev["path"], base) if "path" in ev else None,
+        witness=_arc(ev["witness"], base, f"{where}.evidence.witness") if "witness" in ev else None,
+        path=_arcs(ev["path"], base, f"{where}.evidence.path") if "path" in ev else None,
         intersection_vw=ev["intersection_vw"],
         checked_distance_two=ev["checked_distance_two"],
         search_note=ev.get("search"),
@@ -232,13 +246,13 @@ def verify_document(doc: dict) -> list[str]:
 
 
 def _verify_sequence(doc: dict) -> list[str]:
-    _sequence(doc, "arcs")
+    _sequence(doc, "arcs", "document")
     return []
 
 
 def _verify_surgery_trace(doc: dict) -> list[str]:
     base = Triangulation.from_json_dict(doc["triangulation"])
-    v, w, wp = (ArcWord.from_json_dict(doc[key], base) for key in ("v", "w", "w_prime"))
+    v, w, wp = (_arc(doc[key], base, f"document.{key}") for key in ("v", "w", "w_prime"))
     problems = []
     k = intersection(v, w)
     if k != doc["intersections_before"]:
@@ -253,14 +267,14 @@ def _verify_surgery_trace(doc: dict) -> list[str]:
     return problems
 
 
-def _verify_level_certificate(doc: dict, proven: tuple | None = None) -> list[str]:
+def _verify_level_certificate(doc: dict, proven: tuple | None = None, where="document") -> list[str]:
     """Re-check a level certificate against its sequence.
 
     ``proven`` is a path its own checker has already validated, given from
     v to w; a sequence equal to it as arcs is not validated again.
     """
     base = Triangulation.from_json_dict(doc["triangulation"])
-    arcs = _arcs(doc["sequence"], base)
+    arcs = _arcs(doc["sequence"], base, f"{where}.sequence")
     if arcs != proven:
         problems = validate_sequence((base, arcs))
         if problems:
@@ -276,7 +290,7 @@ def _verify_level_certificate(doc: dict, proven: tuple | None = None) -> list[st
 
 def _verify_level_report(doc: dict) -> list[str]:
     distance = doc["distance"]
-    cert = _distance_certificate(distance)
+    cert = _distance_certificate(distance, "document.distance")
     problems = verify_certificate(cert)
     if distance["triangulation"] != doc["triangulation"]:
         problems.append("report: the distance certificate is over another triangulation")
@@ -298,7 +312,7 @@ def _verify_level_report(doc: dict) -> list[str]:
         proven = (cert.v, cert.witness, cert.w)
     else:
         proven = None
-    problems += _verify_level_certificate(lc, proven)
+    problems += _verify_level_certificate(lc, proven, "document.level_certificate")
     if lc["triangulation"] != doc["triangulation"]:
         problems.append("report: the level certificate is over another triangulation")
     if (lc["sequence"][0], lc["sequence"][-1]) != (distance["pair"]["v"], distance["pair"]["w"]):
@@ -312,7 +326,7 @@ def _verify_level_report(doc: dict) -> list[str]:
 
 
 _VERIFIERS = {
-    "arcdist.distance_certificate/1": lambda doc: verify_certificate(_distance_certificate(doc)),
+    "arcdist.distance_certificate/1": lambda doc: verify_certificate(_distance_certificate(doc, "document")),
     "arcdist.arc_sequence/1": _verify_sequence,
     "arcdist.surgery_trace/1": _verify_surgery_trace,
     "arcdist.level_certificate/1": _verify_level_certificate,

@@ -6,8 +6,9 @@ from importlib import resources
 import pytest
 
 from arcdist import build_standard_triangulation
-from arcdist.arc import random_arc
+from arcdist.arc import ArcWord, random_arc
 from arcdist.overlay import intersection
+from arcdist.surface import Corner
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +19,12 @@ def g1():
 @pytest.fixture(scope="session")
 def g2():
     return build_standard_triangulation(2)
+
+
+def self_crossing_word(g1):
+    """A genus-1 word with one self-crossing: a reduced word, but no vertex
+    of the arc complex."""
+    return ArcWord(g1, Corner(0, 1), (-4, -5, -6, -2), Corner(1, 0))
 
 
 def seeded_pairs(base, tag, count, max_steps=18, require_crossing=False):

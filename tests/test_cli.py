@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import arcdist
 from arcdist import build_standard_triangulation, serialize
-from arcdist.arc import edge_word, random_arc
+from arcdist.arc import ArcWord, edge_word, random_arc
 from arcdist.cli import main
 from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples
 from arcdist.distance import ShadowPairInput, classify
@@ -18,9 +18,10 @@ from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
 from arcdist.realization import Realization
 from arcdist.render import render_levels_svg
+from arcdist.surface import Corner
 from arcdist.surgery import path_between, surgery_step
 
-from conftest import inlined_schema, seeded_pairs
+from conftest import inlined_schema, seeded_pairs, self_crossing_word
 
 
 @pytest.fixture()
@@ -125,6 +126,49 @@ def test_dist_rejects_a_lone_search_bound(tmp_path, g1, capsys, flag):
     serialize.write_doc(pair, serialize.pair_dict(random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)))
     assert main(["dist", str(pair), flag, "4"]) == 5
     assert "search bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["edge-and-word", "word-twice"])
+def test_dist_rejects_a_non_embedded_arc(tmp_path, g1, capsys, equal):
+    """Such a pair once failed the overlay's Euler check (exit 1, read as an
+    engine defect), or, paired with itself, was certified exact(0) in a
+    certificate that check-cert then rejected."""
+    bad = self_crossing_word(g1)
+    v = bad if equal else ArcWord(g1, Corner(0, 2), (), Corner(0, 0))
+    pair, cert = tmp_path / "pair.json", tmp_path / "cert.json"
+    serialize.write_doc(pair, serialize.pair_dict(v, bad))
+    assert main(["dist", str(pair), "-o", str(cert)]) == 5
+    place = "v" if equal else "w"
+    assert capsys.readouterr().err == f"invalid input: {pair}.{place}: arc is not embedded (self-crossings: 1)\n"
+    assert not cert.exists()
+
+
+def _sequence_doc(base, arcs):
+    return {"format": "arcdist.arc_sequence/1", "triangulation": base.to_json_dict(), "arcs": [a.to_json_dict() for a in arcs]}
+
+
+@pytest.mark.parametrize(
+    "build, place",
+    [
+        (lambda g1, bad, d: (["check-cert"], classify(bad, bad).to_json_dict()), "document.pair.v"),
+        (lambda g1, bad, d: (["path", str(d / "v.json")], serialize.arc_file_dict(bad)), "{file}.arc"),
+        (lambda g1, bad, d: (["level"], ShadowPairInput(g1, (edge_word(g1, 2),), (bad,)).to_json_dict()), "{file}.w_side[0]"),
+        (lambda g1, bad, d: (["check-cert"], _sequence_doc(g1, [edge_word(g1, 2), bad])), "document.arcs[1]"),
+        (lambda g1, bad, d: (["render", "--svg", str(d / "figs")], _sequence_doc(g1, [bad])), "arc sequence.arcs[0]"),
+    ],
+    ids=["certificate", "arc-file", "shadow-pair", "sequence", "render"],
+)
+def test_a_non_embedded_arc_in_any_input_file_is_invalid_input(workdir, g1, capsys, build, place):
+    """Every arc read from a document is checked to be embedded, wherever it
+    sits; the exact(0) certificate of a self-crossing word paired with
+    itself, which the in-process engine still writes, is refused too."""
+    argv, doc = build(g1, self_crossing_word(g1), workdir)
+    path = workdir / "input.json"
+    serialize.write_doc(path, doc)
+    argv.insert(1, str(path))
+    assert main(argv) == 5
+    place = place.format(file=path)
+    assert capsys.readouterr().err == f"invalid input: {place}: arc is not embedded (self-crossings: 1)\n"
 
 
 @pytest.mark.parametrize("argv", [["tri", "--standard", "4"], ["examples"]], ids=["tri", "examples"])

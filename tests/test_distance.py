@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from arcdist.leveling import level_number_report, validate_sequence
 from arcdist.overlay import _OverlayBuilder, intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document, write_doc
 
-from conftest import seeded_pairs
+from conftest import seeded_pairs, self_crossing_word
 
 
 def test_exact_zero(g1):
@@ -47,6 +48,18 @@ def test_exact_two_has_verified_witness(g1, g2):
             assert verify_certificate(cert) == []
             seen += 1
     assert seen >= 10
+
+
+def test_verify_certificate_reports_a_non_embedded_witness(g1):
+    """A vertex of the arc complex is an embedded arc, so an exact-2
+    certificate whose witness crosses itself is refused."""
+    v, w = next(
+        (v, w)
+        for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
+        if classify(v, w).verdict.as_tuple() == (2, 2)
+    )
+    cert = dataclasses.replace(classify(v, w), witness=self_crossing_word(g1))
+    assert "exact(2): witness is not embedded" in verify_certificate(cert)
 
 
 def test_bounds_beyond_two(g1):

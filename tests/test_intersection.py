@@ -15,10 +15,22 @@ from arcdist.overlay import (
     intersection_via_flips,
     self_intersection,
 )
-from arcdist.realization import _Segment, _interleaved
-from arcdist.surface import edge_of
+from arcdist.arc import ArcWord
+from arcdist.realization import _Crossing, _Segment
+from arcdist.surface import Corner, edge_of
 
-from conftest import seeded_pairs
+from conftest import seeded_pairs, self_crossing_word
+
+
+def _interleaved(s1: _Segment, s2: _Segment) -> bool:
+    """Reference crossing test for two chords of one triangle."""
+    pts = {s1.a, s1.b, s2.a, s2.b}
+    if len(pts) < 4:  # shared boundary point: meeting, not a crossing
+        return False
+    # boundary coordinates are ordered linearly from corner 0, so the chords
+    # cross iff exactly one end of s2 lies strictly between the ends of s1
+    lo, hi = min(s1.a, s1.b), max(s1.a, s1.b)
+    return (lo < s2.a < hi) != (lo < s2.b < hi)
 
 
 def brute_min_intersection(v, w):
@@ -347,3 +359,105 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
                     seen[str(signed.value)] += 1
                 monkeypatch.setattr(realization, "_order_edges", order_edges)
     assert seen.keys() == {"overlay: bigon between the arcs survived", "overlay: endpoint half-bigon survived"}
+
+
+def _position_from(seg, other):
+    """Reference place where ``other`` crosses ``seg``, measured from seg.a."""
+    lo, hi = min(seg.a, seg.b), max(seg.a, seg.b)
+    [p] = [p for p in (other.a, other.b) if lo < p < hi]
+    return p if seg.a < seg.b else tuple(-x for x in p)
+
+
+def _reference_crossings(real):
+    """Every v/w segment pair of a realization tested with ``_interleaved``,
+    each crossing ranked along both segments by ``_position_from``, as
+    ``(v_seg, w_seg, tri, v_rank, w_rank)`` sorted along v."""
+    raw = [
+        (vs, ws)
+        for vs in real.segments[0]
+        for ws in real.segments[1]
+        if vs.tri == ws.tri and _interleaved(vs, ws)
+    ]
+    ranks = []
+    for mine in (0, 1):
+        groups = {}
+        for pair in raw:
+            seg, other = pair[mine], pair[1 - mine]
+            groups.setdefault(seg.index, []).append((_position_from(seg, other), pair[0].index, pair[1].index))
+        rank = {}
+        for group in groups.values():
+            for r, (_, i, j) in enumerate(sorted(group)):
+                rank[i, j] = r
+        ranks.append(rank)
+    out = [(vs.index, ws.index, vs.tri, ranks[0][vs.index, ws.index], ranks[1][vs.index, ws.index]) for vs, ws in raw]
+    return sorted(out, key=lambda x: (x[0], x[3]))
+
+
+@pytest.mark.parametrize("genus, steps, count", [(1, 18, 40), (2, 60, 25), (3, 120, 15), (4, 160, 15)])
+def test_crossings_match_the_all_pairs_reference(genus, steps, count):
+    """One interval test per segment pair, ranked from the recorded ends,
+    gives the reference's crossing records field for field and in order:
+    on crossing pairs, and on each of their arcs paired with itself."""
+    assert _Crossing._fields == ("v_seg", "w_seg", "tri", "v_rank", "w_rank")
+    base = build_standard_triangulation(genus)
+    pairs = seeded_pairs(base, f"ranks-{genus}", count, max_steps=steps, require_crossing=True)
+    for v, w in pairs + [(a, a) for pair in pairs for a in pair]:
+        real = Realization(v, w)
+        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+
+
+def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words(g1):
+    """Long genus-1 pairs with i(v, w) in the hundreds, and self-crossing
+    words paired with themselves, where the two copies do cross."""
+    rng = random.Random("ranks-long")
+    counts = []
+    for _ in range(6):
+        seed = rng.randrange(1 << 30)
+        real = Realization(random_arc(g1, seed, 90), random_arc(g1, seed + 1, 90))
+        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+        counts.append(real.count())
+    assert max(counts) >= 100
+    doubled = ArcWord(g1, Corner(0, 1), (-4, -5, -1, -4, -5, -1), Corner(0, 0))
+    for a in (self_crossing_word(g1), doubled):
+        real = Realization(a, a)
+        assert real.count() == 2 * self_intersection(a) > 0
+        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+
+
+class _BothSides(int):
+    """A strand slot that compares as both before and after any other."""
+
+    def __lt__(self, other):
+        return True
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_separation_check_catches_an_inconsistent_strand_slot(g1, monkeypatch):
+    """A w chord that one test finds inside a v chord must separate the v
+    chord's ends in turn.  For any strict order of the boundary points that
+    holds, and a plain strand swap is left to the overlay's minimality
+    checks; a slot placed on both sides of its neighbours breaks it, and
+    the realization refuses the pair."""
+    rank_lookup = realization._rank_lookup
+    refused = 0
+    for v, w in seeded_pairs(g1, "separate", 6, max_steps=30, require_crossing=True):
+        for owner, word in enumerate((v, w)):
+            for i in range(len(word.crossings)):
+
+                def swapped(edge_order, target=(owner, i)):
+                    rank_of = rank_lookup(edge_order)
+
+                    def slot(o, index, value):
+                        r = rank_of(o, index, value)
+                        return _BothSides(r) if (o, index) == target else r
+
+                    return slot
+
+                monkeypatch.setattr(realization, "_rank_lookup", swapped)
+                try:
+                    Realization(v, w)
+                except VerificationError as ex:
+                    assert str(ex) == "crossing chord does not separate the segment ends"
+                    refused += 1
+    assert refused >= 10
