@@ -124,7 +124,7 @@ def _cmd_render(args) -> int:
 
     doc = serialize.load_doc(args.file)
     with _writing(args.svg):
-        written = render_document(doc, args.svg)
+        written = render_document(doc, args.svg, args.file)
     for name in written:
         print(f"wrote {os.path.join(args.svg, name)}")
     return 0

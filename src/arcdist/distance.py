@@ -5,14 +5,14 @@ holds exactly when, with the pair realized in minimal position, some
 complement component touches both marked points: a common disjoint arc can
 then be drawn inside that component, and conversely any arc disjoint from
 both can be isotoped into a component of the complement.  The components
-come from the sign-vector pass (``overlay.complement_components``), which
-also runs the minimality checks and, when one touches both marked points,
-routes the witness through it: one overlay computation per pair.  The
-witness is re-verified, so the criterion is never trusted without a
-checkable artifact.  For distance at least 3 the certificate carries
-bounds: the lower bound 3 from the failed 0/1/2 checks, the upper bound
-from the surgery path (optionally improved by a bounded search through the
-low-complexity part of the arc complex).
+come from the sign-vector pass (``overlay.marked_route``), which also runs
+the minimality checks and, when one touches both marked points, routes the
+witness through it: one overlay computation per pair, with no component
+records built.  The witness is re-verified, so the criterion is never
+trusted without a checkable artifact.  For distance at least 3 the
+certificate carries bounds: the lower bound 3 from the failed 0/1/2
+checks, the upper bound from the surgery path (optionally improved by a
+bounded search through the low-complexity part of the arc complex).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
-from .overlay import complement_components
+from .overlay import marked_route
 from .realization import Realization, intersection, self_intersection
 from .surface import Triangulation
 from .surgery import _path
@@ -126,7 +126,7 @@ def _distance_two_witness(real: Realization) -> ArcWord | None:
     and routes the raw witness; it is tightened here and verified.
     """
     v, w = real.v, real.w
-    _, routed = complement_components(real)
+    routed = marked_route(real)
     if routed is None:
         return None
     u = tighten(v.base, *routed)

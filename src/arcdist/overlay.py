@@ -9,12 +9,16 @@ intersection counts live, and re-exports that module's public names
 A realization induces a cell decomposition of the surface (the overlay):
 faces are the complement components of the two arcs, glued from
 per-triangle arrangements across the edges.  Two computations of it exist.
-``complement_components`` keys each local face by its sign vector (the
-chords it lies beyond) in one linear pass per triangle; it is the only one
-that runs at run time.  It certifies minimality (Euler characteristic
-2 - 2g, no bigon or endpoint half-bigon survives) and, for the distance-2
-criterion in :mod:`arcdist.distance`, routes the witness arc of an exact-2
-verdict through a component touching both marked points.  The face tracer
+The sign-vector pass keys each local face by its sign vector (the chords
+it lies beyond) in one linear pass per triangle, carrying each chord's two
+side ids along it; it is the only one that runs at run time.  It checks
+minimality (Euler characteristic 2 - 2g, no bigon or endpoint half-bigon
+survives) on per-root counts of the union-find over the glued intervals,
+and, for the distance-2 criterion in :mod:`arcdist.distance`, routes the
+witness arc of an exact-2 verdict through a component touching both marked
+points.  ``marked_route`` returns only that route, which is all the run
+time needs; ``complement_components`` also builds an ``OverlayFace`` record
+per component, for callers that ask for them.  The face tracer
 (``_OverlayBuilder``, behind ``build_overlay``) sorts the germs at every
 node and walks each face; it is the test suite's reference, which checks
 that both give the same components, as it checks the two intersection
@@ -25,9 +29,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import VerificationError
-from .surface import P1, P2, Corner
+from .surface import P1, P2, Corner, edge_of
 from .arc import ArcWord
 
 # the realization layer's public names, re-exported for callers of this module
@@ -63,67 +68,58 @@ class Overlay:
         return len(self.crossings)
 
 
-def _glued_intervals(base, coords) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Each pair of boundary intervals glued across a triangulation edge.
+def _glued_intervals(base, strands) -> list[tuple[int, int, int, int, int, int]]:
+    """Each run of boundary intervals glued across a triangulation edge.
 
-    ``coords[t]`` lists triangle t's boundary items in ccw order: corners
-    ``(k, -1)`` and strand points ``(k, rank)``.  Interval idx runs from
-    item idx to the next, and the j-th interval along side k, counted from
-    its tail corner, is glued to interval n - j of the opposite side, where
-    n is the edge's strand count (the gluing reverses direction).  Each
-    pair ``((t, idx), (t2, idx2))`` is listed once.
+    ``strands[t][k]`` counts the strand points on side k of triangle t.
+    Going ccw, triangle t's boundary items are corner k and then the strand
+    points of side k by rank, for k = 0, 1, 2; interval idx runs from item
+    idx to the next.  Side k's n + 1 intervals start at its corner's item
+    c, and the j-th of them, counted from the tail corner, is glued to
+    interval n - j of the opposite side (the gluing reverses direction).
+
+    Returns one run ``(t, c, t2, c2, n, value)`` per edge: interval c + j of
+    t is glued to interval c2 + n - j of t2, for j = 0..n, across the side
+    labelled ``value``.  The runs go side by side in ``(t, idx)`` order, and
+    each edge's run is kept on the side whose intervals come first, so every
+    pair is listed once, in the order of its first interval.
     """
-    corner_idx, strands = [], []
-    for cs in coords:
-        at, counts = {}, [0, 0, 0]
-        for i, (k, rank) in enumerate(cs):
-            if rank < 0:
-                at[k] = i
-            else:
-                counts[k] += 1
-        corner_idx.append(at)
-        strands.append(counts)
-    pairs = []
-    matched = set()
-    for t, cs in enumerate(coords):
-        m = len(cs)
-        for idx in range(m):
-            if (t, idx) in matched:
-                continue
-            k = cs[idx][0]  # the side this interval lies on
-            opp = base.side_corner(-base.side(Corner(t, k)))
-            t2, k2 = opp.tri, opp.pos
-            n_pts = strands[t][k]
-            if n_pts != strands[t2][k2]:
+    starts = [(0, n0 + 1, n0 + n1 + 2) for n0, n1, _ in strands]
+    runs = []
+    for t, counts in enumerate(strands):
+        for k, value in enumerate(base.triangles[t]):
+            t2, k2 = base.side_corner(-value)
+            n = counts[k]
+            if n != strands[t2][k2]:
                 raise VerificationError("overlay: glued sides disagree on strand count")
-            j = (idx - corner_idx[t][k]) % m  # j-th interval along side k, from its tail
-            if not 0 <= j <= n_pts:
-                raise VerificationError("overlay: interval indexing broke")
-            idx2 = (corner_idx[t2][k2] + (n_pts - j)) % len(coords[t2])  # gluing reverses
-            if (t2, idx2) == (t, idx):
+            if (t2, k2) == (t, k):
                 raise VerificationError("overlay: interval glued to itself")
-            matched.add((t, idx))
-            matched.add((t2, idx2))
-            pairs.append(((t, idx), (t2, idx2)))
-    return pairs
+            if (t, k) < (t2, k2):
+                runs.append((t, starts[t][k], t2, starts[t2][k2], n, value))
+    return runs
 
 
-def _check_minimal(components, chi_global: int, genus: int) -> None:
+def _check_minimal(chi_global: int, genus: int, chis, crossings, marked) -> None:
     """The overlay is a cell structure on the surface, and no bigon or
-    endpoint half-bigon survives: the realization is in minimal position."""
+    endpoint half-bigon survives: the realization is in minimal position.
+
+    ``chis``, ``crossings`` and ``marked`` give each component's Euler
+    characteristic, crossing count and number of marked points, side by
+    side; entries of all zeros (no component) pass.
+    """
     expected = 2 - 2 * genus
     if chi_global != expected:
         raise VerificationError(f"overlay: global euler characteristic {chi_global} != {expected}")
-    for comp in components:
-        if comp.is_disc and not comp.marked_points and comp.boundary_crossings == 2:
-            raise VerificationError("overlay: bigon between the arcs survived")
-        if comp.is_disc and len(comp.marked_points) == 1 and comp.boundary_crossings == 1:
-            raise VerificationError("overlay: endpoint half-bigon survived")
+    for chi, n_cross, n_marked in zip(chis, crossings, marked):
+        if chi == 1 and n_cross + n_marked == 2:
+            if n_marked == 0:
+                raise VerificationError("overlay: bigon between the arcs survived")
+            if n_marked == 1:
+                raise VerificationError("overlay: endpoint half-bigon survived")
 
 
-def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], tuple | None]:
-    """The complement components of two realized arcs, without face tracing,
-    and a raw route from P1 to P2 through one of them.
+def _sign_vector_pass(real: Realization):
+    """The complement components of two realized arcs, as per-root counts.
 
     Within a triangle the chords of both arcs cross at most once, so a local
     face is fixed by its sign vector: the set of chords it lies beyond.
@@ -131,182 +127,274 @@ def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], t
     is the XOR of the chord ends passed so far.  At a corner the chord ends
     are passed in the reverse of their ccw rotation (far anchor descending,
     owner tie-break as in ``_OverlayBuilder._sort_germs``), and each sector
-    between them touches the corner's marked point.  A chord piece's sides
-    start from the keys around its low end and toggle the bit of each chord
-    crossed along the way.  Faces are the distinct ``(triangle, key)``
-    pairs, glued across edges along the same intervals as the face tracer.
+    between them touches the corner's marked point.  A chord's two side ids
+    start from the faces around its low end and are carried along it: past
+    each crossing they become the two faces beyond the crossed chord, so the
+    four faces around a crossing are the sides of the v pieces meeting
+    there.  Faces are the distinct ``(triangle, key)`` pairs, glued across
+    edges along the same intervals as the face tracer.  Their ids are
+    allocated in the order gaps, sectors, chord pieces; that order fixes the
+    union-find roots, and with them the route's choices.
 
-    Returns ``(components, route)``: the records of
-    ``build_overlay(v, w).components`` (in another order) and the route of
-    :func:`_marked_route`.  Runs the same minimality checks as the face
-    tracer, raising ``VerificationError`` on failure.
+    Returns ``(root, chi, crossings, marked_at, route)``.  ``root`` maps each
+    face id to its component's union-find root; ``chi`` and ``crossings``
+    hold each root's Euler characteristic and crossing count (0 off the
+    roots); ``marked_at`` holds, per marked point, the roots touching it;
+    ``route`` is :func:`_marked_route`'s.  Runs the minimality checks on
+    those counts, raising ``VerificationError`` on failure.
     """
     base = real.base
-    in_tri = [[] for _ in range(base.n_triangles)]
+    order = real.edge_order
+    in_tri = [[] for _ in range(base.n_triangles)]  # v chords first, then w chords
     for segs in real.segments:
         for s in segs:
             in_tri[s.tri].append(s)
-    # crossing partners along each segment, in order from its end a
-    along = ({}, {})
-    for x in real.crossings:  # sorted along v
-        along[0].setdefault(x.v_seg, []).append(x.w_seg)
-        along[1].setdefault(x.w_seg, []).append((x.w_rank, x.v_seg))
-    for w_seg, partners in along[1].items():
-        along[1][w_seg] = [v_seg for _, v_seg in sorted(partners)]
+    # crossing partners along each segment, in order from its end a: the
+    # crossings come sorted along v, and rank 0..n-1 along each w segment
+    partners = tuple([[] for _ in segs] for segs in real.segments)
+    across_v, across_w = partners
+    for x in real.crossings:
+        across_v[x.v_seg].append(x.w_seg)
+        across_w[x.w_seg].append(x.v_seg)
+    for x in real.crossings:
+        across_w[x.w_seg][x.w_rank] = x.v_seg
     bits = tuple([0] * len(segs) for segs in real.segments)  # each chord's bit in its triangle
 
-    coords, gap_faces = [], []
-    # face ids on each side of every chord piece, around every crossing and
-    # strand point; and per marked point, each face touching it, with the
-    # corner first reached ccw from the face's first interval
-    pieces, quads, points, touch = [], [], [], {P1: {}, P2: {}}
-    n_faces = 0
+    strands, gap_faces = [], []
+    # face ids on the two sides of every strand point (each once, from the +
+    # side of its edge) and of every chord's first piece; and per arc, the
+    # four faces around each crossing along its chords, the sides of the
+    # piece before it first and of the piece beyond it last
+    point_lo, point_hi, first_pieces, quads = [], [], [], ([], [])
+    # per marked point, each face touching it, with the corner first reached
+    # ccw from the face's first interval
+    touch = ({}, {})
+    nf = 0  # faces allocated so far
     for t, chords in enumerate(in_tri):
+        labels = base.triangles[t]
+        counts = [len(order.get(edge_of(value), ())) for value in labels]
+        n0, n1, n2 = counts
+        start = (0, n0 + 1, n0 + n1 + 2)  # item index of each corner
+        m = n0 + n1 + n2 + 3
+        toggled = [0] * m  # bits of the chords ending at each boundary item
+        ends = ([], [], [])  # per corner: (chord, far end, tie) of each chord ending there
+        lows = []  # per chord: item index of its low end, whether that is end b, and at a corner
+        for i, s in enumerate(chords):
+            bit = bits[s.owner][s.index] = 1 << i
+            (ka, ra), (kb, rb) = a, b = s.a, s.b
+            pa, pb = start[ka] + 1 + ra, start[kb] + 1 + rb  # a corner's rank -1 lands on its item
+            toggled[pa] ^= bit
+            toggled[pb] ^= bit
+            if ra < 0:
+                ends[ka].append((i, b, s.owner))
+            if rb < 0:
+                ends[kb].append((i, a, -s.owner))
+            lows.append((pb, True, rb < 0) if pb < pa else (pa, False, ra < 0))
+        # every strand point holds exactly one chord end: as many ends as
+        # points, and none left empty (the other zeros are corners no chord ends at)
+        point_ends = 2 * len(chords) - sum(map(len, ends))
+        empty = toggled.count(0) - sum(toggled[c] == 0 for c in start)
+        if point_ends != m - 3 or empty:
+            raise VerificationError("overlay: chord ends do not match the strands on the edges")
+
+        # the ccw sweep: the key of each gap, and gap face ids in order of
+        # each face's first interval
         faces: dict[int, int] = {}  # key -> face id
-
-        def face(key):
-            return faces.setdefault(key, n_faces + len(faces))
-
-        ends = {(0, -1): [], (1, -1): [], (2, -1): []}  # coordinate -> (chord, far end, tie)
-        for i, s in enumerate(chords):
-            bits[s.owner][s.index] = 1 << i
-            ends.setdefault(s.a, []).append((i, s.b, s.owner))
-            ends.setdefault(s.b, []).append((i, s.a, -s.owner))
-        items = sorted(ends)
-        low = [None] * len(chords)  # key of the gap before each chord's low end
-        keys, sectors = [], []  # key of each gap; (item, corner side, key) of each sector
+        setdefault = faces.setdefault
+        gaps, keys = [], []
         key = 0
-        for idx, c in enumerate(items):
-            here = ends[c]
-            if c[1] < 0:
-                # far ends ccw from the corner, descending: (far < c, far)
-                here.sort(key=lambda e: (e[1] < c, e[1], e[2]), reverse=True)
-                sectors.append((idx, c[0], key))
-            for i, _, _ in here:
-                if low[i] is None:
-                    low[i] = key
-                key ^= 1 << i
-                if c[1] < 0:
-                    sectors.append((idx, c[0], key))
+        for bit in toggled:
+            key ^= bit
+            f = setdefault(key, nf)
+            if f == nf:
+                nf += 1
+            gaps.append(f)
             keys.append(key)
-        # face ids ascend with each face's first interval, as the tracer's do
-        gaps = [face(key) for key in keys]
-        first = {}
-        for idx, f in enumerate(gaps):
-            first.setdefault(f, idx)
-        for idx, k, key in sectors:
-            f = face(key)
-            corner = Corner(t, k)
-            reach = ((idx - first.get(f, idx)) % len(items), corner)
-            at = touch[base.vertex_of(corner)]
-            at[f] = min(at.get(f, reach), reach)
+        gap_end = nf  # this triangle's gap faces are the ids below
+        for k, c in enumerate(start):
+            if labels[k] > 0 and counts[k]:
+                point_lo += gaps[c : c + counts[k]]
+                point_hi += gaps[c + 1 : c + 1 + counts[k]]
+
+        corner_key = {}  # chord -> key before it, at its first corner end
+        for k, c in enumerate(start):
+            key = keys[c - 1]  # the key before the corner; keys[-1] is 0, every chord ends twice
+            sector_keys = [key]
+            if ends[k]:
+                # far ends ccw from the corner, descending: (far < corner, far)
+                corner = (k, -1)
+                for i, _, _ in sorted(ends[k], key=lambda e: (e[1] < corner, e[1], e[2]), reverse=True):
+                    corner_key.setdefault(i, key)
+                    key ^= 1 << i
+                    sector_keys.append(key)
+            at = touch[base.vertex_of((t, k))]
+            for key in sector_keys:
+                f = setdefault(key, nf)
+                if f == nf:
+                    nf += 1
+                reach = ((c - gaps.index(f)) % m if f < gap_end else 0, t, k)
+                if f not in at or reach < at[f]:
+                    at[f] = reach
+
         for i, s in enumerate(chords):
-            b, key = 1 << i, low[i]
-            other = bits[1 - s.owner]
-            partners = along[s.owner].get(s.index, ())
-            for p in partners if s.a < s.b else partners[::-1]:
-                ob = other[p]
-                piece = (face(key), face(key ^ b))
-                pieces.append(piece)
-                if s.owner == 0:
-                    quads.append((*piece, face(key ^ ob), face(key ^ b ^ ob)))
-                key ^= ob
-            pieces.append((face(key), face(key ^ b)))
-        positive = [base.side(Corner(t, k)) > 0 for k in range(3)]
-        for i, (k, rank) in enumerate(items):
-            if rank >= 0 and positive[k]:  # each strand point once, from the + side of its edge
-                points.append((gaps[i - 1], gaps[i]))
-        coords.append(items)
+            b = 1 << i
+            lo, from_b, at_corner = lows[i]
+            if at_corner:
+                key = corner_key[i]
+                near, far = faces[key], faces[key ^ b]
+            else:
+                key, near, far = keys[lo - 1], gaps[lo - 1], gaps[lo]
+            first_pieces.append((near, far))
+            crossed = partners[s.owner][s.index]
+            if from_b:
+                crossed = crossed[::-1]
+            other, around = bits[1 - s.owner], quads[s.owner]
+            for p in crossed:
+                key ^= other[p]
+                after = setdefault(key, nf)
+                if after == nf:
+                    nf += 1
+                beyond = setdefault(key ^ b, nf)
+                if beyond == nf:
+                    nf += 1
+                around.append((near, far, after, beyond))
+                near, far = after, beyond
+        strands.append(counts)
         gap_faces.append(gaps)
-        n_faces += len(faces)
 
-    parent = list(range(n_faces))
+    # union-find across the glued intervals; a pair whose faces are already
+    # joined closes a cycle, so a component with F faces and G glued pairs
+    # has F - G = 1 - (its cycles)
+    runs = _glued_intervals(base, strands)
+    parent = list(range(nf))
+    cycles = []
+    n_glued = 0
+    for t, c, t2, c2, n, _ in runs:
+        there = gap_faces[t2][c2 : c2 + n + 1]
+        there.reverse()
+        for f1, f2 in zip(gap_faces[t][c : c + n + 1], there):
+            while parent[f1] != f1:
+                parent[f1] = f1 = parent[parent[f1]]
+            while parent[f2] != f2:
+                parent[f2] = f2 = parent[parent[f2]]
+            if f1 == f2:
+                cycles.append(f1)
+            else:
+                parent[f1] = f2
+        n_glued += n + 1
+    root = parent
+    for f in range(nf):
+        r = root[f]
+        while root[r] != r:
+            r = root[r]
+        root[f] = r
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    # fold the rest onto the roots: each vertex and edge counts once on
+    # every component it borders
+    chi = [0] * nf
+    crossings = [0] * nf
+    marked = [0] * nf
+    for r in set(root):
+        chi[r] = 1
+    for f in cycles:
+        chi[root[f]] -= 1
+    for lo, hi in zip(point_lo, point_hi):
+        r, r2 = root[lo], root[hi]
+        chi[r] += 1
+        if r2 != r:
+            chi[r2] += 1
+    # each chord's first piece, and w's pieces beyond its crossings; v's
+    # pieces beyond its crossings are folded with the crossings below
+    for near, far in chain(first_pieces, ((c, d) for _, _, c, d in quads[1])):
+        r, r2 = root[near], root[far]
+        chi[r] -= 1
+        if r2 != r:
+            chi[r2] -= 1
+    for a, b, c, d in quads[0]:
+        # the crossing is a vertex of each component around it, and v's piece
+        # beyond it an edge of those on c and d: chi gains on a and b only
+        a, b, c, d = root[a], root[b], root[c], root[d]
+        for r in {a, b, c, d}:
+            crossings[r] += 1
+        if a != c and a != d:
+            chi[a] += 1
+        if b != a and b != c and b != d:
+            chi[b] += 1
+    marked_at = tuple({root[f] for f in faces_at} for faces_at in touch)
+    for roots in marked_at:
+        for r in roots:
+            chi[r] += 1
+            marked[r] += 1
+    n_marked = sum(1 for faces_at in touch if faces_at)
+    n_crossings = len(quads[0])
+    n_pieces = len(first_pieces) + 2 * n_crossings
+    chi_global = len(point_lo) + n_marked + n_crossings - n_pieces - n_glued + nf
+    _check_minimal(chi_global, base.genus, chi, crossings, marked)
+    both = marked_at[0] & marked_at[1]
+    route = _marked_route(runs, gap_faces, root, touch, both) if both else None
+    return root, chi, crossings, marked_at, route
 
-    glued = _glued_intervals(base, coords)
-    for (t, idx), (t2, idx2) in glued:
-        ra, rb = find(gap_faces[t][idx]), find(gap_faces[t2][idx2])
-        if ra != rb:
-            parent[ra] = rb
-    root = [find(f) for f in range(n_faces)]
 
-    n_faces_of = [0] * n_faces
-    n_vertices = [0] * n_faces
-    n_edges = [0] * n_faces
-    n_cross = [0] * n_faces
-    marked: dict[int, set] = {}
+def complement_components(real: Realization) -> tuple[tuple[OverlayFace, ...], tuple | None]:
+    """The complement components of two realized arcs, without face tracing,
+    and a raw route from P1 to P2 through one of them.
+
+    Runs the sign-vector pass (see :func:`_sign_vector_pass`), which checks
+    minimality on per-root counts, and builds one ``OverlayFace`` record per
+    component from them.  Returns ``(components, route)``: the records of
+    ``build_overlay(v, w).components`` (in another order) and the route of
+    :func:`_marked_route`.  Raises ``VerificationError`` when a minimality
+    check fails.  Callers that want only the route use :func:`marked_route`,
+    which builds no records.
+    """
+    root, chi, crossings, marked_at, route = _sign_vector_pass(real)
+    n_faces = [0] * len(root)
     for r in root:
-        n_faces_of[r] += 1
-    for (t, idx), _ in glued:
-        n_edges[root[gap_faces[t][idx]]] += 1
-    for near, far in pieces:
-        n_edges[root[near]] += 1
-        if root[far] != root[near]:
-            n_edges[root[far]] += 1
-    for near, far in points:
-        n_vertices[root[near]] += 1
-        if root[far] != root[near]:
-            n_vertices[root[far]] += 1
-    for quad in quads:
-        for r in {root[f] for f in quad}:
-            n_vertices[r] += 1
-            n_cross[r] += 1
-    for vertex, faces_at in touch.items():
-        for f in faces_at:
-            marked.setdefault(root[f], set()).add(vertex)
-
-    components = []
-    for r in range(n_faces):
-        if root[r] != r:
-            continue
-        points_at = frozenset(marked.get(r, ()))
-        chi = n_vertices[r] + len(points_at) - n_edges[r] + n_faces_of[r]
-        components.append(
-            OverlayFace(
-                faces=n_faces_of[r],
-                euler_characteristic=chi,
-                boundary_crossings=n_cross[r],
-                marked_points=points_at,
-                is_disc=(chi == 1),
-            )
+        n_faces[r] += 1
+    components = tuple(
+        OverlayFace(
+            faces=n_faces[r],
+            euler_characteristic=chi[r],
+            boundary_crossings=crossings[r],
+            marked_points=frozenset(p for p, roots in zip((P1, P2), marked_at) if r in roots),
+            is_disc=(chi[r] == 1),
         )
-    all_marked = {vertex for vertex, faces_at in touch.items() if faces_at}
-    chi_global = len(points) + len(all_marked) + len(quads) - len(pieces) - len(glued) + n_faces
-    _check_minimal(components, chi_global, base.genus)
-    return tuple(components), _marked_route(base, coords, gap_faces, glued, root, touch)
+        for r, parent in enumerate(root)
+        if parent == r
+    )
+    return components, route
 
 
-def _marked_route(base, coords, gap_faces, glued, root, touch):
+def marked_route(real: Realization) -> tuple | None:
+    """The route of :func:`complement_components`, from the same pass, with
+    the same minimality checks, but without building component records."""
+    return _sign_vector_pass(real)[-1]
+
+
+def _marked_route(runs, gap_faces, root, touch, both):
     """A raw crossing word from P1 to P2 through one complement component.
 
-    Returns None when no component touches both marked points; otherwise a
-    ``(start corner, crossings, end corner)`` triple avoiding both arcs.
-    Face ids ascend with each face's first ``(triangle, interval)``, so the
-    choices are the face tracer's, which fix the witness bytes: the
+    ``both`` holds the roots of the components touching both marked points;
+    returns a ``(start corner, crossings, end corner)`` triple avoiding both
+    arcs.  Face ids ascend with each face's first ``(triangle, interval)``,
+    so the choices are the face tracer's, which fix the witness bytes: the
     component with the first union-find root (a face on no triangle side,
     such as the sliver between equal words, counts last), breadth-first
     search from its P1 faces in id order over neighbours sorted by
     ``(face, side label)``, and as each end face's corner the one first
     reached ccw from its first interval.
     """
-    at1, at2 = touch[P1], touch[P2]  # face -> (reach, corner)
-    both = {root[f] for f in at1} & {root[f] for f in at2}
-    if not both:
-        return None
+    at1, at2 = touch[P1], touch[P2]  # face -> (reach, triangle, corner position)
     sided = {f for gaps in gap_faces for f in gaps}
     comp = min(both, key=lambda r: (r not in sided, r))  # faces on no triangle side last
     adj: dict[int, list] = {}
-    for (t, idx), (t2, idx2) in glued:
-        f1, f2 = gap_faces[t][idx], gap_faces[t2][idx2]
-        if root[f1] == comp:
-            value = base.side(Corner(t, coords[t][idx][0]))
-            adj.setdefault(f1, []).append((f2, value))
-            adj.setdefault(f2, []).append((f1, -value))
+    for t, c, t2, c2, n, value in runs:
+        there = gap_faces[t2][c2 : c2 + n + 1]
+        there.reverse()
+        for f1, f2 in zip(gap_faces[t][c : c + n + 1], there):
+            if root[f1] == comp:
+                adj.setdefault(f1, []).append((f2, value))
+                adj.setdefault(f2, []).append((f1, -value))
     starts = sorted(f for f in at1 if root[f] == comp)
     prev = dict.fromkeys(starts)
     queue = deque(starts)
@@ -316,12 +404,12 @@ def _marked_route(base, coords, gap_faces, glued, root, touch):
             if nxt not in prev:
                 prev[nxt] = (cur, value)
                 queue.append(nxt)
-    end = at2[cur][1]
+    end = Corner(*at2[cur][1:])
     word = []
     while prev[cur] is not None:
         cur, value = prev[cur]
         word.append(value)
-    return at1[cur][1], tuple(reversed(word)), end
+    return Corner(*at1[cur][1:]), tuple(reversed(word)), end
 
 
 class _OverlayBuilder:
@@ -507,13 +595,19 @@ class _OverlayBuilder:
             if ra != rb:
                 parent[ra] = rb
 
-        coords = [[c for c, _ in self.tri_boundary_items[t]] for t in range(self.base.n_triangles)]
+        strands = []  # strand points on each side of each triangle
+        for t in range(self.base.n_triangles):
+            counts = [0, 0, 0]
+            for (k, rank), _ in self.tri_boundary_items[t]:
+                counts[k] += rank >= 0
+            strands.append(counts)
         glued_pairs = []
-        for (t, idx), (t2, idx2) in _glued_intervals(self.base, coords):
-            e1, e2 = self.interval_ids[(t, idx)], self.interval_ids[(t2, idx2)]
-            f1, f2 = self.he_face[(e1, True)], self.he_face[(e2, True)]
-            union(f1, f2)
-            glued_pairs.append((e1, e2, f1, f2))
+        for t, c, t2, c2, n, _ in _glued_intervals(self.base, strands):
+            for j in range(n + 1):
+                e1, e2 = self.interval_ids[(t, c + j)], self.interval_ids[(t2, c2 + n - j)]
+                f1, f2 = self.he_face[(e1, True)], self.he_face[(e2, True)]
+                union(f1, f2)
+                glued_pairs.append((e1, e2, f1, f2))
 
         self.parent = parent
         self.find = find
@@ -577,7 +671,13 @@ class _OverlayBuilder:
         all_chords = sum(1 for (kind, *_ ) in self.local_edges if kind == "chord")
         total_e = all_chords + len({(min(a, b), max(a, b)) for a, b, _, _ in self.glued_pairs})
         chi_global = len(total_v) - total_e + total_f
-        _check_minimal(components, chi_global, base.genus)
+        _check_minimal(
+            chi_global,
+            base.genus,
+            [c.euler_characteristic for c in components],
+            [c.boundary_crossings for c in components],
+            [len(c.marked_points) for c in components],
+        )
 
         return Overlay(
             v=self.real.v,

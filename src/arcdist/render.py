@@ -164,8 +164,12 @@ def render_levels_svg(level_certificate: dict) -> str:
     return "\n".join(out)
 
 
-def render_document(doc: dict, out_dir) -> list[str]:
-    """Write figures for a certificate-bearing document; returns file names."""
+def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
+    """Write figures for a certificate-bearing document; returns file names.
+
+    ``where`` names the document in error messages, as the input file's
+    path does for the CLI.
+    """
     from .leveling import sequence_to_level_certificate
     from .serialize import _sequence, check_doc, load_distance_certificate, load_pair, load_sequence
 
@@ -174,7 +178,7 @@ def render_document(doc: dict, out_dir) -> list[str]:
     written = []
     tag = doc.get("format")
     if tag == "arcdist.distance_certificate/1":
-        cert = load_distance_certificate(doc)
+        cert = load_distance_certificate(doc, where)
         arcs = [cert.v, cert.w]
         labels = ["v", "w"]
         if cert.witness is not None:
@@ -183,23 +187,23 @@ def render_document(doc: dict, out_dir) -> list[str]:
         (out_dir / "pair.svg").write_text(render_arcs_svg(arcs, labels))
         written.append("pair.svg")
     elif tag == "arcdist.pair/1":
-        v, w = load_pair(doc)
+        v, w = load_pair(doc, where)
         (out_dir / "pair.svg").write_text(render_arcs_svg([v, w], ["v", "w"]))
         written.append("pair.svg")
     elif tag == "arcdist.arc_sequence/1":
-        seq = load_sequence(doc)
+        seq = load_sequence(doc, where)
         (out_dir / "sequence.svg").write_text(
             render_arcs_svg(list(seq.arcs), [f"s{i}" for i in range(len(seq.arcs))])
         )
         written.append("sequence.svg")
     elif tag in ("arcdist.level_report/1", "arcdist.level_certificate/1"):
-        check_doc(doc, tag, "document")
+        check_doc(doc, tag, where)
         level_certificate = doc if tag == "arcdist.level_certificate/1" else doc.get("level_certificate")
         if level_certificate is not None:
             # draw the position the sequence certifies, rebuilt as check-cert
             # rebuilds it, never the stored one unchecked
-            where = "document" if level_certificate is doc else "document.level_certificate"
-            seq = _sequence(level_certificate, "sequence", where)
+            place = where if level_certificate is doc else f"{where}.level_certificate"
+            seq = _sequence(level_certificate, "sequence", place)
             (out_dir / "levels.svg").write_text(render_levels_svg(sequence_to_level_certificate(seq)))
             written.append("levels.svg")
     else:

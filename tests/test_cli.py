@@ -154,7 +154,7 @@ def _sequence_doc(base, arcs):
         (lambda g1, bad, d: (["path", str(d / "v.json")], serialize.arc_file_dict(bad)), "{file}.arc"),
         (lambda g1, bad, d: (["level"], ShadowPairInput(g1, (edge_word(g1, 2),), (bad,)).to_json_dict()), "{file}.w_side[0]"),
         (lambda g1, bad, d: (["check-cert"], _sequence_doc(g1, [edge_word(g1, 2), bad])), "document.arcs[1]"),
-        (lambda g1, bad, d: (["render", "--svg", str(d / "figs")], _sequence_doc(g1, [bad])), "arc sequence.arcs[0]"),
+        (lambda g1, bad, d: (["render", "--svg", str(d / "figs")], _sequence_doc(g1, [bad])), "{file}.arcs[0]"),
     ],
     ids=["certificate", "arc-file", "shadow-pair", "sequence", "render"],
 )

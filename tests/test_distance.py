@@ -15,7 +15,7 @@ from arcdist.distance import (
     verify_certificate,
 )
 from arcdist.leveling import level_number_report, validate_sequence
-from arcdist.overlay import _OverlayBuilder, intersection
+from arcdist.overlay import OverlayFace, Realization, _OverlayBuilder, complement_components, intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document, write_doc
 
 from conftest import seeded_pairs, self_crossing_word
@@ -229,6 +229,34 @@ def test_no_run_time_path_builds_the_face_tracer(g1, tmp_path, monkeypatch, caps
         assert main(["check-cert", str(tmp_path / "report.json")]) == 0
     assert capsys.readouterr().out == "verified: arcdist.level_report/1\n" * 2
     assert built == []
+
+
+def test_run_time_builds_no_component_records(g1, monkeypatch):
+    """classify and verify_certificate take only the route from the
+    sign-vector pass, which checks minimality on per-root counts, so neither
+    builds an OverlayFace record, on an exact-2 pair or a bounds pair;
+    complement_components, which returns the records, still builds them."""
+    v2, w2 = next(
+        (v, w)
+        for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
+        if classify(v, w).verdict.as_tuple() == (2, 2)
+    )
+    built = []
+    init = OverlayFace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OverlayFace, "__init__", counted)
+    bounds = (random_arc(g1, 31002, 30), random_arc(g1, 31003, 30))
+    for (v, w), verdict in ((bounds, (3, 5)), ((v2, w2), (2, 2))):
+        cert = classify(v, w)
+        assert cert.verdict.as_tuple() == verdict
+        assert verify_certificate(cert) == []
+    assert built == []
+    components, _ = complement_components(Realization(v2, w2))
+    assert built == list(components)
 
 
 def test_classify_search_validates_no_sequence(g1, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -328,6 +329,35 @@ def test_sign_vector_components_of_equal_words(g1, g2):
         traced, signed, traced_yes, yes = _traced_and_signed(a, a)
         assert signed == traced
         assert yes == traced_yes
+
+
+SIGN_VECTOR_DIGEST = "8130296803c9e6ea233eef18fd5fdc83a71cf0723dca1f66ec091e5eddb895fd"
+
+
+def test_sign_vector_pass_output_is_pinned():
+    """The pass's output, byte for byte: each pair's route and its sorted
+    component records, over seeded crossing pairs at genus 1-4 from short
+    and long flip walks, pairs not at distance 2 included.  A rewrite of
+    the pass that changes a record, a route or a route's tie-break changes
+    the digest."""
+    h = hashlib.sha256()
+    routed = Counter()
+    for genus, steps in ((1, 30), (2, 120), (3, 120), (4, 200)):
+        base = build_standard_triangulation(genus)
+        pairs = seeded_pairs(base, f"pass-pin-{genus}", 12, max_steps=30, require_crossing=True)
+        pairs += _long_pairs(base, f"pass-pin-long-{genus}", steps, 2)
+        for v, w in pairs:
+            components, route = complement_components(Realization(v, w))
+            records = sorted(
+                (c.faces, c.euler_characteristic, c.boundary_crossings, sorted(c.marked_points), c.is_disc)
+                for c in components
+            )
+            if route is not None:
+                route = (tuple(route[0]), route[1], tuple(route[2]))
+            h.update(repr((route, records)).encode() + b"\n")
+            routed[genus, route is not None] += 1
+    assert all(routed[genus, yes] for genus in (1, 2, 3, 4) for yes in (True, False))
+    assert h.hexdigest() == SIGN_VECTOR_DIGEST
 
 
 def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
