@@ -37,7 +37,6 @@ from .arc import (
     transport_inverse,
 )
 from .realization import intersection, intersection_via_flips, self_intersection
-from .overlay import Overlay, build_overlay
 from .surgery import SurgeryTrace, path_between, surgery_step
 from .distance import (
     DistanceCertificate,

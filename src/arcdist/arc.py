@@ -322,7 +322,7 @@ def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:
 # straightening: flip until an arc becomes a triangulation edge
 
 
-def straighten_to_edge(arc: ArcWord, cap: int | None = None) -> tuple[list[int], int]:
+def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
     """Flip sequence turning ``arc`` into a triangulation edge.
 
     Strategy: flip the edge of the arc's first crossing whenever it is
@@ -340,8 +340,7 @@ def straighten_to_edge(arc: ArcWord, cap: int | None = None) -> tuple[list[int],
     """
     word = arc
     flips: list[int] = []
-    if cap is None:
-        cap = 40 * (len(arc) + 2)
+    cap = 40 * (len(arc) + 2)
     window = 4 * arc.base.n_edges
     best = len(word)
     since_best = 0

@@ -155,21 +155,6 @@ class LevelPosition:
             "cycle": [list(piece) for piece in self.cycle],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict, base: Triangulation) -> "LevelPosition":
-        return cls(
-            n_levels=d["n_levels"],
-            surface_genus=d["surface_genus"],
-            first_arc=ArcWord.from_json_dict(d["first_arc"], base),
-            last_arc=ArcWord.from_json_dict(d["last_arc"], base),
-            levels=tuple(tuple(tuple(e) for e in level) for level in d["levels"]),
-            tubes=tuple(
-                Tube(t["index"], ArcWord.from_json_dict(t["core"], base), t["p_strand"], t["q_strand"])
-                for t in d["tubes"]
-            ),
-            cycle=tuple(tuple(p) for p in d["cycle"]),
-        )
-
 
 def arcs_to_leveling(seq) -> LevelPosition:
     """Build the n-level position certified by a path s_0..s_n.

@@ -1,28 +1,28 @@
 """The overlay cell complex of two realized arcs.
 
-This module is the overlay layer.  It takes a ``Realization`` from
-:mod:`arcdist.realization`, where the strand order, the segments and the
-intersection counts live, and re-exports that module's public names
-(``Realization``, ``intersection``, ``self_intersection`` and
-``intersection_via_flips``) for callers that reach them through here.
+This module is the overlay layer.  It reads a ``Realization`` from
+:mod:`arcdist.realization`, which holds the strand order and slots, the
+segments, the crossings and each segment's crossing partners, and
+re-exports that module's public names for callers that reach them here.
 
 A realization induces a cell decomposition of the surface (the overlay):
 faces are the complement components of the two arcs, glued from
 per-triangle arrangements across the edges.  Two computations of it exist.
 The sign-vector pass keys each local face by its sign vector (the chords
 it lies beyond) in one linear pass per triangle, carrying each chord's two
-side ids along it; it is the only one that runs at run time.  It checks
-minimality (Euler characteristic 2 - 2g, no bigon or endpoint half-bigon
-survives) on per-root counts of the union-find over the glued intervals,
-and, for the distance-2 criterion in :mod:`arcdist.distance`, routes the
-witness arc of an exact-2 verdict through a component touching both marked
-points.  ``marked_route`` returns only that route, which is all the run
-time needs; ``complement_components`` also builds an ``OverlayFace`` record
-per component, for callers that ask for them.  The face tracer
-(``_OverlayBuilder``, behind ``build_overlay``) sorts the germs at every
-node and walks each face; it is the test suite's reference, which checks
-that both give the same components, as it checks the two intersection
-counts.
+side ids along it past its partners; it is the only one that runs at run
+time.  It checks minimality (Euler characteristic 2 - 2g, no bigon or
+endpoint half-bigon survives) on per-root counts of the union-find over
+the glued intervals, and, for the distance-2 criterion in
+:mod:`arcdist.distance`, routes the witness arc of an exact-2 verdict
+through a component touching both marked points.  ``marked_route``
+returns only that route, which is all the run time needs;
+``complement_components`` also builds an ``OverlayFace`` record per
+component.  The face tracer (``_OverlayBuilder``, behind ``build_overlay``,
+reached only through this module) sorts the germs at every node and
+walks each face, chaining each chord's crossings from the crossing records
+rather than the partner lists.  It is the test suite's reference, which
+checks that both give the same components.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class Overlay:
     crossings: tuple
     components: tuple
     euler_characteristic: int
-
-    def crossing_count(self) -> int:
-        return len(self.crossings)
 
 
 def _glued_intervals(base, strands) -> list[tuple[int, int, int, int, int, int]]:
@@ -145,19 +142,11 @@ def _sign_vector_pass(real: Realization):
     """
     base = real.base
     order = real.edge_order
+    partners = real.partners  # per arc, per segment: the crossed segments from its end a
     in_tri = [[] for _ in range(base.n_triangles)]  # v chords first, then w chords
     for segs in real.segments:
         for s in segs:
             in_tri[s.tri].append(s)
-    # crossing partners along each segment, in order from its end a: the
-    # crossings come sorted along v, and rank 0..n-1 along each w segment
-    partners = tuple([[] for _ in segs] for segs in real.segments)
-    across_v, across_w = partners
-    for x in real.crossings:
-        across_v[x.v_seg].append(x.w_seg)
-        across_w[x.w_seg].append(x.v_seg)
-    for x in real.crossings:
-        across_w[x.w_seg][x.w_rank] = x.v_seg
     bits = tuple([0] * len(segs) for segs in real.segments)  # each chord's bit in its triangle
 
     strands, gap_faces = [], []
@@ -437,9 +426,9 @@ class _OverlayBuilder:
         pts: dict[int, dict[tuple, tuple]] = {t: {} for t in range(base.n_triangles)}
         for o, word in enumerate(real.arcs):
             for i, c in enumerate(word.crossings):
-                for value in (c, -c):
+                for value, slots in zip((c, -c), real.slots[o]):
                     sc = base.side_corner(value)
-                    pts[sc.tri][(sc.pos, real._rank_of(o, i, value))] = ("p", o, i)
+                    pts[sc.tri][(sc.pos, slots[i])] = ("p", o, i)
         for t in range(base.n_triangles):
             for k in range(3):
                 pts[t][(k, -1)] = ("v", base.vertex_of(Corner(t, k)))

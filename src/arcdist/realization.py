@@ -18,13 +18,13 @@ and every strand's ray on each side of its edge is a suffix of one of
 them.  Two strands are ordered by comparing those suffixes: the first
 differing turn is where they part ways.  When the two sides of the edge
 disagree, the strands cross once in their shared stretch, and the side
-with the shorter common prefix (the nearer divergence) decides.  Once
-every edge is ordered, in-triangle chords cross exactly when their
-boundary endpoints interleave, and the total count is the geometric
-intersection number of the two isotopy classes.  That is one interval
-test per pair of segments in a triangle; it records the end of each chord
-that lies inside the other, and sorting those ends ranks the crossings
-along every segment.
+with the shorter common prefix (the nearer divergence) decides.  That
+order gives each strand its slot on both sides of its edge.  In-triangle
+chords then cross exactly when their boundary endpoints interleave, and
+the total count is the geometric intersection number of the two isotopy
+classes: one interval test per pair of segments in a triangle.  Sorting
+the chord ends found inside each segment ranks its crossings and lists
+its partners, which the overlay, surgery and figures read as they are.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -105,8 +105,6 @@ def _order_edges(arcs, corners) -> dict[int, list[_Strand]]:
     """
     per_edge: dict[int, list] = {}
     for owner, word in enumerate(arcs):
-        if word is None:
-            continue
         fwd = _turns(corners[owner])
         bwd = fwd[-2::-1].translate(_MIRROR) + fwd[-1:]
         n = len(word.crossings)
@@ -149,24 +147,21 @@ def _order_edges(arcs, corners) -> dict[int, list[_Strand]]:
     }
 
 
-def _rank_lookup(edge_order):
-    """rank_of(owner, index, value): a strand's slot along the side ``value``.
+def _strand_slots(edge_order, arcs):
+    """Per word, two lists: each crossing's slot on the side it leaves by
+    and on the side it enters by.
 
-    Slots count from the tail of that side, so the two sides of one edge
-    number the same strands in opposite directions; both are stored.
+    Slots count from the tail of their side, so the two sides of one edge
+    number the same strands in opposite directions.
     """
-    ranks = {}
+    slots = tuple(([0] * len(word), [0] * len(word)) for word in arcs)
     for strands in edge_order.values():
-        m = len(strands)
+        last = len(strands) - 1
         for r, (owner, index, value) in enumerate(strands):
-            plus = abs(value)
-            ranks[owner, index, plus] = r
-            ranks[owner, index, -plus] = m - 1 - r
-
-    def rank_of(owner, index, value):
-        return ranks[owner, index, value]
-
-    return rank_of
+            leave, enter = slots[owner]
+            plus, minus = (leave, enter) if value > 0 else (enter, leave)
+            plus[index], minus[index] = r, last - r
+    return slots
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +176,8 @@ class _Segment(NamedTuple):
     b: tuple
 
 
-def _segments_of(word: ArcWord, owner: int, corners, rank_of) -> list[_Segment]:
+def _segments_of(word: ArcWord, owner: int, corners, slots) -> list[_Segment]:
+    leave, enter = slots
     n = len(word.crossings)
     segs = []
     for j in range(n + 1):
@@ -191,7 +187,7 @@ def _segments_of(word: ArcWord, owner: int, corners, rank_of) -> list[_Segment]:
         else:
             entered = corners[j - 1][1]
             tri = entered.tri
-            a = (entered.pos, rank_of(owner, j - 1, -word.crossings[j - 1]))
+            a = (entered.pos, enter[j - 1])
         if j == n:
             if word.end.tri != tri:
                 raise InconsistentWord("segment chain broke")
@@ -200,7 +196,7 @@ def _segments_of(word: ArcWord, owner: int, corners, rank_of) -> list[_Segment]:
             leaving = corners[j][0]
             if leaving.tri != tri:
                 raise InconsistentWord("segment chain broke")
-            b = (leaving.pos, rank_of(owner, j, word.crossings[j]))
+            b = (leaving.pos, leave[j])
         segs.append(_Segment(owner, j, tri, a, b))
     return segs
 
@@ -231,6 +227,10 @@ class Realization:
     interval test per v/w segment pair.  A crossing's place along each
     chord is the other chord's end that lies inside it, so the crossings of
     a segment are ranked by sorting those recorded ends from its end a.
+
+    ``slots[o]`` holds word o's slot of each crossing on the side it leaves
+    by and on the side it enters by; ``partners[o][j]`` the other arc's
+    segments that segment j of arc o crosses, in order from its end a.
     """
 
     def __init__(self, v: ArcWord, w: ArcWord):
@@ -241,19 +241,20 @@ class Realization:
         self.arcs = (v, w)
         corners = tuple(_word_corners(self.base, word) for word in self.arcs)
         self.edge_order = _order_edges(self.arcs, corners)
-        self._rank_of = _rank_lookup(self.edge_order)
+        self.slots = _strand_slots(self.edge_order, self.arcs)
         self.segments = tuple(
-            _segments_of(word, o, corners[o], self._rank_of) for o, word in enumerate(self.arcs)
+            _segments_of(word, o, corners[o], self.slots[o]) for o, word in enumerate(self.arcs)
         )
-        self.crossings = self._find_crossings()
+        self.crossings, self.partners = self._find_crossings()
 
-    def _find_crossings(self) -> tuple[_Crossing, ...]:
+    def _find_crossings(self):
         """Every crossing once, sorted along v, with its ranks along both
-        segments.  A w chord that crosses a v chord must also separate the
-        v chord's ends; that is checked on every hit."""
+        segments, and each segment's partners.  A w chord that crosses a v
+        chord must also separate the v chord's ends; checked on every hit."""
         by_tri = _by_triangle(self.segments[1])
         found = []  # (v segment, w segment, triangle, rank along v), sorted along v
         on_w: dict[int, list] = {}  # w segment -> (v end inside it, crossing number)
+        across_v = []
         for vs in self.segments[0]:
             a, b = vs.a, vs.b
             lo, hi = (a, b) if a < b else (b, a)
@@ -270,16 +271,21 @@ class Realization:
                     raise VerificationError("crossing chord does not separate the segment ends")
                 hits.append((inside, ws.index, a if a_in else b))
             hits.sort(reverse=a > b)
+            across_v.append([w_seg for _, w_seg, _ in hits])
             for r, (_, w_seg, v_end) in enumerate(hits):
                 on_w.setdefault(w_seg, []).append((v_end, len(found)))
                 found.append((vs.index, w_seg, vs.tri, r))
         w_rank = [0] * len(found)
         w_segs = self.segments[1]
+        across_w = [[] for _ in w_segs]
         for w_seg, ends in on_w.items():
             ends.sort(reverse=w_segs[w_seg].a > w_segs[w_seg].b)
+            across = across_w[w_seg]
             for r, (_, k) in enumerate(ends):
                 w_rank[k] = r
-        return tuple(_Crossing(*x, w_rank[k]) for k, x in enumerate(found))
+                across.append(found[k][0])
+        crossings = tuple(_Crossing(*x, w_rank[k]) for k, x in enumerate(found))
+        return crossings, (across_v, across_w)
 
     def count(self) -> int:
         """i(v, w); 0 for equal words, whose copies are nested side by side."""
@@ -302,9 +308,9 @@ def intersection(v: ArcWord, w: ArcWord) -> int:
 def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
     corners = _word_corners(word.base, word)
-    rank_of = _rank_lookup(_order_edges((word, None), (corners, None)))
+    [slots] = _strand_slots(_order_edges((word,), (corners,)), (word,))
     total = 0
-    for group in _by_triangle(_segments_of(word, 0, corners, rank_of)).values():
+    for group in _by_triangle(_segments_of(word, 0, corners, slots)).values():
         for i, (_, lo, hi) in enumerate(group):
             for _, wlo, whi in group[i + 1 :]:
                 if lo < wlo < hi < whi or wlo < lo < whi < hi:

@@ -3,8 +3,9 @@
 Pair and distance certificates are drawn triangle by triangle: each
 triangle of the base becomes one equilateral cell, its sides carry the edge
 labels, and the arcs appear as chords through the cells at their exact
-strand positions from the minimal-position realization.  Level reports get
-one band per level with the tube columns drawn between bands.
+strand positions: the slots and strand counts of one ``Realization`` of
+the first two arcs, and of the first arc with each later one.  Level
+reports get one band per level with the tube columns drawn between bands.
 """
 
 from __future__ import annotations
@@ -32,25 +33,31 @@ def _side_point(corners, pos, frac):
     return (x1 + (x2 - x1) * frac, y1 + (y2 - y1) * frac)
 
 
-def _coord_point(corners, coord, counts):
+def _coord_point(real, tri, corners, coord):
+    """A segment end: its corner, or its slot among the edge's strands."""
     pos, rank = coord
     if rank < 0:
         return corners[pos]
-    m = counts.get(pos, 0)
+    m = len(real.edge_order[edge_of(real.base.triangles[tri][pos])])
     return _side_point(corners, pos, (rank + 1) / (m + 1))
 
 
 def render_arcs_svg(arcs: list[ArcWord], labels: list[str] | None = None) -> str:
-    """One cell per triangle; arcs drawn as chords at their strand slots."""
+    """One cell per triangle; arcs drawn as chords at their strand slots.
+
+    The first two arcs come from one realization of the pair; each later
+    arc (a witness, a sequence's later arcs) from its realization with the
+    first, and a lone arc from its pairing with itself.  Each side spaces
+    its slots by that realization's strand count on the edge.
+    """
     if not arcs:
         raise ValueError("nothing to draw")
     base = arcs[0].base
     labels = labels or [f"arc {i}" for i in range(len(arcs))]
 
-    # strand slots: realize each arc against the first to place points
-    # consistently; the first arc is drawn from its pairing with itself
-    reference = arcs[0]
-    placements = [Realization(reference, a) for a in arcs]
+    # (realization, owner) drawing each arc
+    pair = Realization(arcs[0], arcs[1] if len(arcs) > 1 else arcs[0])
+    placements = [(pair, 0), (pair, 1)][: len(arcs)] + [(Realization(arcs[0], a), 1) for a in arcs[2:]]
 
     cols = min(4, base.n_triangles)
     rows = (base.n_triangles + cols - 1) // cols
@@ -77,21 +84,12 @@ def render_arcs_svg(arcs: list[ArcWord], labels: list[str] | None = None) -> str
                 f"e{edge_of(s)}{'+' if s > 0 else '-'}</text>"
             )
 
-    for ai, (arc, real) in enumerate(zip(arcs, placements)):
+    for ai, (real, owner) in enumerate(placements):
         color = _COLORS[ai % len(_COLORS)]
-        owner = 0 if arc == reference else 1
-        segs = real.segments[owner]
-        counts_per_tri = {}
-        for seg in segs:
-            for coord in (seg.a, seg.b):
-                if coord[1] >= 0:
-                    key = (seg.tri, coord[0])
-                    counts_per_tri[key] = max(counts_per_tri.get(key, 0), coord[1] + 1)
-        for seg in segs:
+        for seg in real.segments[owner]:
             corners = centers[seg.tri]
-            counts = {pos: n for (t, pos), n in counts_per_tri.items() if t == seg.tri}
-            x1, y1 = _coord_point(corners, seg.a, counts)
-            x2, y2 = _coord_point(corners, seg.b, counts)
+            x1, y1 = _coord_point(real, seg.tri, corners, seg.a)
+            x2, y2 = _coord_point(real, seg.tri, corners, seg.b)
             out.append(
                 f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                 f'stroke="{color}" stroke-width="1.8"/>'

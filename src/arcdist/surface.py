@@ -218,9 +218,6 @@ class Triangulation:
         self._require_valid()
         raise KeyError(label)
 
-    def tri_of(self, label: int) -> int:
-        return self.side_corner(label).tri
-
     def vertex_of(self, corner: Corner) -> int:
         """P1 or P2 for a corner."""
         tri, pos = corner

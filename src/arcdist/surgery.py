@@ -68,7 +68,7 @@ def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
     k = real.count()
     if k == 0:
         raise PreconditionError("surgery needs crossing arcs; these are disjoint")
-    p = max(real.crossings, key=lambda x: (x.v_seg, x.v_rank))
+    p = real.crossings[-1]  # the crossings come sorted along v
     w_prime = _spliced_word(v, w, p.v_seg, p.w_seg)
 
     after = Realization(v, w_prime)

@@ -116,7 +116,7 @@ def test_self_pairing_is_zero(g1, g2):
         for seed in range(10):
             a = random_arc(base, 500 + seed, 10)
             assert intersection(a, a) == 0
-            assert build_overlay(a, a).crossing_count() == 0
+            assert len(build_overlay(a, a).crossings) == 0
 
 
 def test_disjoint_edges(g1):
@@ -229,7 +229,7 @@ def test_overlay_crossing_count_matches_intersection(g1, g2):
     for base in (g1, g2):
         for v, w in seeded_pairs(base, f"ovl-{base.genus}", 150):
             ov = build_overlay(v, w)
-            assert ov.crossing_count() == intersection(v, w)
+            assert len(ov.crossings) == intersection(v, w)
 
 
 def test_parallel_map_matches_sequential(g1):
@@ -259,7 +259,7 @@ def test_overlay_disjoint_pair_faces(g1):
     v = edge_word(g1, 2)
     w = edge_word(g1, 3)
     ov = build_overlay(v, w)
-    assert ov.crossing_count() == 0
+    assert len(ov.crossings) == 0
     assert len(ov.components) >= 1
 
 
@@ -423,6 +423,18 @@ def _reference_crossings(real):
     return sorted(out, key=lambda x: (x[0], x[3]))
 
 
+def _partners_from(real):
+    """Each segment's crossed segments read off the crossing records, in
+    order from its end a: along v as listed, along w by ``w_rank``."""
+    across_v = [[] for _ in real.segments[0]]
+    across_w = [[] for _ in real.segments[1]]
+    for x in real.crossings:
+        across_v[x.v_seg].append(x.w_seg)
+    for x in sorted(real.crossings, key=lambda x: x.w_rank):
+        across_w[x.w_seg].append(x.v_seg)
+    return across_v, across_w
+
+
 @pytest.mark.parametrize("genus, steps, count", [(1, 18, 40), (2, 60, 25), (3, 120, 15), (4, 160, 15)])
 def test_crossings_match_the_all_pairs_reference(genus, steps, count):
     """One interval test per segment pair, ranked from the recorded ends,
@@ -434,6 +446,7 @@ def test_crossings_match_the_all_pairs_reference(genus, steps, count):
     for v, w in pairs + [(a, a) for pair in pairs for a in pair]:
         real = Realization(v, w)
         assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+        assert real.partners == _partners_from(real)
 
 
 def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words(g1):
@@ -445,6 +458,7 @@ def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words
         seed = rng.randrange(1 << 30)
         real = Realization(random_arc(g1, seed, 90), random_arc(g1, seed + 1, 90))
         assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+        assert real.partners == _partners_from(real)
         counts.append(real.count())
     assert max(counts) >= 100
     doubled = ArcWord(g1, Corner(0, 1), (-4, -5, -1, -4, -5, -1), Corner(0, 0))
@@ -452,6 +466,7 @@ def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words
         real = Realization(a, a)
         assert real.count() == 2 * self_intersection(a) > 0
         assert list(map(tuple, real.crossings)) == _reference_crossings(real)
+        assert real.partners == _partners_from(real)
 
 
 class _BothSides(int):
@@ -469,22 +484,19 @@ def test_separation_check_catches_an_inconsistent_strand_slot(g1, monkeypatch):
     holds, and a plain strand swap is left to the overlay's minimality
     checks; a slot placed on both sides of its neighbours breaks it, and
     the realization refuses the pair."""
-    rank_lookup = realization._rank_lookup
+    strand_slots = realization._strand_slots
     refused = 0
     for v, w in seeded_pairs(g1, "separate", 6, max_steps=30, require_crossing=True):
         for owner, word in enumerate((v, w)):
             for i in range(len(word.crossings)):
 
-                def swapped(edge_order, target=(owner, i)):
-                    rank_of = rank_lookup(edge_order)
+                def swapped(edge_order, arcs, owner=owner, i=i):
+                    slots = strand_slots(edge_order, arcs)
+                    for side in slots[owner]:
+                        side[i] = _BothSides(side[i])
+                    return slots
 
-                    def slot(o, index, value):
-                        r = rank_of(o, index, value)
-                        return _BothSides(r) if (o, index) == target else r
-
-                    return slot
-
-                monkeypatch.setattr(realization, "_rank_lookup", swapped)
+                monkeypatch.setattr(realization, "_strand_slots", swapped)
                 try:
                     Realization(v, w)
                 except VerificationError as ex:

@@ -1,14 +1,16 @@
 """Wider-net checks: higher genus, bigger enumerations, format round trips."""
 
 import itertools
+import json
 
 import pytest
 
 from arcdist import build_standard_triangulation
 from arcdist.arc import enumerate_arcs, random_arc, transport
 from arcdist.distance import classify
-from arcdist.leveling import LevelPosition, arcs_to_leveling, leveling_to_arc_sequence
+from arcdist.leveling import arcs_to_leveling, leveling_to_arc_sequence
 from arcdist.overlay import Realization, build_overlay, intersection, intersection_via_flips
+from arcdist.serialize import dumps
 from arcdist.surface import Triangulation, edge_of
 from arcdist.surgery import path_between
 
@@ -167,16 +169,13 @@ def test_level_position_json_round_trip(g1):
     for v, w in seeded_pairs(g1, "lpjson", 6, require_crossing=True):
         seq = path_between(v, w)
         pos = arcs_to_leveling(seq)
-        again = LevelPosition.from_json_dict(pos.to_json_dict(), g1)
-        assert again == pos
-        assert leveling_to_arc_sequence(again) == seq
+        doc = pos.to_json_dict()
+        assert json.loads(dumps(doc)) == doc
+        assert leveling_to_arc_sequence(pos) == seq
 
 
 def test_render_sequence_and_bounds_certificate(tmp_path, g1):
     from arcdist.render import render_document
-    from arcdist.serialize import dumps
-
-    import json
 
     v = random_arc(g1, 31002, 30)
     w = random_arc(g1, 31003, 30)
@@ -186,3 +185,41 @@ def test_render_sequence_and_bounds_certificate(tmp_path, g1):
     cert = classify(v, w)
     files = render_document(json.loads(dumps(cert.to_json_dict())), tmp_path)
     assert files == ["pair.svg"]
+
+
+def test_pair_figure_puts_strands_at_their_realized_slots(g1):
+    """In the figure of a pair, each strand point of v and w sits at
+    (rank + 1) / (m + 1) along its side, with its rank and the edge's m
+    strands taken from Realization(v, w): the two arcs share each edge's
+    slots in the realized order, never two at one spot."""
+    import re
+
+    from arcdist.render import _COLORS, render_arcs_svg
+
+    number = r"(-?[\d.]+)"
+    checked = 0
+    for s in range(24):
+        v, w = random_arc(g1, s, 20), random_arc(g1, s + 1000, 20)
+        if v == w:
+            continue
+        real = Realization(v, w)
+        svg = render_arcs_svg([v, w])
+        cells = [
+            [tuple(map(float, p.split(","))) for p in pts.split()]
+            for pts in re.findall(r'<polygon points="([^"]+)"', svg)
+        ]
+        for owner, color in enumerate(_COLORS[:2]):
+            pattern = f'<line x1="{number}" y1="{number}" x2="{number}" y2="{number}" stroke="{color}" stroke-width="1.8"/>'
+            lines = re.findall(pattern, svg)
+            assert len(lines) == len(real.segments[owner])
+            for seg, line in zip(real.segments[owner], lines):
+                x1, y1, x2, y2 = map(float, line)
+                for (pos, rank), x, y in ((seg.a, x1, y1), (seg.b, x2, y2)):
+                    if rank < 0:
+                        continue
+                    m = len(real.edge_order[edge_of(g1.triangles[seg.tri][pos])])
+                    (tx, ty), (hx, hy) = cells[seg.tri][pos], cells[seg.tri][(pos + 1) % 3]
+                    f = (rank + 1) / (m + 1)
+                    assert abs(x - (tx + (hx - tx) * f)) < 0.15 and abs(y - (ty + (hy - ty) * f)) < 0.15
+                    checked += 1
+    assert checked > 100

@@ -156,7 +156,7 @@ def test_local_flip_matches_a_table_built_from_scratch(g):
     rng = random.Random(f"local-flip-{g}")
     for _ in range(3000):
         e = rng.choice(_flippable(cur))
-        quad = {cur.tri_of(e + 1), cur.tri_of(-(e + 1))}
+        quad = {cur.side_corner(e + 1).tri, cur.side_corner(-(e + 1)).tri}
         outside = next(Corner(t, 0) for t in range(cur.n_triangles) if t not in quad)
         flipped = cur.flip(e)
         full = Triangulation(g, flipped.triangles, p1_corner=outside)
