@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BaseMismatch, InconsistentWord, PreconditionError
 from .surface import P1, P2, Corner, Triangulation, edge_of
@@ -48,6 +49,25 @@ class ArcWord:
         object.__setattr__(self, "end", Corner(*self.end))
         object.__setattr__(self, "crossings", tuple(int(c) for c in self.crossings))
         _check_word(self.base, self.start, self.crossings, self.end)
+        self._check_reduced()
+
+    @classmethod
+    def _from_consistent(cls, base: Triangulation, start: Corner, crossings, end: Corner) -> "ArcWord":
+        """An instance whose word is known to be locally consistent.
+
+        Skips only ``_check_word``: :func:`tighten` has walked the raw word
+        and its moves keep the word consistent.  The reduction and P1/P2
+        checks still run.
+        """
+        arc = object.__new__(cls)
+        object.__setattr__(arc, "base", base)
+        object.__setattr__(arc, "start", start)
+        object.__setattr__(arc, "crossings", tuple(int(c) for c in crossings))
+        object.__setattr__(arc, "end", end)
+        arc._check_reduced()
+        return arc
+
+    def _check_reduced(self):
         if not _is_reduced(self.base, self.start, self.crossings, self.end):
             raise InconsistentWord("word is not reduced; use tighten() to canonicalize")
         if self.base.vertex_of(self.start) != P1:
@@ -91,9 +111,10 @@ def _check_word(base: Triangulation, start: Corner, crossings, end: Corner):
         raise InconsistentWord(f"start corner {start} out of range")
     if not (0 <= end.tri < base.n_triangles and 0 <= end.pos < 3):
         raise InconsistentWord(f"end corner {end} out of range")
+    n_edges = base.n_edges
     tri = start.tri
     for i, c in enumerate(crossings):
-        if c == 0 or edge_of(c) >= base.n_edges:
+        if c == 0 or edge_of(c) >= n_edges:
             raise InconsistentWord(f"crossing {i}: bad label {c}")
         here = base.side_corner(c)
         if here.tri != tri:
@@ -125,6 +146,10 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
 
     The input must be locally consistent; anything else raises
     ``InconsistentWord``.  Idempotent on already-reduced words.
+
+    ``_check_word`` runs once, on the raw word; the moves below keep a word
+    consistent, so the result is built without walking it again.  The
+    result's reduction and P1/P2 corner checks still run.
     """
     start, end = Corner(*start), Corner(*end)
     word = list(crossings)
@@ -182,7 +207,7 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
             end = Corner(opp.tri, (opp.pos + 1) % 3)
         if start.pos == end.pos:
             raise InconsistentWord("word tightened to a loop at one marked point")
-    return ArcWord(base, start, tuple(word), end)
+    return ArcWord._from_consistent(base, start, word, end)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +236,9 @@ def transport(arc: ArcWord, e: int) -> ArcWord:
 def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
     """Undo ``transport(-, e)``: rewrite ``arc`` over the pre-flip base.
 
-    ``previous.flip(e)`` must equal ``arc.base``.
+    ``previous.flip(e)`` must equal ``arc.base``; that is checked by
+    flipping ``previous`` (``BaseMismatch`` otherwise), and the rewrite's
+    ``tighten`` checks the word.
     """
     if previous.flip(e) != arc.base:
         raise BaseMismatch("previous.flip(e) does not give the arc's base")
@@ -270,6 +297,12 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
 
     Deterministic per (seed, steps); output is reduced and embedded by
     construction (it is a transported triangulation edge).
+
+    Each step flips once.  The walk picks among the flippable edges in
+    edge order, keeping one flag per edge and refreshing only the five
+    edges of each flipped quad.  The pull-back rewrites onto the tables
+    the walk built, so it makes no check flip; each rewrite's ``tighten``
+    still checks the word.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
@@ -277,16 +310,24 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     chain = [base]
     flips = []
     cur = base
+    flippable = [cur.is_flippable(e) for e in range(cur.n_edges)]
     for _ in range(steps):
-        choices = [e for e in range(cur.n_edges) if cur.is_flippable(e)]
-        e = rng.choice(choices)
+        e = rng.choice(list(compress(range(len(flippable)), flippable)))
         flips.append(e)
         cur = cur.flip(e)
         chain.append(cur)
+        # an edge is unflippable when both its sides lie in one triangle,
+        # so only edges with a side in the quad's two triangles can change
+        for tri in (cur.side_corner(e + 1).tri, cur.side_corner(-(e + 1)).tri):
+            row = cur.triangles[tri]
+            for s in row:
+                flippable[edge_of(s)] = -s not in row
     connectors = cur.connector_edges()  # nonempty: the 1-skeleton is connected
     word = edge_word(cur, rng.choice(connectors))
     for i in range(steps - 1, -1, -1):
-        word = transport_inverse(word, chain[i], flips[i])
+        # chain[i + 1] is chain[i].flip(flips[i]) and word.base, so the
+        # check in transport_inverse would only repeat that flip
+        word = _rewrite_in_quad(word, chain[i], flips[i])
     return word
 
 

@@ -130,7 +130,19 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _seed_from_env():
+    """``ARCDIST_SEED`` as an int, or None when unset; read before any work."""
+    raw = os.environ.get("ARCDIST_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise PreconditionError(f"ARCDIST_SEED must be an integer, got {raw!r}") from None
+
+
 def _cmd_examples(args) -> int:
+    seed = _seed_from_env()
     records = load_bundled_examples()
     rows = run_examples(records)
     failed = 0
@@ -144,9 +156,8 @@ def _cmd_examples(args) -> int:
                 os.makedirs(args.emit, exist_ok=True)
                 serialize.write_doc(os.path.join(args.emit, f"{row['name']}.record.json"), rec.to_json_dict())
                 serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), row["report"])
-    seed = os.environ.get("ARCDIST_SEED")
     if seed is not None:
-        failed += _examples_spot_check(records, int(seed))
+        failed += _examples_spot_check(records, seed)
     return 0 if failed == 0 else EXIT_VERIFY_FAILED
 
 

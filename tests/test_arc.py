@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from arcdist import (
     build_standard_triangulation,
     random_flip_walk,
 )
+from arcdist import arc as arc_module
 from arcdist.arc import (
     ArcWord,
     edge_word,
@@ -23,7 +25,7 @@ from arcdist.arc import (
     transport_inverse,
 )
 from arcdist.overlay import intersection, self_intersection
-from arcdist.surface import edge_of
+from arcdist.surface import Triangulation, edge_of
 
 from conftest import seeded_arcs
 
@@ -78,6 +80,44 @@ def test_tighten_rejects_inconsistent_words(g1):
         tighten(g1, Corner(0, 1), (99,), Corner(0, 0))
     with pytest.raises(InconsistentWord):
         tighten(g1, Corner(0, 1), (-4, -4), Corner(0, 0))  # second crossing not in reached triangle
+
+
+def test_tighten_checks_each_word_once(g1, g2, monkeypatch):
+    arcs = seeded_arcs(g1, "check-once", 10) + seeded_arcs(g2, "check-once", 10)
+    check = arc_module._check_word
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(arc_module, "_check_word", counted)
+    for a in arcs:
+        assert tighten(a.base, a.start, a.crossings, a.end) == a
+    assert len(calls) == len(arcs)
+
+
+def test_tighten_keeps_its_refusals(g1, g2):
+    """The result skips the second consistency walk, not the reduction or
+    P1/P2 checks: a word from P2, a word to P1 and an inconsistent word are
+    still refused."""
+    refused = 0
+    for base in (g1, g2):
+        for a in seeded_arcs(base, f"refusals-{base.genus}", 20):
+            if not a.crossings:
+                continue
+            backwards = tuple(-c for c in reversed(a.crossings))
+            with pytest.raises(InconsistentWord, match="start corner .* is not at P1"):
+                tighten(base, a.end, backwards, a.start)
+            for pos in range(3):
+                end = Corner(a.end.tri, pos)
+                if base.vertex_of(end) == P1:
+                    with pytest.raises(InconsistentWord, match="end corner .* is not at P2"):
+                        tighten(base, a.start, a.crossings, end)
+                    refused += 1
+            with pytest.raises(InconsistentWord, match="crossing 1"):
+                tighten(base, a.start, a.crossings[:1] + a.crossings[:1], a.end)
+    assert refused > 10
 
 
 def test_arcword_constructor_enforces_reduction(g1):
@@ -247,6 +287,34 @@ def test_random_arc_deterministic_and_embedded(g1, g2):
             a = random_arc(base, seed, 2 + seed % 11)
             assert self_intersection(a) == 0
             assert tighten(base, a.start, a.crossings, a.end) == a
+
+
+def test_random_arc_output_is_pinned():
+    """Seeded arcs are data: certificates, corpora and benchmark digests are
+    built from them, so the walk and the pull-back must not change them."""
+    digest = hashlib.sha256()
+    for genus in (1, 2, 3, 4):
+        base = build_standard_triangulation(genus)
+        for seed in range(50):
+            for steps in (0, 1, 5, 20, 45, 80):
+                a = random_arc(base, seed, steps)
+                digest.update(repr((tuple(a.start), a.crossings, tuple(a.end))).encode())
+                digest.update(b";")
+    assert digest.hexdigest() == "d08367203774a27b2f65d71985aa57a4898661fe508982e33f5de4aca1a8cc40"
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 30])
+def test_random_arc_flips_once_per_step(g2, monkeypatch, steps):
+    flip = Triangulation.flip
+    calls = []
+
+    def counted(self, e):
+        calls.append(e)
+        return flip(self, e)
+
+    monkeypatch.setattr(Triangulation, "flip", counted)
+    random_arc(g2, 123, steps)
+    assert len(calls) == steps
 
 
 def test_random_arc_zero_steps_is_an_edge(g1):

@@ -12,7 +12,7 @@ import arcdist
 from arcdist import build_standard_triangulation, serialize
 from arcdist.arc import ArcWord, edge_word, random_arc
 from arcdist.cli import main
-from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples
+from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples, run_examples
 from arcdist.distance import ShadowPairInput, classify
 from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
@@ -206,6 +206,21 @@ def test_examples_seeded_spot_check(monkeypatch, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
     assert "stable under transport" in out
+
+
+def test_examples_rejects_a_bad_seed_before_running(monkeypatch, capsys):
+    calls = []
+
+    def counted(records):
+        calls.append(records)
+        return run_examples(records)
+
+    monkeypatch.setattr("arcdist.cli.run_examples", counted)
+    monkeypatch.setenv("ARCDIST_SEED", "x")
+    assert main(["examples"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and calls == []
+    assert "ARCDIST_SEED" in err and "'x'" in err
 
 
 def test_corpus_is_byte_stable():
