@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import BaseMismatch, InconsistentWord, PreconditionError
-from .surface import P1, P2, Corner, Triangulation, edge_of
+from .surface import P1, P2, Corner, Triangulation, edge_of, flip_walk
 
 
 @dataclass(frozen=True)
@@ -298,36 +297,20 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     Deterministic per (seed, steps); output is reduced and embedded by
     construction (it is a transported triangulation edge).
 
-    Each step flips once.  The walk picks among the flippable edges in
-    edge order, keeping one flag per edge and refreshing only the five
-    edges of each flipped quad.  The pull-back rewrites onto the tables
-    the walk built, so it makes no check flip; each rewrite's ``tighten``
-    still checks the word.
+    The walk is :func:`arcdist.surface.flip_walk`, one flip per step.  The
+    pull-back rewrites onto the tables the walk built, so it makes no check
+    flip; each rewrite's ``tighten`` still checks the word.
     """
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     rng = random.Random(seed)
-    chain = [base]
-    flips = []
-    cur = base
-    flippable = [cur.is_flippable(e) for e in range(cur.n_edges)]
-    for _ in range(steps):
-        e = rng.choice(list(compress(range(len(flippable)), flippable)))
-        flips.append(e)
-        cur = cur.flip(e)
-        chain.append(cur)
-        # an edge is unflippable when both its sides lie in one triangle,
-        # so only edges with a side in the quad's two triangles can change
-        for tri in (cur.side_corner(e + 1).tri, cur.side_corner(-(e + 1)).tri):
-            row = cur.triangles[tri]
-            for s in row:
-                flippable[edge_of(s)] = -s not in row
-    connectors = cur.connector_edges()  # nonempty: the 1-skeleton is connected
-    word = edge_word(cur, rng.choice(connectors))
+    tables, flips = flip_walk(base, rng, steps)
+    connectors = tables[-1].connector_edges()  # nonempty: the 1-skeleton is connected
+    word = edge_word(tables[-1], rng.choice(connectors))
     for i in range(steps - 1, -1, -1):
-        # chain[i + 1] is chain[i].flip(flips[i]) and word.base, so the
+        # tables[i + 1] is tables[i].flip(flips[i]) and word.base, so the
         # check in transport_inverse would only repeat that flip
-        word = _rewrite_in_quad(word, chain[i], flips[i])
+        word = _rewrite_in_quad(word, tables[i], flips[i])
     return word
 
 
@@ -393,12 +376,10 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
         base = word.base
         e = edge_of(word.crossings[0])
         if not base.is_flippable(e):
-            t = word.start.tri
-            others = [edge_of(base.side(Corner(t, k))) for k in range(3)]
-            flippable = [x for x in others if base.is_flippable(x)]
-            if not flippable:
+            sides = (edge_of(s) for s in base.triangles[word.start.tri])
+            e = next((x for x in sides if base.is_flippable(x)), None)
+            if e is None:
                 raise PreconditionError("straighten_to_edge: start triangle has no flippable side")
-            e = flippable[0]
         flips.append(e)
         word = transport(word, e)
         if len(word) < best:

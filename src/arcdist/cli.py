@@ -165,19 +165,18 @@ def _examples_spot_check(records, seed: int) -> int:
     """Seeded representation-independence probe over the bundled records."""
     import random
 
-    from .arc import transport
+    from .arc import _rewrite_in_quad
     from .distance import classify
+    from .surface import flip_walk
 
     rng = random.Random(seed)
     failures = 0
     for rec in records:
-        v = rec.shadows.v_side[0]
-        w = rec.shadows.w_side[0]
-        cv, cw = v, w
-        for _ in range(4):
-            choices = [e for e in range(cv.base.n_edges) if cv.base.is_flippable(e)]
-            e = rng.choice(choices)
-            cv, cw = transport(cv, e), transport(cw, e)
+        cv = rec.shadows.v_side[0]
+        cw = rec.shadows.w_side[0]
+        tables, flips = flip_walk(cv.base, rng, 4)
+        for table, e in zip(tables[1:], flips):
+            cv, cw = _rewrite_in_quad(cv, table, e), _rewrite_in_quad(cw, table, e)
         got = classify(cv, cw).verdict.to_json_dict()
         if got != rec.expected:
             print(f"FAIL  {rec.name}: verdict changed to {got} after transport (seed {seed})")

@@ -21,8 +21,8 @@ from .distance import ShadowPairInput, classify, pair_set_distance
 from .errors import VerificationError
 from .leveling import level_number_report
 from .realization import intersection
-from .serialize import load_shadow_pair
-from .surface import P1, P2, Corner, Triangulation, build_standard_triangulation, edge_of
+from .serialize import dumps, load_shadow_pair
+from .surface import P1, P2, Triangulation, build_standard_triangulation, edge_of
 
 
 def rim_pairing(v: ArcWord, w: ArcWord) -> tuple[int, ...]:
@@ -50,26 +50,13 @@ def rim_pairing(v: ArcWord, w: ArcWord) -> tuple[int, ...]:
     # close up around P2 (from v's end sector to w's end sector) and around
     # P1 (from w's start sector to v's start sector)
     for vertex, src, dst in ((P2, v.end, w.end), (P1, w.start, v.start)):
-        orbit = _orbit_from(base, src)
-        for corner in orbit:
+        for corner in base.corners_around(src):
             if corner == dst:
                 break
             add(base.side(corner), 1)
         else:
             raise VerificationError("corner rotation never reached the target sector")
     return tuple(counts)
-
-
-def _orbit_from(base, start):
-    out = [start]
-    c = start
-    while True:
-        s = base.side(c)
-        opp = base.side_corner(-s)
-        c = Corner(opp.tri, (opp.pos + 1) % 3)
-        if c == start:
-            return out
-        out.append(c)
 
 
 def torus_wrapping(v: ArcWord, w: ArcWord) -> tuple[int, int]:
@@ -213,7 +200,7 @@ def corpus_json_bytes(records=None) -> bytes:
         "format": "arcdist.example_corpus/1",
         "records": [r.to_json_dict() for r in records],
     }
-    return (json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return dumps(blob).encode()
 
 
 def load_bundled_examples() -> list[ExampleRecord]:

@@ -247,7 +247,7 @@ def common_neighbor_scan(v: ArcWord, w: ArcWord, max_len: int) -> ArcWord | None
     return None
 
 
-def pair_set_distance(shadow_input: ShadowPairInput, max_len: int | None = None, max_depth: int | None = None) -> DistanceCertificate:
+def pair_set_distance(shadow_input: ShadowPairInput) -> DistanceCertificate:
     """Minimum verdict over all shadow pairs from the two finite lists.
 
     The knot invariant minimizes over every shadow of each side, an
@@ -258,7 +258,7 @@ def pair_set_distance(shadow_input: ShadowPairInput, max_len: int | None = None,
     best = None
     for v in shadow_input.v_side:
         for w in shadow_input.w_side:
-            cert = classify(v, w, max_len=max_len, max_depth=max_depth)
+            cert = classify(v, w)
             t = cert.verdict.as_tuple()
             if best is None or (t[1], t[0]) < (best.verdict.as_tuple()[1], best.verdict.as_tuple()[0]):
                 best = cert

@@ -39,12 +39,12 @@ def write_doc(path, doc: dict):
 
 def load_doc(path) -> dict:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as ex:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as ex:
+        doc = json.loads(raw.decode("utf-8"))  # a JSON text is UTF-8 (RFC 8259, section 8.1)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as ex:
         raise MalformedJSON(f"{path}: {ex}") from ex
     if not isinstance(doc, dict) or "format" not in doc:
         raise SchemaError(f"{path}: not an arcdist document (missing format tag)")
@@ -52,7 +52,7 @@ def load_doc(path) -> dict:
 
 
 class MalformedJSON(ArcdistError):
-    """The file is not JSON at all (distinct from a schema violation)."""
+    """The file is not JSON, not UTF-8, or nested too deeply to parse (not a schema violation)."""
 
 
 # ----------------------------------------------------------------------

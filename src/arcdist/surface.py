@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InvalidTriangulation, UnflippableEdge
@@ -74,6 +76,7 @@ class Triangulation:
         self._canonical = None
         self._id = None
         self._hash = None
+        self._violations = []  # corners_around reads it while the analysis rotates around vertices
         self._violations = self._analyze(p1_corner)
 
     # ------------------------------------------------------------------
@@ -162,26 +165,12 @@ class Triangulation:
         return []
 
     def _corner_orbits(self):
-        """Partition corners into vertex classes by rotating around vertices.
-
-        From corner (t, k), crossing the outgoing side t[k] lands on the
-        corner at the same vertex in the neighbouring triangle: the head of
-        the glued side.
-        """
+        """Partition corners into vertex classes by rotating around vertices."""
         todo = {Corner(t, k) for t in range(len(self.triangles)) for k in range(3)}
         while todo:
-            start = min(todo)
-            orbit = []
-            c = start
-            while True:
-                orbit.append(c)
-                todo.discard(c)
-                s = self.triangles[c.tri][c.pos]
-                opp = self._side_of[-s]
-                c = Corner(opp.tri, (opp.pos + 1) % 3)
-                if c == start:
-                    break
-            yield tuple(orbit)
+            orbit = self.corners_around(min(todo))
+            todo.difference_update(orbit)
+            yield orbit
 
     # ------------------------------------------------------------------
     # queries
@@ -226,6 +215,23 @@ class Triangulation:
             return self._vertex_of_corner[i]
         self._require_valid()
         raise KeyError(Corner(tri, pos))
+
+    def corners_around(self, corner: Corner) -> list[Corner]:
+        """The corners at ``corner``'s vertex in rotation order, ``corner`` first.
+
+        From corner (t, k), crossing the outgoing side t[k] lands on the
+        corner at the same vertex in the neighbouring triangle: the head of
+        the glued side.
+        """
+        self._require_valid()
+        out = [corner]
+        c = corner
+        while True:
+            opp = self._side_of[-self.triangles[c.tri][c.pos]]
+            c = Corner(opp.tri, (opp.pos + 1) % 3)
+            if c == corner:
+                return out
+            out.append(c)
 
     def corners_at(self, vertex: int) -> list[Corner]:
         self._require_valid()
@@ -453,16 +459,34 @@ def build_standard_triangulation(g: int) -> Triangulation:
     return t
 
 
-def random_flip_walk(t: Triangulation, seed: int, steps: int) -> tuple[Triangulation, list[int]]:
-    """Apply ``steps`` seeded random flips; returns (result, flip sequence)."""
-    import random as _random
+def flip_walk(t: Triangulation, rng: random.Random, steps: int) -> tuple[list[Triangulation], list[int]]:
+    """``steps`` random flips drawn from ``rng``; returns (tables, flips).
 
-    rng = _random.Random(seed)
-    cur = t
-    seq = []
+    ``tables[0] is t`` and ``tables[i + 1]`` is ``tables[i].flip(flips[i])``.
+    Each step picks with ``rng.choice`` among the flippable edges in edge
+    order.  One flag per edge is kept in step, refreshed only on the two
+    rewritten triangles: an edge is unflippable when both its sides lie in
+    one triangle, so only edges with a side in the quad can change.
+    """
+    tables = [t]
+    flips = []
+    flippable = [t.is_flippable(e) for e in range(t.n_edges)]
     for _ in range(steps):
-        choices = [e for e in range(cur.n_edges) if cur.is_flippable(e)]
-        e = rng.choice(choices)
-        cur = cur.flip(e)
-        seq.append(e)
-    return cur, seq
+        e = rng.choice(list(compress(range(len(flippable)), flippable)))
+        flips.append(e)
+        t = t.flip(e)
+        tables.append(t)
+        for tri in (t.side_corner(e + 1).tri, t.side_corner(-(e + 1)).tri):
+            row = t.triangles[tri]
+            for s in row:
+                flippable[edge_of(s)] = -s not in row
+    return tables, flips
+
+
+def random_flip_walk(t: Triangulation, seed: int, steps: int) -> tuple[Triangulation, list[int]]:
+    """Apply ``steps`` seeded random flips; returns (result, flip sequence).
+
+    The walk is :func:`flip_walk` drawing from ``random.Random(seed)``.
+    """
+    tables, flips = flip_walk(t, random.Random(seed), steps)
+    return tables[-1], flips

@@ -25,7 +25,7 @@ from arcdist.arc import (
     transport_inverse,
 )
 from arcdist.overlay import intersection, self_intersection
-from arcdist.surface import Triangulation, edge_of
+from arcdist.surface import Triangulation, edge_of, flip_walk
 
 from conftest import seeded_arcs
 
@@ -223,15 +223,10 @@ def test_transport_round_trip_walks(g1, g2):
     done = 0
     for base in (g1, g2):
         for a in seeded_arcs(base, f"walks-{base.genus}", 100):
-            chain = [base]
+            chain, flips = flip_walk(base, rng, rng.randrange(5, 21))
             word = a
-            flips = []
-            for _ in range(rng.randrange(5, 21)):
-                choices = [e for e in range(word.base.n_edges) if word.base.is_flippable(e)]
-                e = rng.choice(choices)
-                flips.append(e)
+            for e in flips:
                 word = transport(word, e)
-                chain.append(word.base)
             for i in range(len(flips) - 1, -1, -1):
                 word = transport_inverse(word, chain[i], flips[i])
             assert word == a

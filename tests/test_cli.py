@@ -18,7 +18,7 @@ from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
 from arcdist.realization import Realization
 from arcdist.render import render_levels_svg
-from arcdist.surface import Corner
+from arcdist.surface import Corner, Triangulation
 from arcdist.surgery import path_between, surgery_step
 
 from conftest import inlined_schema, seeded_pairs, self_crossing_word
@@ -101,6 +101,25 @@ def test_exit_codes(tmp_path, workdir):
         doc["verdict"]["value"] = (doc["verdict"]["value"] + 1) % 3
     serialize.write_doc(cert, doc)
     assert main(["check-cert", str(cert)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 200_000 + b"]" * 200_000, b'{"a":' * 5_000 + b"1" + b"}" * 5_000, b"\xff\xfe{}", b'{"format": "caf\xe9"}'],
+    ids=["deep-array", "deep-object", "utf16-bom", "latin-1"],
+)
+@pytest.mark.parametrize("command", ["dist", "check-cert"])
+def test_input_that_is_not_utf8_or_nests_too_deeply_is_malformed_json(tmp_path, capsys, command, content):
+    """A JSON text is UTF-8 (RFC 8259, section 8.1), and nesting beyond the
+    parser's depth is not a verification failure: both exit 2 with one line."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    assert main([command, str(doc)]) == 2
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith(f"malformed JSON: {doc}: ")
+    assert main([command, str(tmp_path)]) == 3  # a path that cannot be read stays a schema violation
+    assert capsys.readouterr().err.startswith(f"schema violation: cannot read {tmp_path}: ")
 
 
 @pytest.mark.parametrize(
@@ -206,6 +225,23 @@ def test_examples_seeded_spot_check(monkeypatch, capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out
     assert "stable under transport" in out
+
+
+def test_examples_spot_check_flips_once_per_step(monkeypatch, capsys):
+    """Both arcs of a record are rewritten onto one walk's tables, so each of
+    the spot check's four steps per record makes one flip."""
+    flip = Triangulation.flip
+    calls = []
+
+    def counted(self, e):
+        calls.append(e)
+        return flip(self, e)
+
+    monkeypatch.setattr(Triangulation, "flip", counted)
+    monkeypatch.setenv("ARCDIST_SEED", "11")
+    assert main(["examples"]) == 0
+    assert "stable under transport" in capsys.readouterr().out
+    assert len(calls) == 4 * len(load_bundled_examples()) == 20
 
 
 def test_examples_rejects_a_bad_seed_before_running(monkeypatch, capsys):

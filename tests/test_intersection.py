@@ -18,7 +18,7 @@ from arcdist.overlay import (
 )
 from arcdist.arc import ArcWord
 from arcdist.realization import _Crossing, _Segment
-from arcdist.surface import Corner, edge_of
+from arcdist.surface import Corner, edge_of, flip_walk
 
 from conftest import seeded_pairs, self_crossing_word
 
@@ -136,9 +136,7 @@ def test_representation_independence(g1, g2):
         for v, w in seeded_pairs(base, f"repind-{base.genus}", 12):
             i0 = intersection(v, w)
             cv, cw = v, w
-            for _ in range(6):
-                choices = [e for e in range(cv.base.n_edges) if cv.base.is_flippable(e)]
-                e = rng.choice(choices)
+            for e in flip_walk(base, rng, 6)[1]:
                 cv, cw = transport(cv, e), transport(cw, e)
             assert intersection(cv, cw) == i0
 

@@ -14,6 +14,7 @@ from arcdist import (
     build_standard_triangulation,
     random_flip_walk,
 )
+from arcdist.surface import flip_walk
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -103,6 +104,33 @@ def test_random_walk_stays_valid(g2):
         cur = cur.flip(e)
         assert cur.validate() == []
     assert cur == end
+
+
+def test_random_flip_walk_output_is_pinned():
+    """Seeded walks are data, like seeded arcs: tests and the ``ARCDIST_SEED``
+    spot check draw their tables from them."""
+    digest = hashlib.sha256()
+    for genus in (1, 2, 3, 4):
+        base = build_standard_triangulation(genus)
+        for seed in range(20):
+            for steps in (0, 1, 7, 40):
+                end, flips = random_flip_walk(base, seed, steps)
+                digest.update(repr((flips, end.triangulation_id())).encode())
+                digest.update(b";")
+    assert digest.hexdigest() == "f382af82d79ba2a0923c9c7b640fda90ac21325ee6db442b5aa763a865e29dde"
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_flip_walk_keeps_every_table_and_draws_from_the_callers_rng(g):
+    base = build_standard_triangulation(g)
+    rng = random.Random(f"flip-walk-{g}")
+    tables, flips = flip_walk(base, rng, 60)
+    assert tables[0] is base and len(tables) == len(flips) + 1 == 61
+    again = random.Random(f"flip-walk-{g}")
+    for i, e in enumerate(flips):
+        assert e == again.choice(_flippable(tables[i]))
+        assert tables[i + 1] == tables[i].flip(e)
+    assert rng.random() == again.random()
 
 
 def test_flip_walk_reaches_nonisomorphic_tables(g1):
@@ -221,3 +249,21 @@ def test_lookups_on_an_invalid_table_raise_invalid_triangulation():
     for query in (lambda: reglued.side_corner(1), lambda: reglued.vertex_of((0, 0)), lambda: reglued.flip(1)):
         with pytest.raises(InvalidTriangulation):
             query()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_corners_around_rotates_one_vertex(g):
+    """Each corner's rotation starts at it, holds exactly the corners of its
+    marked point, and is the same cycle read from any of them."""
+    for t in (build_standard_triangulation(g), random_flip_walk(build_standard_triangulation(g), g, 25)[0]):
+        for tri in range(t.n_triangles):
+            for k in range(3):
+                corner = Corner(tri, k)
+                around = t.corners_around(corner)
+                assert around[0] == corner
+                assert sorted(around) == t.corners_at(t.vertex_of(corner))
+                for i, other in enumerate(around):
+                    assert t.corners_around(other) == around[i:] + around[:i]
+    reglued = Triangulation(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)])
+    with pytest.raises(InvalidTriangulation):
+        reglued.corners_around(Corner(0, 0))
