@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 
 from .errors import BaseMismatch, InconsistentWord, PreconditionError
 from .surface import P1, P2, Corner, Triangulation, edge_of, flip_walk
@@ -44,10 +45,11 @@ class ArcWord:
     end: Corner
 
     def __post_init__(self):
-        object.__setattr__(self, "start", Corner(*self.start))
-        object.__setattr__(self, "end", Corner(*self.end))
-        object.__setattr__(self, "crossings", tuple(int(c) for c in self.crossings))
-        _check_word(self.base, self.start, self.crossings, self.end)
+        crossings = tuple(_read_labels(self.crossings))
+        start, end = _check_word(self.base, self.start, crossings, self.end)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "end", end)
         self._check_reduced()
 
     @classmethod
@@ -61,7 +63,7 @@ class ArcWord:
         arc = object.__new__(cls)
         object.__setattr__(arc, "base", base)
         object.__setattr__(arc, "start", start)
-        object.__setattr__(arc, "crossings", tuple(int(c) for c in crossings))
+        object.__setattr__(arc, "crossings", tuple(crossings))
         object.__setattr__(arc, "end", end)
         arc._check_reduced()
         return arc
@@ -69,9 +71,11 @@ class ArcWord:
     def _check_reduced(self):
         if not _is_reduced(self.base, self.start, self.crossings, self.end):
             raise InconsistentWord("word is not reduced; use tighten() to canonicalize")
-        if self.base.vertex_of(self.start) != P1:
+        # start and end are corners of the table, checked by _check_word
+        vertex = self.base._vertex_of_corner
+        if vertex[3 * self.start.tri + self.start.pos] != P1:
             raise InconsistentWord(f"start corner {self.start} is not at P1")
-        if self.base.vertex_of(self.end) != P2:
+        if vertex[3 * self.end.tri + self.end.pos] != P2:
             raise InconsistentWord(f"end corner {self.end} is not at P2")
 
     def __len__(self):
@@ -96,33 +100,59 @@ class ArcWord:
                 f"arc references base {d.get('base_id')!r} but was loaded against {base.triangulation_id()!r}"
             )
         crossings = [c["side"] * (c["edge"] + 1) for c in d["crossings"]]
-        return cls(base, Corner(*d["start_corner"]), tuple(crossings), Corner(*d["end_corner"]))
+        return cls(base, d["start_corner"], tuple(crossings), d["end_corner"])
 
 
 # ----------------------------------------------------------------------
 # raw-word checking and tightening
 
 
-def _check_word(base: Triangulation, start: Corner, crossings, end: Corner):
-    """Local consistency: consecutive crossings share a triangle."""
+def _read_labels(crossings) -> list[int]:
+    """The crossing labels as ints; a label that is not an integer (a float,
+    a string) raises ``InconsistentWord`` naming its position."""
+    word = []
+    for c in crossings:
+        try:
+            word.append(index(c))
+        except TypeError:
+            raise InconsistentWord(f"crossing {len(word)}: bad label {c!r}") from None
+    return word
+
+
+def _table_corner(base: Triangulation, name: str, corner) -> Corner:
+    """``corner`` as ``base``'s own ``Corner``, after checking that it is a
+    pair of integers inside the table."""
+    try:
+        tri, pos = map(index, corner)
+    except (TypeError, ValueError):
+        raise InconsistentWord(f"{name} corner {corner!r} is not a pair of integers") from None
+    if not (0 <= tri < len(base.triangles) and 0 <= pos < 3):
+        raise InconsistentWord(f"{name} corner {Corner(tri, pos)} out of range")
+    return base._corners[3 * tri + pos]
+
+
+def _check_word(base: Triangulation, start, crossings, end) -> tuple[Corner, Corner]:
+    """Local consistency: consecutive crossings share a triangle.
+
+    ``crossings`` holds ints.  Returns the start and end corners as the
+    table's own ``Corner`` objects.
+    """
     base._require_valid()
-    if not (0 <= start.tri < base.n_triangles and 0 <= start.pos < 3):
-        raise InconsistentWord(f"start corner {start} out of range")
-    if not (0 <= end.tri < base.n_triangles and 0 <= end.pos < 3):
-        raise InconsistentWord(f"end corner {end} out of range")
-    n_edges = base.n_edges
+    start, end = _table_corner(base, "start", start), _table_corner(base, "end", end)
+    n_edges, side_of = base._n_labels, base._side_of
     tri = start.tri
     for i, c in enumerate(crossings):
-        if c == 0 or edge_of(c) >= n_edges:
+        if c == 0 or abs(c) > n_edges:
             raise InconsistentWord(f"crossing {i}: bad label {c}")
-        here = base.side_corner(c)
+        here = side_of[c]
         if here.tri != tri:
             raise InconsistentWord(f"crossing {i}: side {c} is in triangle {here.tri}, arc is in {tri}")
-        tri = base.side_corner(-c).tri
+        tri = side_of[-c].tri
     if tri != end.tri:
         raise InconsistentWord(f"end corner {end} is in triangle {end.tri}, arc ends in {tri}")
     if not crossings and start.pos == end.pos:
         raise InconsistentWord("zero-crossing word with equal corners")
+    return start, end
 
 
 def _is_reduced(base: Triangulation, start: Corner, crossings, end: Corner) -> bool:
@@ -130,9 +160,10 @@ def _is_reduced(base: Triangulation, start: Corner, crossings, end: Corner) -> b
         if crossings[i + 1] == -crossings[i]:
             return False
     if crossings:
-        if crossings[0] != base.side(Corner(start.tri, (start.pos + 1) % 3)):
+        triangles = base.triangles
+        if crossings[0] != triangles[start.tri][(start.pos + 1) % 3]:
             return False
-        if -crossings[-1] != base.side(Corner(end.tri, (end.pos + 1) % 3)):
+        if -crossings[-1] != triangles[end.tri][(end.pos + 1) % 3]:
             return False
     else:
         if end.pos != (start.pos + 1) % 3:
@@ -143,16 +174,17 @@ def _is_reduced(base: Triangulation, start: Corner, crossings, end: Corner) -> b
 def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWord:
     """Canonical reduced word of the isotopy class of a raw crossing word.
 
-    The input must be locally consistent; anything else raises
-    ``InconsistentWord``.  Idempotent on already-reduced words.
+    The input must be locally consistent, with integer labels and corner
+    fields; anything else raises ``InconsistentWord``.  Idempotent on
+    already-reduced words.
 
     ``_check_word`` runs once, on the raw word; the moves below keep a word
     consistent, so the result is built without walking it again.  The
     result's reduction and P1/P2 corner checks still run.
     """
-    start, end = Corner(*start), Corner(*end)
-    word = list(crossings)
-    _check_word(base, start, word, end)
+    word = _read_labels(crossings)
+    start, end = _check_word(base, start, word, end)
+    triangles, side_of, corners = base.triangles, base._side_of, base._corners
 
     changed = True
     while changed:
@@ -170,12 +202,11 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
         while word:
             first = word[0]
             t, p = start
-            if first == base.side(Corner(t, p)):
-                opp = base.side_corner(-first)
-                start = Corner(opp.tri, (opp.pos + 1) % 3)
-            elif first == base.side(Corner(t, (p + 2) % 3)):
-                opp = base.side_corner(-first)
-                start = Corner(opp.tri, opp.pos)
+            if first == triangles[t][p]:
+                opp = side_of[-first]
+                start = corners[3 * opp.tri + (opp.pos + 1) % 3]
+            elif first == triangles[t][(p + 2) % 3]:
+                start = side_of[-first]
             else:
                 break
             del word[0]
@@ -183,14 +214,13 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
         # corner bigon at the end: last crossing enters via a side touching P2
         while word:
             last = word[-1]
-            entered = base.side_corner(-last)
+            entered = side_of[-last]
             t, p = end
-            if entered == Corner(t, p):  # P2 is the tail of the entered side
-                back = base.side_corner(last)
-                end = Corner(back.tri, (back.pos + 1) % 3)
-            elif entered == Corner(t, (p + 2) % 3):  # P2 is its head
-                back = base.side_corner(last)
-                end = Corner(back.tri, back.pos)
+            if entered == end:  # P2 is the tail of the entered side
+                back = side_of[last]
+                end = corners[3 * back.tri + (back.pos + 1) % 3]
+            elif entered == corners[3 * t + (p + 2) % 3]:  # P2 is its head
+                end = side_of[last]
             else:
                 break
             del word[-1]
@@ -200,10 +230,8 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
         if end.pos == (start.pos + 2) % 3:
             # parallel to side base[end.tri][end.pos], traversed P2->P1 there;
             # rewrite in the partner triangle where it runs P1->P2
-            s = base.side(end)
-            opp = base.side_corner(-s)
-            start = Corner(opp.tri, opp.pos)
-            end = Corner(opp.tri, (opp.pos + 1) % 3)
+            start = side_of[-triangles[end.tri][end.pos]]
+            end = corners[3 * start.tri + (start.pos + 1) % 3]
         if start.pos == end.pos:
             raise InconsistentWord("word tightened to a loop at one marked point")
     return ArcWord._from_consistent(base, start, word, end)
@@ -246,34 +274,35 @@ def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
 
 def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
     """``arc`` over ``new``, which differs from its base only in ``e``'s quad."""
-    old = arc.base
-    quad = (old.side_corner(e + 1).tri, old.side_corner(-(e + 1)).tri)
+    old_rows, old_side_of = arc.base.triangles, arc.base._side_of
+    new_side_of, corners = new._side_of, new._corners
+    s = e + 1
+    quad = (old_side_of[s].tri, old_side_of[-s].tri)
+    plus_tri = new_side_of[s].tri  # the new diagonal's +side; its -side is in the other
 
     def corner(c: Corner) -> Corner:
         if c.tri not in quad:
             return c
-        outer = old.side(c)
-        if edge_of(outer) != e:
-            return new.side_corner(outer)
-        head = new.side_corner(old.side(Corner(c.tri, (c.pos + 2) % 3)))
-        return Corner(head.tri, (head.pos + 1) % 3)
-
-    def diagonal(tri: int) -> int:
-        return e + 1 if new.side_corner(e + 1).tri == tri else -(e + 1)
+        row = old_rows[c.tri]
+        outer = row[c.pos]
+        if outer != s and outer != -s:
+            return new_side_of[outer]
+        head = new_side_of[row[(c.pos + 2) % 3]]
+        return corners[3 * head.tri + (head.pos + 1) % 3]
 
     start, end = corner(arc.start), corner(arc.end)
     here = start.tri if start.tri in quad else None  # new triangle, while in the quad
     out = []
     for c in arc.crossings:
-        if edge_of(c) == e:
+        if c == s or c == -s:
             continue
-        if here is not None and new.side_corner(c).tri != here:
-            out.append(diagonal(here))
+        if here is not None and new_side_of[c].tri != here:
+            out.append(s if here == plus_tri else -s)
         out.append(c)
-        landing = new.side_corner(-c).tri
+        landing = new_side_of[-c].tri
         here = landing if landing in quad else None
     if here is not None and end.tri != here:
-        out.append(diagonal(here))
+        out.append(s if here == plus_tri else -s)
     return tighten(new, start, out, end)
 
 

@@ -59,6 +59,7 @@ class Triangulation:
         "triangles",
         "_p1_anchor",
         "_n_labels",
+        "_corners",
         "_side_of",
         "_vertex_of_corner",
         "_violations",
@@ -71,6 +72,7 @@ class Triangulation:
         self.genus = int(genus)
         self.triangles = tuple(tuple(int(s) for s in t) for t in triangles)
         self._n_labels = 0
+        self._corners = None
         self._side_of = None
         self._vertex_of_corner = None
         self._canonical = None
@@ -82,11 +84,17 @@ class Triangulation:
     # ------------------------------------------------------------------
     # construction-time analysis
     #
-    # A valid table keeps two flat lists.  ``_side_of[s]`` is the Corner
+    # A valid table keeps one tuple and two flat lists.
+    # ``_corners[3*tri + pos]`` is Corner(tri, pos), built once by the
+    # constructor: every Corner the table hands out is one of these, and a
+    # flip passes the same tuple on, so all tables of a flip walk share one
+    # set of Corners and a flip builds none.  ``_side_of[s]`` is the Corner
     # holding signed label s; the list has 2E+1 slots, so Python's negative
     # indexing places -s at slot 2E+1-s, and slot 0 is unused.
     # ``_vertex_of_corner[3*tri + pos]`` is P1 or P2.  The queries check the
-    # range themselves, because a bare list index would wrap silently.
+    # range themselves, because a bare list index would wrap silently; the
+    # arc layer reads the three directly in its inner loops, after checking
+    # its own labels and corners.
 
     def _analyze(self, p1_corner):
         violations = []
@@ -112,10 +120,11 @@ class Triangulation:
             self._p1_anchor = None
             return violations
 
+        f = len(self.triangles)
+        corners = self._corners = tuple(Corner(t, k) for t in range(f) for k in range(3))
         self._side_of = [None] * (2 * n_edges + 1)
-        for ti, t in enumerate(self.triangles):
-            for k, s in enumerate(t):
-                self._side_of[s] = Corner(ti, k)
+        for i, s in enumerate(labels):
+            self._side_of[s] = corners[i]
 
         # Connectivity of the glued surface via triangle adjacency.
         if self.triangles:
@@ -134,7 +143,6 @@ class Triangulation:
         classes = list(self._corner_orbits())
         if len(classes) != 2:
             violations.append(f"vertex count: corner tracing yields {len(classes)} classes (expected 2)")
-        f = len(self.triangles)
         e = n_edges
         v = len(classes)
         if v - e + f != 2 - 2 * self.genus:
@@ -160,13 +168,13 @@ class Triangulation:
         if vertex[3 * p1_corner.tri + p1_corner.pos] != P1:
             vertex = [1 - x for x in vertex]
         self._vertex_of_corner = vertex
-        self._p1_anchor = Corner(*divmod(vertex.index(P1), 3))
+        self._p1_anchor = corners[vertex.index(P1)]
         self._n_labels = n_edges  # the lookups answer from here on
         return []
 
     def _corner_orbits(self):
         """Partition corners into vertex classes by rotating around vertices."""
-        todo = {Corner(t, k) for t in range(len(self.triangles)) for k in range(3)}
+        todo = set(self._corners)
         while todo:
             orbit = self.corners_around(min(todo))
             todo.difference_update(orbit)
@@ -224,18 +232,19 @@ class Triangulation:
         the glued side.
         """
         self._require_valid()
+        triangles, side_of, corners = self.triangles, self._side_of, self._corners
         out = [corner]
         c = corner
         while True:
-            opp = self._side_of[-self.triangles[c.tri][c.pos]]
-            c = Corner(opp.tri, (opp.pos + 1) % 3)
+            opp = side_of[-triangles[c.tri][c.pos]]
+            c = corners[3 * opp.tri + (opp.pos + 1) % 3]
             if c == corner:
                 return out
             out.append(c)
 
     def corners_at(self, vertex: int) -> list[Corner]:
         self._require_valid()
-        return [Corner(*divmod(i, 3)) for i, x in enumerate(self._vertex_of_corner) if x == vertex]
+        return [c for c, x in zip(self._corners, self._vertex_of_corner) if x == vertex]
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         """(tail vertex, head vertex) of the positive side of edge ``e``."""
@@ -244,7 +253,13 @@ class Triangulation:
 
     def connector_edges(self) -> list[int]:
         """Edges joining P1 to P2, in increasing order."""
-        return [e for e in range(self.n_edges) if self.edge_endpoints(e)[0] != self.edge_endpoints(e)[1]]
+        self._require_valid()
+        vertex = self._vertex_of_corner
+        out = []
+        for e, (tri, pos) in enumerate(self._side_of[1 : self._n_labels + 1]):
+            if vertex[3 * tri + pos] != vertex[3 * tri + (pos + 1) % 3]:
+                out.append(e)
+        return out
 
     def is_flippable(self, e: int) -> bool:
         return self.side_corner(e + 1).tri != self.side_corner(-(e + 1)).tri
@@ -282,10 +297,11 @@ class Triangulation:
         table it came from rather than flipping twice.
 
         Only the two triangles of the quad change.  The new table shares
-        every other triangle and ``Corner`` with this one and rewrites the
-        six side and corner entries of the quad; its P1/P2 labels are read
-        off the quad's corners, each rewritten side's tail checked against
-        the head of its glued partner, and both labels must remain.
+        every other triangle and the ``Corner`` tuple with this one, builds
+        no ``Corner``, and rewrites the six side and corner entries of the
+        quad; its P1/P2 labels are read off the quad's corners, each
+        rewritten side's tail checked against the head of its glued
+        partner, and both labels must remain.
         """
         self._require_valid()
         s = e + 1
@@ -304,15 +320,16 @@ class Triangulation:
         tris = list(self.triangles)
         tris[t1] = (s, side_b, side_c)
         tris[t2] = (-s, side_d, side_a)
+        corners = self._corners
         side_of = self._side_of.copy()
-        side_of[s], side_of[side_b], side_of[side_c] = Corner(t1, 0), Corner(t1, 1), Corner(t1, 2)
-        side_of[-s], side_of[side_d], side_of[side_a] = Corner(t2, 0), Corner(t2, 1), Corner(t2, 2)
+        side_of[s], side_of[side_b], side_of[side_c] = corners[3 * t1 : 3 * t1 + 3]
+        side_of[-s], side_of[side_d], side_of[side_a] = corners[3 * t2 : 3 * t2 + 3]
         vertex = vertex.copy()
         vertex[3 * t1 : 3 * t1 + 3] = (w, z, x)
         vertex[3 * t2 : 3 * t2 + 3] = (z, w, y)
         for label, tail in ((s, w), (side_b, z), (side_c, x), (-s, z), (side_d, w), (side_a, y)):
-            partner = side_of[-label]
-            if vertex[3 * partner.tri + (partner.pos + 1) % 3] != tail:
+            tri, pos = side_of[-label]
+            if vertex[3 * tri + (pos + 1) % 3] != tail:
                 raise InvalidTriangulation("vertex transport: inconsistent votes")
         if P1 not in vertex or P2 not in vertex:
             raise InvalidTriangulation("vertex transport: votes do not cover both marked points")
@@ -321,9 +338,10 @@ class Triangulation:
         flipped.genus = self.genus
         flipped.triangles = tuple(tris)
         flipped._n_labels = self._n_labels
+        flipped._corners = corners
         flipped._side_of = side_of
         flipped._vertex_of_corner = vertex
-        flipped._p1_anchor = Corner(*divmod(vertex.index(P1), 3))
+        flipped._p1_anchor = corners[vertex.index(P1)]
         flipped._violations = []
         flipped._hash = flipped._canonical = flipped._id = None
         return flipped
@@ -476,10 +494,10 @@ def flip_walk(t: Triangulation, rng: random.Random, steps: int) -> tuple[list[Tr
         flips.append(e)
         t = t.flip(e)
         tables.append(t)
-        for tri in (t.side_corner(e + 1).tri, t.side_corner(-(e + 1)).tri):
-            row = t.triangles[tri]
+        for c in (t._side_of[e + 1], t._side_of[-(e + 1)]):
+            row = t.triangles[c.tri]
             for s in row:
-                flippable[edge_of(s)] = -s not in row
+                flippable[abs(s) - 1] = -s not in row
     return tables, flips
 
 

@@ -21,6 +21,20 @@ def g2():
     return build_standard_triangulation(2)
 
 
+@pytest.fixture
+def built_corners(monkeypatch):
+    """The arguments of every ``Corner`` built while the test runs."""
+    new = Corner.__new__
+    built = []
+
+    def counted(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Corner, "__new__", counted)
+    return built
+
+
 def self_crossing_word(g1):
     """A genus-1 word with one self-crossing: a reduced word, but no vertex
     of the arc complex."""

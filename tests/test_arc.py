@@ -82,6 +82,31 @@ def test_tighten_rejects_inconsistent_words(g1):
         tighten(g1, Corner(0, 1), (-4, -4), Corner(0, 0))  # second crossing not in reached triangle
 
 
+def test_non_integer_labels_and_corners_are_inconsistent_words(g1):
+    """A float label is not truncated and a float corner field is not an
+    index: both refuse with ``InconsistentWord`` naming the place, from the
+    constructor and from tighten.  Booleans are integers and pass."""
+    a = next(x for x in seeded_arcs(g1, "labels", 20) if len(x) >= 3)
+    start, word, end = tuple(a.start), list(a.crossings), tuple(a.end)
+    for build in (ArcWord, tighten):
+        for i in (0, len(word) - 1):
+            bad = word.copy()
+            bad[i] += 0.4 if bad[i] > 0 else -0.4
+            with pytest.raises(InconsistentWord, match=f"crossing {i}: bad label"):
+                build(g1, start, bad, end)
+            bad[i] = str(word[i])
+            with pytest.raises(InconsistentWord, match=f"crossing {i}: bad label"):
+                build(g1, start, bad, end)
+        for corner in ((float(start[0]), start[1]), (start[0],), (start[0], start[1], 0), None):
+            with pytest.raises(InconsistentWord, match="start corner"):
+                build(g1, corner, word, end)
+        with pytest.raises(InconsistentWord, match="end corner"):
+            build(g1, start, word, (end[0], float(end[1])))
+    flags = tuple(bool(x) if x in (0, 1) else x for x in start + end)
+    assert any(type(x) is bool for x in flags)
+    assert ArcWord(g1, flags[:2], word, flags[2:]) == a == tighten(g1, flags[:2], word, flags[2:])
+
+
 def test_tighten_checks_each_word_once(g1, g2, monkeypatch):
     arcs = seeded_arcs(g1, "check-once", 10) + seeded_arcs(g2, "check-once", 10)
     check = arc_module._check_word
@@ -310,6 +335,21 @@ def test_random_arc_flips_once_per_step(g2, monkeypatch, steps):
     monkeypatch.setattr(Triangulation, "flip", counted)
     random_arc(g2, 123, steps)
     assert len(calls) == steps
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_random_arc_builds_no_corner_per_step(genus, built_corners):
+    """The walk's flips and the pull-back's rewrites and tightens take their
+    corners from the tables' shared tuple, so a long walk builds no more
+    ``Corner`` objects than a short one."""
+    base = build_standard_triangulation(genus)
+    counts = {}
+    for seed in range(5):
+        for steps in (5, 80):
+            built_corners.clear()
+            random_arc(base, seed, steps)
+            counts[seed, steps] = len(built_corners)
+    assert all(counts[seed, 5] == counts[seed, 80] for seed in range(5)), counts
 
 
 def test_random_arc_zero_steps_is_an_edge(g1):

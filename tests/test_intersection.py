@@ -20,7 +20,7 @@ from arcdist.arc import ArcWord
 from arcdist.realization import _Crossing, _Segment
 from arcdist.surface import Corner, edge_of, flip_walk
 
-from conftest import seeded_pairs, self_crossing_word
+from conftest import seeded_arcs, seeded_pairs, self_crossing_word
 
 
 def _interleaved(s1: _Segment, s2: _Segment) -> bool:
@@ -465,6 +465,33 @@ def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words
         assert real.count() == 2 * self_intersection(a) > 0
         assert list(map(tuple, real.crossings)) == _reference_crossings(real)
         assert real.partners == _partners_from(real)
+
+
+class _Level(bytes):
+    """A turn string whose every suffix and mirror image reads the same, so
+    any two rays compare as running parallel to the end."""
+
+    def __getitem__(self, _):
+        return self
+
+    def translate(self, *_):
+        return self
+
+    def __add__(self, _):
+        return self
+
+
+def test_strand_order_refuses_distinct_strands_that_compare_fully_parallel(g1, monkeypatch):
+    """Only a word paired with itself may have two strands that run parallel
+    on both sides to the end, and then only the same crossing of each copy;
+    any other such pair means the turn strings are wrong."""
+    once = next(a for a in enumerate_arcs(g1, 2) if len(a) == 2)  # crosses two distinct edges
+    twice = next(a for a in seeded_arcs(g1, "parallel", 40) if len({edge_of(c) for c in a.crossings}) < len(a))
+    monkeypatch.setattr(realization, "_turns", lambda corners: _Level(b"\x01"))
+    assert Realization(once, once).count() == 0  # only copies of one crossing meet: legal
+    for v, w in ((twice, twice), (once, twice), (twice, once)):
+        with pytest.raises(VerificationError, match="distinct strands compared as fully parallel"):
+            Realization(v, w)
 
 
 class _BothSides(int):

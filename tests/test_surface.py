@@ -126,11 +126,24 @@ def test_flip_walk_keeps_every_table_and_draws_from_the_callers_rng(g):
     rng = random.Random(f"flip-walk-{g}")
     tables, flips = flip_walk(base, rng, 60)
     assert tables[0] is base and len(tables) == len(flips) + 1 == 61
+    assert all(t._corners is base._corners for t in tables)
     again = random.Random(f"flip-walk-{g}")
     for i, e in enumerate(flips):
         assert e == again.choice(_flippable(tables[i]))
         assert tables[i + 1] == tables[i].flip(e)
     assert rng.random() == again.random()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_flip_builds_no_corner(g, built_corners):
+    """A flip fills the quad's side entries and its P1 anchor from the
+    table's shared Corner tuple."""
+    cur = random_flip_walk(build_standard_triangulation(g), g, 10)[0]
+    built_corners.clear()
+    rng = random.Random(f"no-corner-{g}")
+    for _ in range(200):
+        cur = cur.flip(rng.choice(_flippable(cur)))
+    assert built_corners == []
 
 
 def test_flip_walk_reaches_nonisomorphic_tables(g1):
