@@ -45,10 +45,9 @@ class ArcWord:
     end: Corner
 
     def __post_init__(self):
-        crossings = tuple(_read_labels(self.crossings))
-        start, end = _check_word(self.base, self.start, crossings, self.end)
+        start, crossings, end = _check_word(self.base, self.start, self.crossings, self.end)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "crossings", tuple(crossings))
         object.__setattr__(self, "end", end)
         self._check_reduced()
 
@@ -107,18 +106,6 @@ class ArcWord:
 # raw-word checking and tightening
 
 
-def _read_labels(crossings) -> list[int]:
-    """The crossing labels as ints; a label that is not an integer (a float,
-    a string) raises ``InconsistentWord`` naming its position."""
-    word = []
-    for c in crossings:
-        try:
-            word.append(index(c))
-        except TypeError:
-            raise InconsistentWord(f"crossing {len(word)}: bad label {c!r}") from None
-    return word
-
-
 def _table_corner(base: Triangulation, name: str, corner) -> Corner:
     """``corner`` as ``base``'s own ``Corner``, after checking that it is a
     pair of integers inside the table."""
@@ -131,28 +118,37 @@ def _table_corner(base: Triangulation, name: str, corner) -> Corner:
     return base._corners[3 * tri + pos]
 
 
-def _check_word(base: Triangulation, start, crossings, end) -> tuple[Corner, Corner]:
-    """Local consistency: consecutive crossings share a triangle.
+def _check_word(base: Triangulation, start, crossings, end) -> tuple[Corner, list[int], Corner]:
+    """Local consistency: integer labels, and consecutive crossings share a
+    triangle.
 
-    ``crossings`` holds ints.  Returns the start and end corners as the
-    table's own ``Corner`` objects.
+    After the corner checks, one walk reads each label as an int (a float
+    or a string raises ``InconsistentWord`` naming its position), checks
+    its range and chains it.  Returns the start corner, the labels as a new
+    list and the end corner, the corners as the table's own objects.
     """
     base._require_valid()
     start, end = _table_corner(base, "start", start), _table_corner(base, "end", end)
     n_edges, side_of = base._n_labels, base._side_of
     tri = start.tri
+    word = []
     for i, c in enumerate(crossings):
+        try:
+            c = index(c)
+        except TypeError:
+            raise InconsistentWord(f"crossing {i}: bad label {c!r}") from None
         if c == 0 or abs(c) > n_edges:
             raise InconsistentWord(f"crossing {i}: bad label {c}")
         here = side_of[c]
         if here.tri != tri:
             raise InconsistentWord(f"crossing {i}: side {c} is in triangle {here.tri}, arc is in {tri}")
         tri = side_of[-c].tri
+        word.append(c)
     if tri != end.tri:
         raise InconsistentWord(f"end corner {end} is in triangle {end.tri}, arc ends in {tri}")
-    if not crossings and start.pos == end.pos:
+    if not word and start.pos == end.pos:
         raise InconsistentWord("zero-crossing word with equal corners")
-    return start, end
+    return start, word, end
 
 
 def _is_reduced(base: Triangulation, start: Corner, crossings, end: Corner) -> bool:
@@ -182,8 +178,7 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
     consistent, so the result is built without walking it again.  The
     result's reduction and P1/P2 corner checks still run.
     """
-    word = _read_labels(crossings)
-    start, end = _check_word(base, start, word, end)
+    start, word, end = _check_word(base, start, crossings, end)
     triangles, side_of, corners = base.triangles, base._side_of, base._corners
 
     changed = True
@@ -330,6 +325,10 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     pull-back rewrites onto the tables the walk built, so it makes no check
     flip; each rewrite's ``tighten`` still checks the word.
     """
+    try:
+        steps = index(steps)
+    except TypeError:
+        raise PreconditionError(f"steps {steps!r} is not an integer") from None
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     rng = random.Random(seed)

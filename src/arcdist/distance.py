@@ -144,8 +144,6 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
     """
     if (max_len is None) != (max_depth is None):
         raise PreconditionError("search bounds: give both max_len and max_depth, or neither")
-    if v.base != w.base:
-        raise BaseMismatch("arcs live over different triangulations")
     if v == w:
         return DistanceCertificate(v, w, Verdict("exact", value=0))
     real = Realization(v, w)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arc import ArcWord
-from .errors import BaseMismatch, InvalidSequence, PreconditionError, VerificationError
+from .errors import InvalidSequence, PreconditionError, VerificationError
 from .realization import intersection
 from .surface import Triangulation
 
@@ -251,8 +251,6 @@ def proposition_bound(v: ArcWord, w: ArcWord) -> int:
     leveling obtained from the surgery path uses at most n - 1 = i + 1
     levels; path construction never exceeds this.
     """
-    if v.base != w.base:
-        raise BaseMismatch("arcs live over different triangulations")
     return intersection(v, w) + 1
 
 

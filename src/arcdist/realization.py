@@ -13,18 +13,21 @@ Followed from a crossing into the triangle on either side of its edge, a
 strand makes a sequence of turns (leave by the side nearer the tail of the
 entry side, or nearer its head) and finally ends at the far corner.  The
 turn at a crossing depends only on the word, so each word is read once
-into a forward and a backward turn string, both ending in a terminator,
-and every strand's ray on each side of its edge is a suffix of one of
-them.  Two strands are ordered by comparing those suffixes: the first
-differing turn is where they part ways.  When the two sides of the edge
-disagree, the strands cross once in their shared stretch, and the side
-with the shorter common prefix (the nearer divergence) decides.  That
-order gives each strand its slot on both sides of its edge.  In-triangle
-chords then cross exactly when their boundary endpoints interleave, and
-the total count is the geometric intersection number of the two isotopy
-classes: one interval test per pair of segments in a triangle.  Sorting
-the chord ends found inside each segment ranks its crossings and lists
-its partners, which the overlay, surgery and figures read as they are.
+into its corners (where each crossing leaves and enters a triangle) and
+its forward turn string, and that read checks the chain of triangles.
+Reversed and mirrored, the forward string gives the backward one; both
+end in a terminator, and every strand's ray on each side of its edge is
+a suffix of one of them.  Two strands are ordered by comparing those
+suffixes: the first differing turn is where they part ways.  When the two
+sides of the edge disagree, the strands cross once in their shared
+stretch, and the side with the shorter common prefix (the nearer
+divergence) decides.  That order gives each strand its slot on both sides
+of its edge.  In-triangle chords then cross exactly when their boundary
+endpoints interleave, and the total count is the geometric intersection
+number of the two isotopy classes: one interval test per pair of segments
+in a triangle.  Sorting the chord ends found inside each segment ranks
+its crossings and lists its partners, which the overlay, surgery and
+figures read as they are.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
 from .surface import Corner, edge_of
-from .arc import ArcWord
+from .arc import ArcWord, straighten_to_edge, transport
 
 
 # ----------------------------------------------------------------------
@@ -50,29 +53,33 @@ _END = 1  # turn code of a ray that ends at the far corner of its triangle
 _MIRROR = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # a turn walked backward
 
 
-def _word_corners(base, word: ArcWord) -> list[tuple[Corner, Corner]]:
-    """Per crossing c: the corner of side c (the triangle the arc leaves)
-    and of side -c (the triangle it enters)."""
-    return [(base.side_corner(c), base.side_corner(-c)) for c in word.crossings]
-
-
-def _turns(corners) -> bytes:
-    """Forward turn string of a word: the code of each turn, then ``_END``.
+def _read_word(word: ArcWord) -> tuple[list[Corner], list[Corner], bytes]:
+    """Per crossing c, the corner of side c (the triangle the arc leaves)
+    and of side -c (the triangle it enters); and the forward turn string,
+    the code of each turn, then ``_END``.  The chain of triangles from the
+    start corner to the end corner is checked here, once.
 
     After entering a triangle through side k, the arc leaves through side
     k+2, hugging the tail of side k (code 0), or side k+1, hugging its head
     (code 2).  The ray's end at the far corner sorts between them (code 1).
     """
+    side_corner = word.base.side_corner
+    leaving = [side_corner(c) for c in word.crossings]
+    entering = [side_corner(-c) for c in word.crossings]
     codes = bytearray()
-    for (_, entered), (leaving, _) in zip(corners, corners[1:]):
-        if leaving.tri != entered.tri:
+    for entered, exited in zip(entering, leaving[1:]):
+        if exited.tri != entered.tri:
             raise InconsistentWord("ray left its triangle")
-        rel = (leaving.pos - entered.pos) % 3
+        rel = (exited.pos - entered.pos) % 3
         if rel == 0:
             raise InconsistentWord("ray backtracked; word was not reduced")
         codes.append(0 if rel == 2 else 2)
     codes.append(_END)
-    return bytes(codes)
+    first = leaving[0].tri if leaving else word.end.tri
+    last = entering[-1].tri if entering else word.start.tri
+    if first != word.start.tri or last != word.end.tri:
+        raise InconsistentWord("segment chain broke")
+    return leaving, entering, bytes(codes)
 
 
 def _lcp(a: bytes, b: bytes) -> int:
@@ -90,7 +97,7 @@ class _Strand(NamedTuple):
     value: int  # signed crossing label
 
 
-def _order_edges(arcs, corners) -> dict[int, list[_Strand]]:
+def _order_edges(arcs, reads) -> dict[int, list[_Strand]]:
     """Linear order of both arcs' strands along each edge (+side tail->head).
 
     The ray of a strand on either side of its edge walks the rest of the
@@ -104,8 +111,7 @@ def _order_edges(arcs, corners) -> dict[int, list[_Strand]]:
     side that parts sooner decides.
     """
     per_edge: dict[int, list] = {}
-    for owner, word in enumerate(arcs):
-        fwd = _turns(corners[owner])
+    for owner, (word, (_, _, fwd)) in enumerate(zip(arcs, reads)):
         bwd = fwd[-2::-1].translate(_MIRROR) + fwd[-1:]
         n = len(word.crossings)
         for i, c in enumerate(word.crossings):
@@ -176,29 +182,14 @@ class _Segment(NamedTuple):
     b: tuple
 
 
-def _segments_of(word: ArcWord, owner: int, corners, slots) -> list[_Segment]:
+def _segments_of(word: ArcWord, owner: int, read, slots) -> list[_Segment]:
+    """Segment j runs from the corner crossing j-1 enters by (or the start)
+    to the corner crossing j leaves by (or the end); ``read`` checked that
+    both lie in one triangle."""
+    leaving, entering, _ = read
     leave, enter = slots
-    n = len(word.crossings)
-    segs = []
-    for j in range(n + 1):
-        if j == 0:
-            tri = word.start.tri
-            a = (word.start.pos, -1)
-        else:
-            entered = corners[j - 1][1]
-            tri = entered.tri
-            a = (entered.pos, enter[j - 1])
-        if j == n:
-            if word.end.tri != tri:
-                raise InconsistentWord("segment chain broke")
-            b = (word.end.pos, -1)
-        else:
-            leaving = corners[j][0]
-            if leaving.tri != tri:
-                raise InconsistentWord("segment chain broke")
-            b = (leaving.pos, leave[j])
-        segs.append(_Segment(owner, j, tri, a, b))
-    return segs
+    ends = zip([word.start, *entering], [-1, *enter], [*leaving, word.end], [*leave, -1])
+    return [_Segment(owner, j, a.tri, (a.pos, ra), (b.pos, rb)) for j, (a, ra, b, rb) in enumerate(ends)]
 
 
 def _by_triangle(segs) -> dict[int, list]:
@@ -239,12 +230,10 @@ class Realization:
         self.base = v.base
         self.v, self.w = v, w
         self.arcs = (v, w)
-        corners = tuple(_word_corners(self.base, word) for word in self.arcs)
-        self.edge_order = _order_edges(self.arcs, corners)
+        reads = tuple(map(_read_word, self.arcs))
+        self.edge_order = _order_edges(self.arcs, reads)
         self.slots = _strand_slots(self.edge_order, self.arcs)
-        self.segments = tuple(
-            _segments_of(word, o, corners[o], self.slots[o]) for o, word in enumerate(self.arcs)
-        )
+        self.segments = tuple(map(_segments_of, self.arcs, (0, 1), reads, self.slots))
         self.crossings, self.partners = self._find_crossings()
 
     def _find_crossings(self):
@@ -298,8 +287,6 @@ class Realization:
 
 def intersection(v: ArcWord, w: ArcWord) -> int:
     """Minimal number of interior transverse crossings of the two classes."""
-    if v.base != w.base:
-        raise BaseMismatch("arcs live over different triangulations")
     if v == w:
         return 0
     return Realization(v, w).count()
@@ -307,10 +294,10 @@ def intersection(v: ArcWord, w: ArcWord) -> int:
 
 def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
-    corners = _word_corners(word.base, word)
-    [slots] = _strand_slots(_order_edges((word,), (corners,)), (word,))
+    read = _read_word(word)
+    [slots] = _strand_slots(_order_edges((word,), (read,)), (word,))
     total = 0
-    for group in _by_triangle(_segments_of(word, 0, corners, slots)).values():
+    for group in _by_triangle(_segments_of(word, 0, read, slots)).values():
         for i, (_, lo, hi) in enumerate(group):
             for _, wlo, whi in group[i + 1 :]:
                 if lo < wlo < hi < whi or wlo < lo < whi < hi:
@@ -324,8 +311,6 @@ def intersection_via_flips(v: ArcWord, w: ArcWord) -> int:
     Transports both words along the same flip sequence; the taut image of
     ``w`` crosses the straightened edge once per essential intersection.
     """
-    from .arc import straighten_to_edge, transport
-
     if v.base != w.base:
         raise BaseMismatch("arcs live over different triangulations")
     flips, e = straighten_to_edge(v)

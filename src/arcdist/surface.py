@@ -25,9 +25,10 @@ import hashlib
 import json
 import random
 from itertools import compress
+from operator import index
 from typing import NamedTuple
 
-from .errors import InvalidTriangulation, UnflippableEdge
+from .errors import InvalidTriangulation, PreconditionError, UnflippableEdge
 
 P1 = 0
 P2 = 1
@@ -157,7 +158,11 @@ class Triangulation:
         if p1_corner is None:
             p1_corner = Corner(0, 0)
         else:
-            p1_corner = Corner(*p1_corner)
+            try:
+                p1_corner = Corner(*map(index, p1_corner))
+            except TypeError:
+                self._p1_anchor = None
+                return [f"p1 corner: {p1_corner!r} is not a pair of integers"]
         if not (0 <= p1_corner.tri < f and 0 <= p1_corner.pos < 3):
             self._p1_anchor = None
             return [f"p1 corner: {p1_corner} is not a corner of the table"]
@@ -207,6 +212,20 @@ class Triangulation:
         """Signed label of side ``corner.pos`` of triangle ``corner.tri``."""
         return self.triangles[corner.tri][corner.pos]
 
+    def _edge(self, e) -> int:
+        """``e`` as an edge index of this table, or ``PreconditionError``.
+
+        A bare index would wrap: ``-(e+1)`` is a signed label too.
+        """
+        try:
+            e = index(e)
+        except TypeError:
+            raise PreconditionError(f"edge {e!r} is not an integer") from None
+        if not 0 <= e < self._n_labels:
+            self._require_valid()
+            raise PreconditionError(f"edge {e} is not in 0..{self._n_labels - 1}")
+        return e
+
     def side_corner(self, label: int) -> Corner:
         """The (triangle, position) holding a signed label."""
         n = self._n_labels  # 0 on an invalid table
@@ -248,7 +267,7 @@ class Triangulation:
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         """(tail vertex, head vertex) of the positive side of edge ``e``."""
-        c = self.side_corner(e + 1)
+        c = self._side_of[self._edge(e) + 1]
         return self.vertex_of(c), self.vertex_of(Corner(c.tri, (c.pos + 1) % 3))
 
     def connector_edges(self) -> list[int]:
@@ -262,7 +281,8 @@ class Triangulation:
         return out
 
     def is_flippable(self, e: int) -> bool:
-        return self.side_corner(e + 1).tri != self.side_corner(-(e + 1)).tri
+        s = self._edge(e) + 1
+        return self._side_of[s].tri != self._side_of[-s].tri
 
     # ------------------------------------------------------------------
     # the flip
@@ -296,6 +316,10 @@ class Triangulation:
         :func:`arcdist.arc.transport_inverse` rewrites an arc onto the
         table it came from rather than flipping twice.
 
+        ``e`` must be an edge index, ``0 <= e < n_edges``; anything else
+        raises ``PreconditionError``.  Booleans pass as 0 and 1, as they do
+        for crossing labels.
+
         Only the two triangles of the quad change.  The new table shares
         every other triangle and the ``Corner`` tuple with this one, builds
         no ``Corner``, and rewrites the six side and corner entries of the
@@ -303,9 +327,9 @@ class Triangulation:
         rewritten side's tail checked against the head of its glued
         partner, and both labels must remain.
         """
-        self._require_valid()
+        e = self._edge(e)
         s = e + 1
-        c_pos, c_neg = self.side_corner(s), self.side_corner(-s)
+        c_pos, c_neg = self._side_of[s], self._side_of[-s]
         t1, t2 = c_pos.tri, c_neg.tri
         if t1 == t2:
             raise UnflippableEdge(f"edge {e}: both sides lie in triangle {t1}")

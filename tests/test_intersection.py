@@ -5,8 +5,11 @@ from collections import Counter
 
 import pytest
 
-from arcdist import BaseMismatch, VerificationError, build_standard_triangulation, realization
+from arcdist import BaseMismatch, InconsistentWord, VerificationError, build_standard_triangulation, realization
+from arcdist import arc as arc_module
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport
+from arcdist.distance import classify
+from arcdist.leveling import proposition_bound
 from arcdist.overlay import (
     Realization,
     _OverlayBuilder,
@@ -126,8 +129,10 @@ def test_disjoint_edges(g1):
 
 
 def test_base_mismatch_rejected(g1, g2):
-    with pytest.raises(BaseMismatch):
-        intersection(edge_word(g1, 2), edge_word(g2, 4))
+    v, w = edge_word(g1, 2), edge_word(g2, 4)
+    for check in (intersection, intersection_via_flips, classify, proposition_bound, Realization):
+        with pytest.raises(BaseMismatch, match="arcs live over different triangulations"):
+            check(v, w)
 
 
 def test_representation_independence(g1, g2):
@@ -487,11 +492,66 @@ def test_strand_order_refuses_distinct_strands_that_compare_fully_parallel(g1, m
     any other such pair means the turn strings are wrong."""
     once = next(a for a in enumerate_arcs(g1, 2) if len(a) == 2)  # crosses two distinct edges
     twice = next(a for a in seeded_arcs(g1, "parallel", 40) if len({edge_of(c) for c in a.crossings}) < len(a))
-    monkeypatch.setattr(realization, "_turns", lambda corners: _Level(b"\x01"))
+    read_word = realization._read_word
+    monkeypatch.setattr(realization, "_read_word", lambda word: (*read_word(word)[:2], _Level(b"\x01")))
     assert Realization(once, once).count() == 0  # only copies of one crossing meet: legal
     for v, w in ((twice, twice), (once, twice), (twice, once)):
         with pytest.raises(VerificationError, match="distinct strands compared as fully parallel"):
             Realization(v, w)
+
+
+def test_each_word_is_read_once_per_check(g1, g2, monkeypatch):
+    """``ArcWord(...)`` walks its word once, ``Realization(v, w)`` reads each
+    of its two words once and ``self_intersection`` reads its word once."""
+    check_word, read_word = arc_module._check_word, realization._read_word
+    checks, reads = [], []
+    monkeypatch.setattr(arc_module, "_check_word", lambda *args: checks.append(args) or check_word(*args))
+    monkeypatch.setattr(realization, "_read_word", lambda word: reads.append(word) or read_word(word))
+    for base in (g1, g2):
+        arcs = seeded_arcs(base, "read-once", 8)
+        for a in arcs:
+            checks.clear()
+            assert ArcWord(base, a.start, a.crossings, a.end) == a
+            assert len(checks) == 1
+            reads.clear()
+            self_intersection(a)
+            assert len(reads) == 1 and reads[0] is a
+        for v, w in zip(arcs, arcs[1:]):
+            reads.clear()
+            Realization(v, w)
+            assert len(reads) == 2 and reads[0] is v and reads[1] is w
+
+
+def _unchecked(word: ArcWord, **fields) -> ArcWord:
+    """``word`` with some fields replaced, built without the constructor's checks."""
+    out = object.__new__(ArcWord)
+    for name in ("base", "start", "crossings", "end"):
+        object.__setattr__(out, name, fields.get(name, getattr(word, name)))
+    return out
+
+
+def test_a_word_whose_chain_breaks_is_refused_where_it_breaks(g1):
+    """Words that skip the constructor's checks and break the chain of
+    triangles at the start, in the middle or at the end, or backtrack,
+    are refused by the realization with a message naming the break."""
+    a = next(x for x in seeded_arcs(g1, "broken-chain", 20) if len(x) >= 3)
+    entered = g1.side_corner(-a.crossings[0]).tri
+    stray = next(s for s in range(1, g1.n_edges + 1) if g1.side_corner(s).tri != entered)
+
+    def elsewhere(corner):
+        return Corner((corner.tri + 1) % g1.n_triangles, corner.pos)
+
+    cases = [
+        (_unchecked(a, start=elsewhere(a.start)), "segment chain broke"),
+        (_unchecked(a, crossings=(a.crossings[0], stray, *a.crossings[2:])), "ray left its triangle"),
+        (_unchecked(a, end=elsewhere(a.end)), "segment chain broke"),
+        (_unchecked(a, crossings=(a.crossings[0], -a.crossings[0], *a.crossings)), "ray backtracked"),
+        (_unchecked(a, crossings=(), end=elsewhere(a.start)), "segment chain broke"),
+    ]
+    for broken, message in cases:
+        for check in (self_intersection, lambda b: Realization(b, a), lambda b: Realization(a, b)):
+            with pytest.raises(InconsistentWord, match=message):
+                check(broken)
 
 
 class _BothSides(int):
