@@ -24,32 +24,66 @@ suite checks it behaviourally (random rewriting orders, flip round trips).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from operator import index
+from operator import attrgetter, index
 
 from .errors import BaseMismatch, InconsistentWord, PreconditionError
 from .surface import P1, P2, Corner, Triangulation, edge_of, flip_walk
 
 
-@dataclass(frozen=True)
-class ArcWord:
+class _Record:
+    """An immutable record whose fields are its ``__slots__``, checked and set
+    by the subclass's ``__init__``.  Pickling and copying call the
+    constructor again, so its checks run on every copy."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class ArcWord(_Record):
     """A canonical reduced crossing word from P1 to P2 over ``base``.
 
     Instances are validated on construction; use :func:`tighten` to build
     one from a raw locally-consistent word.
     """
 
-    base: Triangulation
-    start: Corner
-    crossings: tuple[int, ...]
-    end: Corner
+    __slots__ = ("base", "start", "crossings", "end")
 
-    def __post_init__(self):
-        start, crossings, end = _check_word(self.base, self.start, self.crossings, self.end)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "crossings", tuple(crossings))
-        object.__setattr__(self, "end", end)
-        self._check_reduced()
+    def __init__(self, base: Triangulation, start: Corner, crossings: tuple[int, ...], end: Corner):
+        self._fill(base, *_check_word(base, start, crossings, end))
+
+    # spelled out, crossings first: the search compares and hashes words; attrgetter is slower
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.crossings != other.crossings:
+            return False
+        return (self.base, self.start, self.end) == (other.base, other.start, other.end)
+
+    def __hash__(self):
+        return hash((self.base, self.start, self.crossings, self.end))
 
     @classmethod
     def _from_consistent(cls, base: Triangulation, start: Corner, crossings, end: Corner) -> "ArcWord":
@@ -60,22 +94,23 @@ class ArcWord:
         checks still run.
         """
         arc = object.__new__(cls)
-        object.__setattr__(arc, "base", base)
-        object.__setattr__(arc, "start", start)
-        object.__setattr__(arc, "crossings", tuple(crossings))
-        object.__setattr__(arc, "end", end)
-        arc._check_reduced()
+        arc._fill(base, start, crossings, end)
         return arc
 
-    def _check_reduced(self):
-        if not _is_reduced(self.base, self.start, self.crossings, self.end):
+    def _fill(self, base: Triangulation, start: Corner, crossings, end: Corner):
+        """Set the fields, then check that the word is reduced and runs from P1 to P2."""
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "crossings", tuple(crossings))
+        object.__setattr__(self, "end", end)
+        if not _is_reduced(base, start, self.crossings, end):
             raise InconsistentWord("word is not reduced; use tighten() to canonicalize")
         # start and end are corners of the table, checked by _check_word
-        vertex = self.base._vertex_of_corner
-        if vertex[3 * self.start.tri + self.start.pos] != P1:
-            raise InconsistentWord(f"start corner {self.start} is not at P1")
-        if vertex[3 * self.end.tri + self.end.pos] != P2:
-            raise InconsistentWord(f"end corner {self.end} is not at P2")
+        vertex = base._vertex_of_corner
+        if vertex[3 * start.tri + start.pos] != P1:
+            raise InconsistentWord(f"start corner {start} is not at P1")
+        if vertex[3 * end.tri + end.pos] != P2:
+            raise InconsistentWord(f"end corner {end} is not at P2")
 
     def __len__(self):
         return len(self.crossings)
@@ -305,6 +340,14 @@ def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
 # generation
 
 
+def _integer(name: str, x) -> int:
+    """``x`` read with ``operator.index``; ``PreconditionError`` otherwise."""
+    try:
+        return index(x)
+    except TypeError:
+        raise PreconditionError(f"{name} {x!r} is not an integer") from None
+
+
 def edge_word(base: Triangulation, e: int) -> ArcWord:
     """The canonical zero-crossing word parallel to connector edge ``e``."""
     head_tail = base.edge_endpoints(e)
@@ -325,10 +368,7 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     pull-back rewrites onto the tables the walk built, so it makes no check
     flip; each rewrite's ``tighten`` still checks the word.
     """
-    try:
-        steps = index(steps)
-    except TypeError:
-        raise PreconditionError(f"steps {steps!r} is not an integer") from None
+    seed, steps = _integer("seed", seed), _integer("steps", steps)
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     rng = random.Random(seed)
@@ -350,6 +390,7 @@ def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:
     """
     from .realization import self_intersection
 
+    max_len = _integer("max_len", max_len)
     if max_len < 0:
         raise PreconditionError("max_len must be >= 0")
     found = [edge_word(base, e) for e in base.connector_edges()]

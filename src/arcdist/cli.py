@@ -26,7 +26,6 @@ import sys
 from contextlib import contextmanager
 
 from . import serialize
-from .corpus import load_bundled_examples, run_examples
 from .errors import ArcdistError, BaseMismatch, PreconditionError, SchemaError, VerificationError
 from .leveling import level_number_report
 from .surface import build_standard_triangulation
@@ -142,6 +141,8 @@ def _seed_from_env():
 
 
 def _cmd_examples(args) -> int:
+    from .corpus import load_bundled_examples, run_examples
+
     seed = _seed_from_env()
     records = load_bundled_examples()
     rows = run_examples(records)

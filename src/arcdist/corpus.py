@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .arc import ArcWord, edge_word, enumerate_arcs
 from .distance import ShadowPairInput, classify, pair_set_distance
@@ -67,8 +67,7 @@ def torus_wrapping(v: ArcWord, w: ArcWord) -> tuple[int, int]:
     return tuple(sorted((abs(m0), abs(m1))))
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
+class ExampleRecord(NamedTuple):
     name: str
     genus: int
     shadows: ShadowPairInput

@@ -17,9 +17,9 @@ bounded search through the low-complexity part of the arc complex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arc import ArcWord, enumerate_arcs, tighten
+from .arc import ArcWord, _integer, _Record, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
 from .overlay import marked_route
@@ -28,8 +28,7 @@ from .surface import Triangulation
 from .surgery import _path
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "exact" | "bounds"
     value: int | None = None
     lower: int | None = None
@@ -46,8 +45,7 @@ class Verdict:
         return {"kind": "bounds", "lower": self.lower, "upper": self.upper}
 
 
-@dataclass(frozen=True)
-class DistanceCertificate:
+class DistanceCertificate(NamedTuple):
     """Verdict plus evidence re-checkable from the arc operations alone.
 
     ``witness`` and ``path`` (arcs from w to v) are plain evidence; the
@@ -94,20 +92,20 @@ class DistanceCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class ShadowPairInput:
+class ShadowPairInput(_Record):
     """Finite shadow lists for the two sides of a one-bridge position."""
 
-    base: Triangulation
-    v_side: tuple[ArcWord, ...]
-    w_side: tuple[ArcWord, ...]
+    __slots__ = ("base", "v_side", "w_side")
 
-    def __post_init__(self):
-        if not self.v_side or not self.w_side:
+    def __init__(self, base: Triangulation, v_side: tuple[ArcWord, ...], w_side: tuple[ArcWord, ...]):
+        if not v_side or not w_side:
             raise PreconditionError("shadow lists must be non-empty")
-        for a in (*self.v_side, *self.w_side):
-            if a.base != self.base:
+        for a in (*v_side, *w_side):
+            if a.base != base:
                 raise BaseMismatch("shadow over a different triangulation")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "v_side", v_side)
+        object.__setattr__(self, "w_side", w_side)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,6 +187,7 @@ def bounded_search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> ArcS
 def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWord, ...] | None:
     """The hops w, ..., v of :func:`bounded_search`, each proven disjoint
     from the one before by the search's own intersection test."""
+    max_len, max_depth = _integer("max_len", max_len), _integer("max_depth", max_depth)
     if max_len <= 0 or max_depth <= 0:
         raise PreconditionError("search bounds must be positive")
     if v.base != w.base:

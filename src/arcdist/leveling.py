@@ -12,23 +12,22 @@ reading returns the original sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arc import ArcWord
+from .arc import ArcWord, _Record
 from .errors import InvalidSequence, PreconditionError, VerificationError
 from .realization import intersection
 from .surface import Triangulation
 
 
-@dataclass(frozen=True)
-class ArcSequence:
+class ArcSequence(_Record):
     """Arcs s_0..s_n over one base with consecutive members disjoint."""
 
-    base: Triangulation
-    arcs: tuple[ArcWord, ...]
+    __slots__ = ("base", "arcs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(self, base: Triangulation, arcs: tuple[ArcWord, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "arcs", tuple(arcs))
         problems = validate_sequence(self)
         if problems:
             raise InvalidSequence(problems)
@@ -76,8 +75,7 @@ def validate_sequence(seq) -> list[str]:
 # level positions
 
 
-@dataclass(frozen=True)
-class Tube:
+class Tube(NamedTuple):
     """Tube j joins levels j and j+1; its core is the arc it thickens."""
 
     index: int
@@ -86,8 +84,7 @@ class Tube:
     q_strand: str
 
 
-@dataclass(frozen=True)
-class LevelPosition:
+class LevelPosition(NamedTuple):
     """Symbolic n-level position of a knot.
 
     ``levels[j]`` lists the strand pieces on surface copy j+1: a full arc

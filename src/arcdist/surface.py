@@ -70,8 +70,8 @@ class Triangulation:
     )
 
     def __init__(self, genus, triangles, p1_corner=None):
-        self.genus = int(genus)
-        self.triangles = tuple(tuple(int(s) for s in t) for t in triangles)
+        self.genus = genus
+        self.triangles = tuple(map(tuple, triangles))
         self._n_labels = 0
         self._corners = None
         self._side_of = None
@@ -79,6 +79,7 @@ class Triangulation:
         self._canonical = None
         self._id = None
         self._hash = None
+        self._p1_anchor = None
         self._violations = []  # corners_around reads it while the analysis rotates around vertices
         self._violations = self._analyze(p1_corner)
 
@@ -98,15 +99,25 @@ class Triangulation:
     # its own labels and corners.
 
     def _analyze(self, p1_corner):
+        try:
+            self.genus = index(self.genus)
+        except TypeError:
+            return [f"genus: {self.genus!r} is not an integer"]
+        try:
+            self.triangles = tuple(tuple(map(index, t)) for t in self.triangles)
+        except TypeError:
+            return ["labels: a triangle holds a label that is not an integer"]
         violations = []
         if self.genus < 1:
             violations.append("genus: must be >= 1")
         labels = [s for t in self.triangles for s in t]
         if any(len(t) != 3 for t in self.triangles) or 0 in labels:
-            self._p1_anchor = None
             return violations + ["shape: triangles must be triples of nonzero signed labels"]
 
         n_edges = max((edge_of(s) for s in labels), default=-1) + 1
+        if 2 * n_edges > len(labels):  # some edge is missing; do not walk a huge label's range
+            n = len(labels)
+            return violations + [f"edge degree: a label names edge {n_edges - 1}, but {n} sides make {n // 2} edges"]
         counts = {}
         for s in labels:
             counts[s] = counts.get(s, 0) + 1
@@ -118,7 +129,6 @@ class Triangulation:
                 violations.append(f"orientation: edge {e} appears twice with the same sign")
 
         if violations:
-            self._p1_anchor = None
             return violations
 
         f = len(self.triangles)
@@ -152,7 +162,6 @@ class Triangulation:
             )
 
         if violations:
-            self._p1_anchor = None
             return violations
 
         if p1_corner is None:
@@ -161,10 +170,8 @@ class Triangulation:
             try:
                 p1_corner = Corner(*map(index, p1_corner))
             except TypeError:
-                self._p1_anchor = None
                 return [f"p1 corner: {p1_corner!r} is not a pair of integers"]
         if not (0 <= p1_corner.tri < f and 0 <= p1_corner.pos < 3):
-            self._p1_anchor = None
             return [f"p1 corner: {p1_corner} is not a corner of the table"]
         vertex = [0] * (3 * f)
         for ci, cls in enumerate(classes):
@@ -208,9 +215,20 @@ class Triangulation:
         if self._violations:
             raise InvalidTriangulation("; ".join(self._violations))
 
+    def _corner_index(self, corner) -> int:
+        """``3 * tri + pos`` for a corner inside the table, or ``KeyError``."""
+        try:
+            tri, pos = map(index, corner)
+        except (TypeError, ValueError):
+            raise KeyError(corner) from None
+        if 0 <= tri < len(self.triangles) and 0 <= pos < 3:
+            return 3 * tri + pos
+        raise KeyError(corner)
+
     def side(self, corner: Corner) -> int:
         """Signed label of side ``corner.pos`` of triangle ``corner.tri``."""
-        return self.triangles[corner.tri][corner.pos]
+        tri, pos = divmod(self._corner_index(corner), 3)
+        return self.triangles[tri][pos]
 
     def _edge(self, e) -> int:
         """``e`` as an edge index of this table, or ``PreconditionError``.
@@ -229,19 +247,18 @@ class Triangulation:
     def side_corner(self, label: int) -> Corner:
         """The (triangle, position) holding a signed label."""
         n = self._n_labels  # 0 on an invalid table
-        if -n <= label <= n and label:
-            return self._side_of[label]
+        try:
+            if -n <= label <= n and label:
+                return self._side_of[label]
+        except TypeError:  # not an integer; costs nothing on the way to a result
+            pass
         self._require_valid()
         raise KeyError(label)
 
     def vertex_of(self, corner: Corner) -> int:
         """P1 or P2 for a corner."""
-        tri, pos = corner
-        i = 3 * tri + pos
-        if 0 <= pos < 3 and 0 <= i < 2 * self._n_labels:  # 3F = 2E corners, none on an invalid table
-            return self._vertex_of_corner[i]
         self._require_valid()
-        raise KeyError(Corner(tri, pos))
+        return self._vertex_of_corner[self._corner_index(corner)]
 
     def corners_around(self, corner: Corner) -> list[Corner]:
         """The corners at ``corner``'s vertex in rotation order, ``corner`` first.
@@ -252,12 +269,12 @@ class Triangulation:
         """
         self._require_valid()
         triangles, side_of, corners = self.triangles, self._side_of, self._corners
-        out = [corner]
-        c = corner
+        c = first = corners[self._corner_index(corner)]
+        out = [c]
         while True:
             opp = side_of[-triangles[c.tri][c.pos]]
             c = corners[3 * opp.tri + (opp.pos + 1) % 3]
-            if c == corner:
+            if c == first:
                 return out
             out.append(c)
 

@@ -18,7 +18,7 @@ for ``verify_certificate`` to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arc import ArcWord, tighten
 from .errors import PreconditionError, VerificationError
@@ -26,8 +26,7 @@ from .leveling import ArcSequence
 from .realization import Realization, intersection, self_intersection
 
 
-@dataclass(frozen=True)
-class SurgeryTrace:
+class SurgeryTrace(NamedTuple):
     """One verified surgery step."""
 
     v: ArcWord

@@ -1,17 +1,20 @@
 """The Python API refuses arguments outside its domain with an ``ArcdistError``.
 
-Edge indices, ``random_arc``'s step count and ``p1_corner`` are fed
-negative, out-of-range, float, boolean and wrong-length values.  Each call
-gives the result the equal plain int gives, or raises an ``ArcdistError``
-subclass: never a bare ``KeyError`` or ``TypeError``, and never an answer
-about another edge.  Booleans pass as 0 and 1.
+Edge indices, ``random_arc``'s seed and step count, the length and depth
+bounds of ``enumerate_arcs`` and ``bounded_search``, and a table's genus,
+labels and ``p1_corner`` are fed negative, out-of-range, float, boolean and
+wrong-length values.  Each call gives the result the equal plain int gives,
+or raises an ``ArcdistError`` subclass (a table reports a violation): never
+a bare ``KeyError`` or ``TypeError``, and never an answer about another
+edge.  Booleans pass as 0 and 1.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdist import ArcdistError, InvalidTriangulation, P1, build_standard_triangulation
-from arcdist.arc import edge_word, random_arc, transport, transport_inverse
+from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport, transport_inverse
+from arcdist.distance import bounded_search
 from arcdist.surface import Corner, Triangulation
 
 G2 = build_standard_triangulation(2)
@@ -132,3 +135,67 @@ def test_p1_corner_is_checked(corner):
             assert Triangulation.from_json_dict(doc) == t and valid
         except InvalidTriangulation:
             assert not valid
+
+
+# operation arguments: each call, and which plain ints are in its domain; the
+# ints drawn stay small, so every call in the domain is cheap
+OTHER = random_arc(G2, 1, 3)
+OPERATIONS = {
+    "enumerate_arcs": (lambda n: enumerate_arcs(G2, n), lambda n: n >= 0),
+    "bounded_search max_len": (lambda n: bounded_search(ARC, OTHER, n, 1), lambda n: n >= 1),
+    "bounded_search max_depth": (lambda n: bounded_search(ARC, OTHER, 1, n), lambda n: n >= 1),
+    "random_arc seed": (lambda seed: random_arc(G2, seed, 3), lambda seed: True),
+}
+SMALL_INTS = range(-3, 3)
+OPERATION_EXPECTED = {name: {n: _outcome(call, n) for n in SMALL_INTS} for name, (call, _) in OPERATIONS.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(OPERATIONS)),
+    x=st.one_of(st.integers(SMALL_INTS.start, SMALL_INTS.stop - 1), SCALARS.filter(lambda x: not _is_plain_int(x))),
+)
+@example(name="enumerate_arcs", x="2")
+@example(name="bounded_search max_len", x=None)
+@example(name="random_arc seed", x=[1])
+@example(name="random_arc seed", x=1.5)
+def test_operation_arguments_are_checked(name, x):
+    call, in_domain = OPERATIONS[name]
+    got = _outcome(call, x)
+    if _is_plain_int(x) and in_domain(x):
+        assert got == OPERATION_EXPECTED[name][int(x)]
+    else:
+        assert isinstance(got, type) and issubclass(got, ArcdistError), (name, x, got)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(genus=SCALARS)
+@example(genus=2.5)
+@example(genus="2")
+@example(genus=True)
+def test_genus_is_checked(genus):
+    """A genus that is not an integer is a ``genus:`` violation; no float
+    or string is read as the standard table's genus."""
+    t = Triangulation(genus, ROWS)
+    if _is_plain_int(genus):
+        assert t.is_valid is (genus == 2)
+    else:
+        assert t.validate() == [f"genus: {genus!r} is not an integer"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row=st.integers(0, len(ROWS) - 1), pos=st.integers(0, 2), label=SCALARS)
+@example(row=0, pos=0, label=5.4)
+@example(row=0, pos=0, label=float(ROWS[0][0]))
+@example(row=1, pos=2, label=str(ROWS[1][2]))
+@example(row=2, pos=1, label=-(1 << 70))
+def test_labels_are_checked(row, pos, label):
+    """A label that is not an integer is a ``labels:`` violation, never
+    truncated to the integer it is near; a huge one is refused at once."""
+    rows = [list(r) for r in ROWS]
+    rows[row][pos] = label
+    t = Triangulation(2, rows)
+    if _is_plain_int(label):
+        assert t.is_valid is (label == ROWS[row][pos])
+    else:
+        assert t.validate() == ["labels: a triangle holds a label that is not an integer"]

@@ -251,7 +251,7 @@ def test_examples_rejects_a_bad_seed_before_running(monkeypatch, capsys):
         calls.append(records)
         return run_examples(records)
 
-    monkeypatch.setattr("arcdist.cli.run_examples", counted)
+    monkeypatch.setattr("arcdist.corpus.run_examples", counted)
     monkeypatch.setenv("ARCDIST_SEED", "x")
     assert main(["examples"]) == 5
     out, err = capsys.readouterr()
@@ -744,3 +744,38 @@ def test_check_cert_realizes_an_exact_two_report_pair_once(g1, monkeypatch):
     monkeypatch.setattr(Realization, "__init__", counted)
     assert serialize.verify_document(doc) == []
     assert len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# start-up: a command imports only what it runs
+
+LAZY_MODULES = ("dataclasses", "arcdist.corpus", "arcdist.render", "arcdist._overlay_reference")
+
+
+def test_importing_the_cli_loads_no_lazy_module():
+    """``import arcdist.cli`` in a fresh process adds none of the modules
+    that only one command, or only the test suite, needs.  The modules
+    present before the import are left out, so a site hook that loads one
+    of them does not count."""
+    src = os.path.dirname(os.path.dirname(arcdist.__file__))
+    probe = "import sys; before = set(sys.modules); import arcdist.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "arcdist.cli" in added
+    assert added.isdisjoint(LAZY_MODULES), sorted(added.intersection(LAZY_MODULES))
+
+
+def test_the_overlay_reference_is_reached_through_overlay():
+    from arcdist import _overlay_reference, overlay
+    from arcdist.overlay import OverlayFace, _OverlayBuilder, build_overlay, complement_components
+
+    assert build_overlay is _overlay_reference.build_overlay
+    assert (OverlayFace, _OverlayBuilder, complement_components) == (
+        _overlay_reference.OverlayFace,
+        _overlay_reference._OverlayBuilder,
+        _overlay_reference.complement_components,
+    )
+    with pytest.raises(AttributeError):
+        overlay.no_such_name

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -58,7 +57,7 @@ def test_verify_certificate_reports_a_non_embedded_witness(g1):
         for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
         if classify(v, w).verdict.as_tuple() == (2, 2)
     )
-    cert = dataclasses.replace(classify(v, w), witness=self_crossing_word(g1))
+    cert = classify(v, w)._replace(witness=self_crossing_word(g1))
     assert "exact(2): witness is not embedded" in verify_certificate(cert)
 
 

@@ -1,0 +1,120 @@
+"""The result and input records keep their value semantics.
+
+``Verdict``, ``DistanceCertificate``, ``Tube``, ``LevelPosition``,
+``SurgeryTrace`` and ``ExampleRecord`` are ``NamedTuple``s; ``ArcWord``,
+``ArcSequence`` and ``ShadowPairInput`` are immutable classes that check
+their fields on construction.  For each: equal fields give equal records
+and equal hashes, fields cannot be assigned or deleted, ``repr`` names the
+class, and ``pickle`` and ``copy`` give an equal record.  The checking
+classes run their checks again on every copy.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from arcdist import BaseMismatch, InconsistentWord, InvalidSequence, PreconditionError
+from arcdist.arc import ArcWord, random_arc
+from arcdist.corpus import load_bundled_examples
+from arcdist.distance import ShadowPairInput, Verdict, classify
+from arcdist.leveling import ArcSequence, arcs_to_leveling
+from arcdist.surgery import path_between, surgery_step
+
+SEEDS = (31002, 31003)  # a genus-1 pair at distance >= 3
+
+
+def _records(base):
+    """Per record type, a function building a fresh record, equal on every call."""
+    v, w = (lambda: random_arc(base, SEEDS[0], 30)), (lambda: random_arc(base, SEEDS[1], 30))
+    return {
+        "ArcWord": v,
+        "ArcSequence": lambda: path_between(v(), w()),
+        "ShadowPairInput": lambda: ShadowPairInput(base, (v(),), (w(),)),
+        "Verdict": lambda: Verdict("bounds", lower=3, upper=5),
+        "DistanceCertificate": lambda: classify(v(), w()),
+        "Tube": lambda: arcs_to_leveling(path_between(v(), w())).tubes[0],
+        "LevelPosition": lambda: arcs_to_leveling(path_between(v(), w())),
+        "SurgeryTrace": lambda: surgery_step(v(), w()),
+        "ExampleRecord": lambda: load_bundled_examples()[0],
+    }
+
+
+NAMES = sorted(_records(None))
+
+
+def _fields(record):
+    return getattr(record, "_fields", None) or type(record).__slots__
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_fields_give_equal_records(g1, name):
+    make = _records(g1)[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    if name == "ExampleRecord":  # its expected verdict is a dict, as it always was
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_cannot_be_assigned_or_deleted(g1, name):
+    record = _records(g1)[name]()
+    field = _fields(record)[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_names_the_class_and_its_fields(g1, name):
+    record = _records(g1)[name]()
+    text = repr(record)
+    assert text.startswith(f"{name}(")
+    assert all(f"{field}=" in text for field in _fields(record))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+def test_pickle_and_copy_give_an_equal_record(g1, name, clone):
+    record = _records(g1)[name]()
+    assert clone(record) == record
+
+
+def test_checking_classes_refuse_bad_fields(g1, g2):
+    v, w = random_arc(g1, SEEDS[0], 30), random_arc(g1, SEEDS[1], 30)
+    with pytest.raises(InconsistentWord):
+        ArcWord(v.base, v.start, v.crossings + (v.crossings[-1],), v.end)
+    with pytest.raises(InconsistentWord):
+        ArcWord(v.base, v.start, tuple(float(c) for c in v.crossings), v.end)
+    with pytest.raises(InvalidSequence):
+        ArcSequence(g1, (v, w))
+    with pytest.raises(PreconditionError):
+        ShadowPairInput(g1, (), (w,))
+    with pytest.raises(BaseMismatch):
+        ShadowPairInput(g2, (v,), (w,))
+
+
+def test_copies_are_built_by_the_checking_constructor(g1, monkeypatch):
+    """``__reduce__`` hands the fields back to the class, so unpickling and
+    copying run the constructor's checks; a word that fails them cannot be
+    copied into existence."""
+    v = random_arc(g1, SEEDS[0], 30)
+    assert v.__reduce__() == (ArcWord, (v.base, v.start, v.crossings, v.end))
+    calls = []
+    init = ArcWord.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ArcWord, "__init__", counted)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert clone(v) == v
+    assert len(calls) == 3

@@ -237,8 +237,8 @@ def test_local_flip_refuses_a_tampered_quad_corner(g):
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_lookups_outside_the_table_raise_key_error(g):
     """The flat side and corner tables are indexed by label and by
-    3 * tri + pos; a label or corner outside the table must not wrap
-    around to another entry."""
+    3 * tri + pos; a label or corner outside the table, or one that is not
+    made of integers, must not wrap around to another entry."""
     standard = build_standard_triangulation(g)
     flipped = standard.flip(_flippable(standard)[0])
     for t in (standard, flipped):
@@ -252,6 +252,13 @@ def test_lookups_outside_the_table_raise_key_error(g):
                     t.vertex_of(corner)
         with pytest.raises(KeyError):
             t.vertex_of((n_tris, 0))
+        for label in (1.5, None, "1"):
+            with pytest.raises(KeyError):
+                t.side_corner(label)
+        for corner in ((-1, 0), (n_tris, 0), (0, 3), (0, -1), (0, 1.0), (1.5, 0), (0, 1, 2)):
+            for lookup in (t.side, t.vertex_of, t.corners_around):
+                with pytest.raises(KeyError):
+                    lookup(corner)
 
 
 def test_lookups_on_an_invalid_table_raise_invalid_triangulation():
