@@ -31,14 +31,16 @@ from .surface import P1, P2, Corner, Triangulation, edge_of, flip_walk
 
 
 class _Record:
-    """An immutable record whose fields are its ``__slots__``, checked and set
-    by the subclass's ``__init__``.  Pickling and copying call the
-    constructor again, so its checks run on every copy."""
+    """An immutable record whose fields are its ``_fields`` (by default its
+    ``__slots__``), checked and set by the subclass's ``__init__``.  Pickling
+    and copying call the constructor again, so its checks run on every
+    copy; a slot that is no field is private state, which a copy rebuilds."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._values = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,7 +57,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
@@ -69,7 +71,8 @@ class ArcWord(_Record):
     one from a raw locally-consistent word.
     """
 
-    __slots__ = ("base", "start", "crossings", "end")
+    _fields = ("base", "start", "crossings", "end")
+    __slots__ = (*_fields, "_prep")  # _prep: the realization layer's cache of this word's own work
 
     def __init__(self, base: Triangulation, start: Corner, crossings: tuple[int, ...], end: Corner):
         self._fill(base, *_check_word(base, start, crossings, end))
@@ -103,6 +106,7 @@ class ArcWord(_Record):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "crossings", tuple(crossings))
         object.__setattr__(self, "end", end)
+        object.__setattr__(self, "_prep", None)
         if not _is_reduced(base, start, self.crossings, end):
             raise InconsistentWord("word is not reduced; use tighten() to canonicalize")
         # start and end are corners of the table, checked by _check_word

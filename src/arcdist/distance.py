@@ -142,6 +142,8 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
     """
     if (max_len is None) != (max_depth is None):
         raise PreconditionError("search bounds: give both max_len and max_depth, or neither")
+    if max_len is not None:  # read as ints here, so the note names them as the search reads them
+        max_len, max_depth = _integer("max_len", max_len), _integer("max_depth", max_depth)
     if v == w:
         return DistanceCertificate(v, w, Verdict("exact", value=0))
     real = Realization(v, w)

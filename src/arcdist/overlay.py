@@ -71,10 +71,11 @@ def _glued_intervals(base, strands) -> list[tuple[int, int, int, int, int, int]]
     pair is listed once, in the order of its first interval.
     """
     starts = [(0, n0 + 1, n0 + n1 + 2) for n0, n1, _ in strands]
+    side_of = base._side_of  # every label of a valid table
     runs = []
     for t, counts in enumerate(strands):
         for k, value in enumerate(base.triangles[t]):
-            t2, k2 = base.side_corner(-value)
+            t2, k2 = side_of[-value]
             n = counts[k]
             if n != strands[t2][k2]:
                 raise VerificationError("overlay: glued sides disagree on strand count")
@@ -130,7 +131,8 @@ def _sign_vector_pass(real: Realization):
     those counts, raising ``VerificationError`` on failure.
     """
     base = real.base
-    order = real.edge_order
+    vertex = base._vertex_of_corner
+    order = real._order  # edge -> its strands in order; only their number is read here
     partners = real.partners  # per arc, per segment: the crossed segments from its end a
     in_tri = [[] for _ in range(base.n_triangles)]  # v chords first, then w chords
     for segs in real.segments:
@@ -205,7 +207,7 @@ def _sign_vector_pass(real: Realization):
                     corner_key.setdefault(i, key)
                     key ^= 1 << i
                     sector_keys.append(key)
-            at = touch[base.vertex_of((t, k))]
+            at = touch[vertex[3 * t + k]]
             for key in sector_keys:
                 f = setdefault(key, nf)
                 if f == nf:

@@ -11,21 +11,19 @@ Two reduced words are realized simultaneously by fixing, along every
 triangulation edge, the linear order of the points where they cross it.
 Followed from a crossing into the triangle on either side of its edge, a
 strand makes a sequence of turns (leave by the side nearer the tail of the
-entry side, or nearer its head) and finally ends at the far corner.  The
-turn at a crossing depends only on the word, so each word is read once
-into its corners (where each crossing leaves and enters a triangle) and
-its forward turn string, and that read checks the chain of triangles.
-Reversed and mirrored, the forward string gives the backward one; both
-end in a terminator, and every strand's ray on each side of its edge is
-a suffix of one of them.  Two strands are ordered by comparing those
-suffixes: the first differing turn is where they part ways.  When the two
-sides of the edge disagree, the strands cross once in their shared
-stretch, and the side with the shorter common prefix (the nearer
-divergence) decides.  That order gives each strand its slot on both sides
-of its edge.  In-triangle chords then cross exactly when their boundary
-endpoints interleave, and the total count is the geometric intersection
-number of the two isotopy classes: one interval test per pair of segments
-in a triangle.  Sorting the chord ends found inside each segment ranks
+entry side, or nearer its head) and finally ends at the far corner, so its
+ray on each side of its edge is a suffix of the word's forward or backward
+turn string.  Two strands are ordered by comparing those suffixes: the
+first differing turn is where they part ways.  When the two sides of the
+edge disagree, the strands cross once in their shared stretch, and the
+side with the shorter common prefix (the nearer divergence) decides.
+Each word is prepared once, and the result kept on the word: its corners,
+its turn strings (the read checks the chain of triangles) and, per edge,
+its own strands in order.  A pair then merges the two words' runs on each
+edge, and that order gives each strand its slot on both sides of its edge.
+In-triangle chords cross exactly when their boundary endpoints interleave,
+and the total count is the geometric intersection number of the two
+isotopy classes.  Sorting the chord ends found inside each segment ranks
 its crossings and lists its partners, which the overlay, surgery and
 figures read as they are.
 
@@ -37,7 +35,8 @@ it, and the two are compared pair-by-pair in the test suite.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from bisect import bisect_left, bisect_right
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
@@ -54,20 +53,21 @@ _MIRROR = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # a turn walked backward
 
 
 def _read_word(word: ArcWord) -> tuple[list[Corner], list[Corner], bytes]:
-    """Per crossing c, the corner of side c (the triangle the arc leaves)
-    and of side -c (the triangle it enters); and the forward turn string,
-    the code of each turn, then ``_END``.  The chain of triangles from the
-    start corner to the end corner is checked here, once.
+    """Per segment j, the corner of its end a (the start, or the side -c by
+    which crossing c = j-1 enters a triangle) and of its end b (the side c
+    by which crossing c = j leaves one, or the end); and the forward turn
+    string, the code of each turn, then ``_END``.  The chain of triangles
+    from the start corner to the end corner is checked here, once.
 
     After entering a triangle through side k, the arc leaves through side
     k+2, hugging the tail of side k (code 0), or side k+1, hugging its head
     (code 2).  The ray's end at the far corner sorts between them (code 1).
     """
-    side_corner = word.base.side_corner
-    leaving = [side_corner(c) for c in word.crossings]
-    entering = [side_corner(-c) for c in word.crossings]
+    side_of, n = word.base._side_of, len(word.crossings)  # the constructor checked every label
+    a_ends = [word.start, *(side_of[-c] for c in word.crossings)]
+    b_ends = [*(side_of[c] for c in word.crossings), word.end]
     codes = bytearray()
-    for entered, exited in zip(entering, leaving[1:]):
+    for entered, exited in zip(a_ends[1:n], b_ends[1:n]):
         if exited.tri != entered.tri:
             raise InconsistentWord("ray left its triangle")
         rel = (exited.pos - entered.pos) % 3
@@ -75,11 +75,43 @@ def _read_word(word: ArcWord) -> tuple[list[Corner], list[Corner], bytes]:
             raise InconsistentWord("ray backtracked; word was not reduced")
         codes.append(0 if rel == 2 else 2)
     codes.append(_END)
-    first = leaving[0].tri if leaving else word.end.tri
-    last = entering[-1].tri if entering else word.start.tri
-    if first != word.start.tri or last != word.end.tri:
+    if a_ends[0].tri != b_ends[0].tri or a_ends[n].tri != b_ends[n].tri:
         raise InconsistentWord("segment chain broke")
-    return leaving, entering, bytes(codes)
+    return a_ends, b_ends, bytes(codes)
+
+
+def _prepare(word: ArcWord) -> tuple:
+    """One word's own share of every realization, built once per word
+    object and kept on it: per segment its triangle and the positions of its
+    ends a and b; the forward turn string and the backward one (reversed,
+    each turn mirrored, then ``_END``); and per edge the word's crossings
+    there, in strand order.  No ray is kept, so it is linear in the word."""
+    prep = getattr(word, "_prep", None)  # unset on a word built without the constructor
+    if prep is None:
+        a_ends, b_ends, fwd = _read_word(word)
+        bwd = fwd[-2::-1].translate(_MIRROR) + fwd[-1:]
+        runs: dict[int, list[int]] = {}
+        for i, c in enumerate(word.crossings):
+            runs.setdefault(edge_of(c), []).append(i)
+        prep = [c.tri for c in a_ends], [c.pos for c in a_ends], [c.pos for c in b_ends], fwd, bwd, runs
+        rays = _rays(word, fwd, bwd)
+        for run in runs.values():
+            run.sort(key=cmp_to_key(lambda i, j: _compare(*rays(i), *rays(j)) or _parallel(word, word, i, j)))
+        object.__setattr__(word, "_prep", prep)
+    return prep
+
+
+def _rays(word: ArcWord, fwd: bytes, bwd: bytes):
+    """Crossing index -> its rays on the + and - sides of its edge.  Each
+    walks the rest of the word, forward or backward, so it is a suffix of
+    one turn string, sliced only when asked for."""
+    crossings, last = word.crossings, len(word.crossings) - 1
+
+    def rays(i):
+        # crossing +f leaves the triangle of side +f, so its +side ray walks backward
+        return (fwd[i:], bwd[last - i :]) if crossings[i] < 0 else (bwd[last - i :], fwd[i:])
+
+    return rays
 
 
 def _lcp(a: bytes, b: bytes) -> int:
@@ -91,83 +123,74 @@ def _lcp(a: bytes, b: bytes) -> int:
     return n
 
 
+def _compare(p_plus: bytes, p_minus: bytes, q_plus: bytes, q_minus: bytes) -> int:
+    """Order of two strands along their edge, positive-side tail to head,
+    from their rays on both sides; 0 when they run fully parallel.  When
+    the two sides disagree, the strands cross once inside the shared
+    stretch: each edge of it takes its order from the nearer divergence
+    (the shorter common prefix), which flips the order once, at the middle."""
+    d_plus = (p_plus > q_plus) - (p_plus < q_plus)
+    # measured along the negative side, so negated where it is used
+    d_minus = (p_minus > q_minus) - (p_minus < q_minus)
+    if d_plus == 0:
+        return -d_minus
+    if d_minus == 0 or d_plus == -d_minus:
+        return d_plus
+    return d_plus if _lcp(p_plus, q_plus) <= _lcp(p_minus, q_minus) else -d_minus
+
+
+def _parallel(v: ArcWord, w: ArcWord, p: int, q: int) -> int:
+    """Order of v's strand p and w's strand q, which run fully parallel: only
+    the same crossing of equal words may; w's copy goes to one side of v's."""
+    if p != q or v.crossings[p] != w.crossings[q]:
+        raise VerificationError("distinct strands compared as fully parallel")
+    return -1 if v.crossings[p] > 0 else 1
+
+
 class _Strand(NamedTuple):
     owner: int
     index: int
     value: int  # signed crossing label
 
 
-def _order_edges(arcs, reads) -> dict[int, list[_Strand]]:
-    """Linear order of both arcs' strands along each edge (+side tail->head).
-
-    The ray of a strand on either side of its edge walks the rest of the
-    word, forward or backward, so its turn codes are a suffix of the word's
-    forward turn string or of its backward one (the forward codes reversed
-    with left and right swapped).  Two rays into the same triangle compare
-    as those suffixes compare: the first differing code is where they part
-    ways, and equal suffixes run parallel until both end at the far corner.
-    The common prefix length counts the edges the rays cross side by side;
-    it is computed only when the two sides of the edge disagree, where the
-    side that parts sooner decides.
-    """
-    per_edge: dict[int, list] = {}
-    for owner, (word, (_, _, fwd)) in enumerate(zip(arcs, reads)):
-        bwd = fwd[-2::-1].translate(_MIRROR) + fwd[-1:]
-        n = len(word.crossings)
-        for i, c in enumerate(word.crossings):
-            ahead, behind = fwd[i:], bwd[n - 1 - i :]
-            # crossing +f leaves the triangle of side +f, so its +side ray walks backward
-            plus, minus = (ahead, behind) if c < 0 else (behind, ahead)
-            per_edge.setdefault(edge_of(c), []).append((plus, minus, _Strand(owner, i, c)))
-
-    def cmp(a, b) -> int:
-        """Order of two strands along their edge, positive-side tail to head.
-
-        When the divergences on the two sides disagree, the strands must
-        cross once inside the shared stretch: each edge of the stretch then
-        takes its order from the nearer divergence (the shorter common
-        prefix), which flips the order exactly once, at the middle.
-        """
-        p_plus, p_minus, p = a
-        q_plus, q_minus, q = b
-        d_plus = (p_plus > q_plus) - (p_plus < q_plus)
-        # measured along the negative side, so negated where it is used
-        d_minus = (p_minus > q_minus) - (p_minus < q_minus)
-        if d_plus == 0 and d_minus == 0:
-            # fully parallel: only identical words, aligned index and
-            # direction; push owner 1 consistently to one side of owner 0
-            if p.owner == q.owner or p.index != q.index or p.value != q.value:
-                raise VerificationError("distinct strands compared as fully parallel")
-            side = 1 if p.value > 0 else -1
-            return side * (p.owner - q.owner)
-        if d_plus == 0:
-            return -d_minus
-        if d_minus == 0:
-            return d_plus
-        if d_plus == -d_minus:
-            return d_plus
-        return d_plus if _lcp(p_plus, q_plus) <= _lcp(p_minus, q_minus) else -d_minus
-
-    return {
-        e: [st for _, _, st in sorted(group, key=cmp_to_key(cmp))] for e, group in per_edge.items()
-    }
+def _order_edges(arcs, preps) -> dict[int, list[int]]:
+    """Both arcs' strands along each edge (+side tail->head), v's crossing i
+    listed as i and w's crossing j as len(v) + j: one merge of the two
+    sorted runs, at most n + m - 1 comparisons of a v with a w strand."""
+    v, w = arcs
+    (*_, fwd_v, bwd_v, runs_v), (*_, fwd_w, bwd_w, runs_w) = preps
+    ray_v, ray_w, n = _rays(v, fwd_v, bwd_v), _rays(w, fwd_w, bwd_w), len(v)
+    order = {}
+    for e in {**runs_v, **runs_w}:
+        a, b = runs_v.get(e, ()), runs_w.get(e, ())
+        merged = order[e] = []
+        i = j = 0
+        rp = rq = None  # the two heads' rays, sliced once per head
+        while i < len(a) and j < len(b):
+            p, q = a[i], b[j]
+            rp, rq = rp or ray_v(p), rq or ray_w(q)
+            if (_compare(*rp, *rq) or _parallel(v, w, p, q)) < 0:
+                merged.append(p)
+                i, rp = i + 1, None
+            else:
+                merged.append(n + q)
+                j, rq = j + 1, None
+        merged += a[i:]
+        merged += [n + q for q in b[j:]]
+    return order
 
 
-def _strand_slots(edge_order, arcs):
-    """Per word, two lists: each crossing's slot on the side it leaves by
-    and on the side it enters by.
-
-    Slots count from the tail of their side, so the two sides of one edge
-    number the same strands in opposite directions.
-    """
-    slots = tuple(([0] * len(word), [0] * len(word)) for word in arcs)
-    for strands in edge_order.values():
+def _slots(order, values) -> tuple[list[int], list[int]]:
+    """Each crossing's slot on the side it leaves by and on the side it
+    enters by, from each edge's strands in order (indices into ``values``);
+    counted from the tail of each side, so the two sides run opposite."""
+    leave, enter = [0] * len(values), [0] * len(values)
+    for strands in order:
         last = len(strands) - 1
-        for r, (owner, index, value) in enumerate(strands):
-            leave, enter = slots[owner]
-            plus, minus = (leave, enter) if value > 0 else (enter, leave)
-            plus[index], minus[index] = r, last - r
-    return slots
+        for r, x in enumerate(strands):
+            plus, minus = (leave, enter) if values[x] > 0 else (enter, leave)
+            plus[x], minus[x] = r, last - r
+    return leave, enter
 
 
 # ----------------------------------------------------------------------
@@ -182,23 +205,54 @@ class _Segment(NamedTuple):
     b: tuple
 
 
-def _segments_of(word: ArcWord, owner: int, read, slots) -> list[_Segment]:
-    """Segment j runs from the corner crossing j-1 enters by (or the start)
-    to the corner crossing j leaves by (or the end); ``read`` checked that
-    both lie in one triangle."""
-    leaving, entering, _ = read
-    leave, enter = slots
-    ends = zip([word.start, *entering], [-1, *enter], [*leaving, word.end], [*leave, -1])
-    return [_Segment(owner, j, a.tri, (a.pos, ra), (b.pos, rb)) for j, (a, ra, b, rb) in enumerate(ends)]
+def _ends(prep: tuple, slots, S: int) -> list[tuple[int, int, int]]:
+    """Per segment, its triangle and the codes ``pos * S + rank + 1`` of its
+    ends a and b; with every rank below ``S - 1`` they order as the
+    ``(pos, rank)`` coordinates do."""
+    (tris, a_pos, b_pos, *_), (leave, enter) = prep, slots
+    a = [p * S + r + 1 for p, r in zip(a_pos, [-1, *enter])]
+    b = [p * S + r + 1 for p, r in zip(b_pos, [*leave, -1])]
+    return list(zip(tris, a, b))
 
 
-def _by_triangle(segs) -> dict[int, list]:
-    """Per triangle, each segment with its ends in boundary order ``(lo, hi)``."""
-    out: dict[int, list] = {}
-    for s in segs:
-        a, b = s.a, s.b
-        out.setdefault(s.tri, []).append((s, a, b) if a < b else (s, b, a))
-    return out
+def _cross(v_ends, w_ends) -> tuple[list[tuple[int, int, int, int]], dict[int, list], list[list[int]]]:
+    """Every crossing of a v chord with a w chord, sorted along v.
+
+    In a triangle, a w chord crosses a v chord when one of its ends lies
+    strictly inside the v chord's span, found by bisecting the sorted w
+    ends, and the other strictly outside.  It must then also separate the v
+    chord's ends, which is checked on every hit.  Returns each crossing as
+    (v segment, w segment, triangle, rank along v); per w segment, the v
+    end inside it and the crossing's number; and per v segment, the w
+    segments it crosses in order from its end a.
+    """
+    chords: dict[int, list] = {}  # triangle -> both ends of each w chord as (code, other end, segment)
+    for k, (t, a, b) in enumerate(w_ends):
+        chords.setdefault(t, []).extend(((a, b, k), (b, a, k)))
+    codes = {}
+    for t, points in chords.items():
+        points.sort()
+        codes[t] = [x for x, _, _ in points]
+    found, on_w, across_v = [], {}, []
+    for j, (t, a, b) in enumerate(v_ends):
+        lo, hi = (a, b) if a < b else (b, a)
+        at, points = codes.get(t, ()), chords.get(t, ())
+        hits = []  # (w segment, the v end inside it) in boundary order
+        for inside, other, k in points[bisect_right(at, lo) : bisect_left(at, hi)]:
+            if lo <= other <= hi:
+                continue
+            wlo, whi = (inside, other) if inside < other else (other, inside)
+            a_in = wlo < a < whi
+            if a_in == (wlo < b < whi):
+                raise VerificationError("crossing chord does not separate the segment ends")
+            hits.append((k, a if a_in else b))
+        if a > b:
+            hits.reverse()
+        across_v.append([k for k, _ in hits])
+        for r, (k, v_end) in enumerate(hits):
+            on_w.setdefault(k, []).append((v_end, len(found)))
+            found.append((j, k, t, r))
+    return found, on_w, across_v
 
 
 class _Crossing(NamedTuple):
@@ -214,14 +268,15 @@ class Realization:
     by the count, the overlay and the surgery step at that pair.
 
     Boundary coordinates are ordered linearly from corner 0 of a triangle,
-    so two chords there cross exactly when their ends interleave: one
-    interval test per v/w segment pair.  A crossing's place along each
-    chord is the other chord's end that lies inside it, so the crossings of
-    a segment are ranked by sorting those recorded ends from its end a.
+    so two chords there cross exactly when their ends interleave.  A
+    crossing's place along each chord is the other chord's end that lies
+    inside it, so the crossings of a segment are ranked by sorting those
+    recorded ends from its end a.
 
     ``slots[o]`` holds word o's slot of each crossing on the side it leaves
     by and on the side it enters by; ``partners[o][j]`` the other arc's
     segments that segment j of arc o crosses, in order from its end a.
+    ``edge_order`` and ``segments`` are built on first use.
     """
 
     def __init__(self, v: ArcWord, w: ArcWord):
@@ -230,50 +285,47 @@ class Realization:
         self.base = v.base
         self.v, self.w = v, w
         self.arcs = (v, w)
-        reads = tuple(map(_read_word, self.arcs))
-        self.edge_order = _order_edges(self.arcs, reads)
-        self.slots = _strand_slots(self.edge_order, self.arcs)
-        self.segments = tuple(map(_segments_of, self.arcs, (0, 1), reads, self.slots))
+        self._preps = (_prepare(v), _prepare(w))
+        self._order = _order_edges(self.arcs, self._preps)
+        leave, enter = _slots(self._order.values(), v.crossings + w.crossings)
+        n = len(v)
+        self.slots = (leave[:n], enter[:n]), (leave[n:], enter[n:])
         self.crossings, self.partners = self._find_crossings()
+
+    @cached_property
+    def edge_order(self) -> dict[int, list[_Strand]]:
+        n, values = len(self.v), self.v.crossings + self.w.crossings
+        return {
+            e: [_Strand(int(x >= n), x - n if x >= n else x, values[x]) for x in xs] for e, xs in self._order.items()
+        }
+
+    @cached_property
+    def segments(self) -> tuple[list[_Segment], list[_Segment]]:
+        """Segment j runs from the corner crossing j-1 enters by (or the
+        start) to the corner crossing j leaves by (or the end)."""
+        out = []
+        for owner, (prep, (leave, enter)) in enumerate(zip(self._preps, self.slots)):
+            tris, a_pos, b_pos, *_ = prep
+            ends = zip(tris, a_pos, [-1, *enter], b_pos, [*leave, -1])
+            out.append([_Segment(owner, j, t, (pa, ra), (pb, rb)) for j, (t, pa, ra, pb, rb) in enumerate(ends)])
+        return tuple(out)
 
     def _find_crossings(self):
         """Every crossing once, sorted along v, with its ranks along both
-        segments, and each segment's partners.  A w chord that crosses a v
-        chord must also separate the v chord's ends; checked on every hit."""
-        by_tri = _by_triangle(self.segments[1])
-        found = []  # (v segment, w segment, triangle, rank along v), sorted along v
-        on_w: dict[int, list] = {}  # w segment -> (v end inside it, crossing number)
-        across_v = []
-        for vs in self.segments[0]:
-            a, b = vs.a, vs.b
-            lo, hi = (a, b) if a < b else (b, a)
-            hits = []
-            for ws, wlo, whi in by_tri.get(vs.tri, ()):
-                if lo < wlo < hi < whi:
-                    inside = wlo
-                elif wlo < lo < whi < hi:
-                    inside = whi
-                else:
-                    continue
-                a_in = wlo < a < whi
-                if a_in == (wlo < b < whi):
-                    raise VerificationError("crossing chord does not separate the segment ends")
-                hits.append((inside, ws.index, a if a_in else b))
-            hits.sort(reverse=a > b)
-            across_v.append([w_seg for _, w_seg, _ in hits])
-            for r, (_, w_seg, v_end) in enumerate(hits):
-                on_w.setdefault(w_seg, []).append((v_end, len(found)))
-                found.append((vs.index, w_seg, vs.tri, r))
+        segments, and each segment's partners."""
+        S = len(self.v) + len(self.w) + 1
+        v_ends, w_ends = map(_ends, self._preps, self.slots, (S, S))
+        found, on_w, across_v = _cross(v_ends, w_ends)
         w_rank = [0] * len(found)
-        w_segs = self.segments[1]
-        across_w = [[] for _ in w_segs]
-        for w_seg, ends in on_w.items():
-            ends.sort(reverse=w_segs[w_seg].a > w_segs[w_seg].b)
-            across = across_w[w_seg]
-            for r, (_, k) in enumerate(ends):
-                w_rank[k] = r
-                across.append(found[k][0])
-        crossings = tuple(_Crossing(*x, w_rank[k]) for k, x in enumerate(found))
+        across_w = [[] for _ in w_ends]
+        for k, ends in on_w.items():
+            _, a, b = w_ends[k]
+            ends.sort(reverse=a > b)
+            across = across_w[k]
+            for r, (_, x) in enumerate(ends):
+                w_rank[x] = r
+                across.append(found[x][0])
+        crossings = tuple(_Crossing(*x, w_rank[x_k]) for x_k, x in enumerate(found))
         return crossings, (across_v, across_w)
 
     def count(self) -> int:
@@ -294,15 +346,9 @@ def intersection(v: ArcWord, w: ArcWord) -> int:
 
 def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
-    read = _read_word(word)
-    [slots] = _strand_slots(_order_edges((word,), (read,)), (word,))
-    total = 0
-    for group in _by_triangle(_segments_of(word, 0, read, slots)).values():
-        for i, (_, lo, hi) in enumerate(group):
-            for _, wlo, whi in group[i + 1 :]:
-                if lo < wlo < hi < whi or wlo < lo < whi < hi:
-                    total += 1
-    return total
+    prep = _prepare(word)
+    ends = _ends(prep, _slots(prep[-1].values(), word.crossings), len(word) + 1)
+    return len(_cross(ends, ends)[0]) // 2  # each crossing is met from both of its chords
 
 
 def intersection_via_flips(v: ArcWord, w: ArcWord) -> int:

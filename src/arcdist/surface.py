@@ -71,7 +71,7 @@ class Triangulation:
 
     def __init__(self, genus, triangles, p1_corner=None):
         self.genus = genus
-        self.triangles = tuple(map(tuple, triangles))
+        self.triangles = triangles
         self._n_labels = 0
         self._corners = None
         self._side_of = None
@@ -99,6 +99,11 @@ class Triangulation:
     # its own labels and corners.
 
     def _analyze(self, p1_corner):
+        try:
+            self.triangles = tuple(map(tuple, self.triangles))
+        except TypeError:  # no rows, or a row that is no sequence
+            self.triangles = ()
+            return ["shape: triangles must be triples of nonzero signed labels"]
         try:
             self.genus = index(self.genus)
         except TypeError:

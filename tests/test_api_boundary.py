@@ -199,3 +199,19 @@ def test_labels_are_checked(row, pos, label):
         assert t.is_valid is (label == ROWS[row][pos])
     else:
         assert t.validate() == ["labels: a triangle holds a label that is not an integer"]
+
+
+def test_rows_that_are_no_sequences_are_a_shape_violation():
+    """A table given no rows, or rows that are not sequences, reports a
+    ``shape:`` violation through ``validate()``, as any other malformed
+    table does, and refuses queries: never a bare ``TypeError``."""
+    for triangles in ([5, 6], None):
+        t = Triangulation(2, triangles)
+        assert t.validate() == ["shape: triangles must be triples of nonzero signed labels"]
+        assert not t.is_valid and t.n_triangles == 0
+        try:
+            t.side_corner(1)
+        except InvalidTriangulation as ex:
+            assert "shape:" in str(ex)
+        else:
+            raise AssertionError("an invalid table answered a query")

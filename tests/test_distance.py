@@ -277,3 +277,14 @@ def test_classify_search_validates_no_sequence(g1, monkeypatch):
     assert calls == []
     assert bounded_search(v, w, max_len=4, max_depth=4) is not None
     assert len(calls) == 1
+
+
+def test_search_note_names_the_bounds_as_integers(g1):
+    """The certificate's search note names the bounds the search ran with,
+    read as integers: ``max_len=True`` is searched, and written, as 1."""
+    v, w = random_arc(g1, 31002, 30), random_arc(g1, 31003, 30)
+    cert = classify(v, w, max_len=True, max_depth=1)
+    assert cert.search_note == "search within max_len=1, max_depth=1 did not improve the bound"
+    assert classify(v, w, max_len=1, max_depth=True) == cert
+    with pytest.raises(PreconditionError, match="max_depth 1.5 is not an integer"):
+        classify(v, v, max_len=1, max_depth=1.5)

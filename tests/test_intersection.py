@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -376,8 +377,8 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
                 if strands[i].owner == strands[i + 1].owner:
                     continue
 
-                def swapped(arcs, corners, e=e, i=i):
-                    out = order_edges(arcs, corners)
+                def swapped(arcs, preps, e=e, i=i):
+                    out = order_edges(arcs, preps)
                     out[e][i], out[e][i + 1] = out[e][i + 1], out[e][i]
                     return out
 
@@ -500,9 +501,11 @@ def test_strand_order_refuses_distinct_strands_that_compare_fully_parallel(g1, m
             Realization(v, w)
 
 
-def test_each_word_is_read_once_per_check(g1, g2, monkeypatch):
-    """``ArcWord(...)`` walks its word once, ``Realization(v, w)`` reads each
-    of its two words once and ``self_intersection`` reads its word once."""
+def test_each_word_is_read_at_most_once_per_word_object(g1, g2, monkeypatch):
+    """``ArcWord(...)`` walks its word once.  The realization layer reads a
+    word object at most once, whichever of ``self_intersection`` and
+    ``Realization`` meets it first and however often; a copy of the word
+    is a new object with its own cache, read once more."""
     check_word, read_word = arc_module._check_word, realization._read_word
     checks, reads = [], []
     monkeypatch.setattr(arc_module, "_check_word", lambda *args: checks.append(args) or check_word(*args))
@@ -513,13 +516,19 @@ def test_each_word_is_read_once_per_check(g1, g2, monkeypatch):
             checks.clear()
             assert ArcWord(base, a.start, a.crossings, a.end) == a
             assert len(checks) == 1
-            reads.clear()
-            self_intersection(a)
-            assert len(reads) == 1 and reads[0] is a
+        reads.clear()
         for v, w in zip(arcs, arcs[1:]):
-            reads.clear()
             Realization(v, w)
-            assert len(reads) == 2 and reads[0] is v and reads[1] is w
+            Realization(w, v)
+        for a in arcs:
+            self_intersection(a)
+        assert [id(a) for a in reads] == list(dict.fromkeys(map(id, arcs)))
+        reads.clear()
+        copies = [copy.copy(a) for a in arcs]
+        for a, b in zip(arcs, copies):
+            self_intersection(b)
+            Realization(a, b)
+        assert [id(a) for a in reads] == list(map(id, copies))
 
 
 def _unchecked(word: ArcWord, **fields) -> ArcWord:
@@ -555,7 +564,7 @@ def test_a_word_whose_chain_breaks_is_refused_where_it_breaks(g1):
 
 
 class _BothSides(int):
-    """A strand slot that compares as both before and after any other."""
+    """A boundary code that compares as both before and after any other."""
 
     def __lt__(self, other):
         return True
@@ -563,25 +572,26 @@ class _BothSides(int):
     __gt__ = __le__ = __ge__ = __lt__
 
 
-def test_separation_check_catches_an_inconsistent_strand_slot(g1, monkeypatch):
+def test_separation_check_catches_an_inconsistent_boundary_code(g1, monkeypatch):
     """A w chord that one test finds inside a v chord must separate the v
     chord's ends in turn.  For any strict order of the boundary points that
     holds, and a plain strand swap is left to the overlay's minimality
-    checks; a slot placed on both sides of its neighbours breaks it, and
-    the realization refuses the pair."""
-    strand_slots = realization._strand_slots
+    checks; a segment end placed on both sides of its neighbours breaks
+    it, and the realization refuses the pair."""
+    ends_of = realization._ends
     refused = 0
     for v, w in seeded_pairs(g1, "separate", 6, max_steps=30, require_crossing=True):
-        for owner, word in enumerate((v, w)):
-            for i in range(len(word.crossings)):
+        for prep in map(realization._prepare, (v, w)):
+            for i in range(len(prep[0])):  # each segment
 
-                def swapped(edge_order, arcs, owner=owner, i=i):
-                    slots = strand_slots(edge_order, arcs)
-                    for side in slots[owner]:
-                        side[i] = _BothSides(side[i])
-                    return slots
+                def misplaced(of, slots, S, prep=prep, i=i):
+                    ends = ends_of(of, slots, S)
+                    if of is prep:
+                        t, a, b = ends[i]
+                        ends[i] = (t, _BothSides(a), b)
+                    return ends
 
-                monkeypatch.setattr(realization, "_strand_slots", swapped)
+                monkeypatch.setattr(realization, "_ends", misplaced)
                 try:
                     Realization(v, w)
                 except VerificationError as ex:

@@ -19,6 +19,7 @@ from arcdist.arc import ArcWord, random_arc
 from arcdist.corpus import load_bundled_examples
 from arcdist.distance import ShadowPairInput, Verdict, classify
 from arcdist.leveling import ArcSequence, arcs_to_leveling
+from arcdist.realization import Realization, _prepare, self_intersection
 from arcdist.surgery import path_between, surgery_step
 
 SEEDS = (31002, 31003)  # a genus-1 pair at distance >= 3
@@ -118,3 +119,33 @@ def test_copies_are_built_by_the_checking_constructor(g1, monkeypatch):
     for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         assert clone(v) == v
     assert len(calls) == 3
+
+
+def test_realizing_a_word_leaves_its_record_unchanged(g1):
+    """A realization caches each word's own work on the ``ArcWord``, in a
+    slot that is no field: equality, hashing, ``repr``, the pickled bytes
+    and every copy read the same before and after, for the words and for
+    the records holding them.  A copy starts without the cache and builds
+    its own."""
+    v, w = random_arc(g1, SEEDS[0], 30), random_arc(g1, SEEDS[1], 30)
+    seq = path_between(v, w)
+    records = (v, w, seq, ShadowPairInput(g1, (v,), (w,)))
+    twins = (random_arc(g1, SEEDS[0], 30), random_arc(g1, SEEDS[1], 30))
+
+    def observed():
+        out = []
+        for r in records:
+            clones = (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r)))
+            out.append((repr(r), hash(r), pickle.dumps(r), r.__reduce__(), [c == r for c in clones]))
+        return out + [v == twins[0], w == twins[1], hash(v) == hash(twins[0])]
+
+    before = observed()
+    prepared = {id(a): _prepare(a) for a in seq.arcs}
+    Realization(v, w)
+    self_intersection(w)
+    assert all(_prepare(a) is prepared[id(a)] for a in seq.arcs)  # built once, then kept
+    assert observed() == before
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        c = clone(v)
+        assert c == v and c._prep is None
+        assert _prepare(c) == _prepare(v) and _prepare(c) is not _prepare(v)

@@ -1,17 +1,20 @@
 """Wider-net checks: higher genus, bigger enumerations, format round trips."""
 
+import copy
 import itertools
 import json
+import tracemalloc
+from functools import cmp_to_key
 
 import pytest
 
-from arcdist import build_standard_triangulation
+from arcdist import build_standard_triangulation, realization
 from arcdist.arc import enumerate_arcs, random_arc, transport
 from arcdist.distance import classify
 from arcdist.leveling import arcs_to_leveling, leveling_to_arc_sequence
-from arcdist.overlay import Realization, build_overlay, intersection, intersection_via_flips
+from arcdist.overlay import Realization, build_overlay, intersection, intersection_via_flips, self_intersection
 from arcdist.serialize import dumps
-from arcdist.surface import Triangulation, edge_of
+from arcdist.surface import edge_of
 from arcdist.surgery import path_between
 
 from conftest import seeded_arcs_of_length, seeded_pairs
@@ -146,23 +149,76 @@ def test_strand_order_is_a_total_order(g1, g2):
 
 
 def test_realization_work_is_linear_in_word_length(g1, monkeypatch):
-    """Building one realization looks up O(|v|+|w|) triangle sides; a
-    comparator that walks rays again makes it grow quadratically."""
+    """Once each word is prepared, building one realization compares a v
+    strand with a w strand at most |v| + |w| times: one merge of the two
+    words' sorted runs per edge, never a sort of both words' strands."""
     arcs = seeded_arcs_of_length(g1, "work-bound", 8, 24, 64)
     pairs = [(v, w) for v, w in itertools.combinations(arcs, 2) if len(v) + len(w) >= 80]
     assert len(pairs) >= 5
+    for a in arcs:
+        self_intersection(a)  # prepares the word: its own strands sorted once
     calls = [0]
-    side_corner = Triangulation.side_corner
+    compare = realization._compare
 
-    def counting(self, label):
+    def counting(*rays):
         calls[0] += 1
-        return side_corner(self, label)
+        return compare(*rays)
 
-    monkeypatch.setattr(Triangulation, "side_corner", counting)
+    monkeypatch.setattr(realization, "_compare", counting)
     for v, w in pairs:
         calls[0] = 0
         Realization(v, w)
-        assert calls[0] <= 4 * (len(v) + len(w)), (len(v), len(w), calls[0])
+        assert 0 < calls[0] <= len(v) + len(w), (len(v), len(w), calls[0])
+
+
+def test_merged_edge_order_equals_a_full_sort():
+    """Merging the two words' sorted runs on each edge gives the order that
+    one comparator sort of both words' strands gives: on seeded genus 1-4
+    pairs, on edges both words cross, and on equal words, as one object
+    and as two, whose parallel copies take the tie-break."""
+    shared = equal = 0
+    for genus, steps in ((1, 30), (2, 40), (3, 40), (4, 60)):
+        base = build_standard_triangulation(genus)
+        pairs = seeded_pairs(base, f"merge-{genus}", 12, max_steps=steps, require_crossing=True)
+        pairs += [(v, v) for v, _ in pairs[:2]] + [(copy.copy(w), w) for _, w in pairs[:2]]
+        for v, w in pairs:
+            rays = [realization._rays(a, *realization._prepare(a)[3:5]) for a in (v, w)]  # its turn strings
+
+            def cmp(p, q):
+                d = realization._compare(*rays[p.owner](p.index), *rays[q.owner](q.index))
+                if d == 0:  # fully parallel: the same crossing of equal words; w's copy to one side
+                    assert (p.owner, p.index, p.value) == (1 - q.owner, q.index, q.value)
+                    d = (p.owner - q.owner) * (1 if p.value > 0 else -1)
+                return d
+
+            real = Realization(v, w)
+            for e, strands in real.edge_order.items():
+                mixed = sorted(strands, key=lambda st: (st.owner, st.index))
+                assert sorted(mixed, key=cmp_to_key(cmp)) == strands
+                shared += len({st.owner for st in strands}) == 2
+            equal += v == w
+    assert shared >= 100 and equal == 16
+
+
+def test_realization_memory_is_linear_in_word_length(g1):
+    """The tracemalloc peak of realizing a genus-1 pair, each word's
+    preparation included, grows by at most 3x when the long word doubles
+    (1,808 -> 3,555 letters; i(v, w) 2,820 -> 5,664).  Keeping both rays of
+    every strand as byte copies grows it quadratically (3.7x here)."""
+    w = random_arc(g1, 25531405, 94)
+    peaks = []
+    for seed, steps in ((156232071, 99), (934630942, 93)):
+        v = random_arc(g1, seed, steps)
+        v, w = copy.copy(v), copy.copy(w)  # fresh words: their preparation is measured too
+        tracemalloc.start()
+        try:
+            real = Realization(v, w)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert real.count() > len(v)
+    assert [len(v), len(w)] == [3555, 26]
+    assert peaks[1] <= 3 * peaks[0], peaks
 
 
 def test_level_position_json_round_trip(g1):
