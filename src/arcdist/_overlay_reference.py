@@ -90,7 +90,7 @@ class _OverlayBuilder:
         base = self.base
         real = self.real
         pts: dict[int, dict[tuple, tuple]] = {t: {} for t in range(base.n_triangles)}
-        for o, word in enumerate(real.arcs):
+        for o, word in enumerate((real.v, real.w)):
             for i, c in enumerate(word.crossings):
                 for value, slots in zip((c, -c), real.slots[o]):
                     sc = base.side_corner(value)
@@ -125,13 +125,15 @@ class _OverlayBuilder:
         # chord pieces, split at crossings; data records the far anchors of
         # the owning segment for rotational sorting
         for o in (0, 1):
-            for seg in real.segments[o]:
-                chain = [(seg.tri, seg.a)]
-                for _, xkey in sorted(cross_on_seg.get((o, seg.index), [])):
+            for j, (t, *codes) in enumerate(real.ends[o]):
+                # end code pos * S + rank + 1 -> coordinate (pos, rank), the corner rank -1
+                a, b = ((code // real.S, code % real.S - 1) for code in codes)
+                chain = [(t, a)]
+                for _, xkey in sorted(cross_on_seg.get((o, j), [])):
                     chain.append(xkey)
-                chain.append((seg.tri, seg.b))
+                chain.append((t, b))
                 for i in range(len(chain) - 1):
-                    add_edge("chord", chain[i], chain[i + 1], (o, seg.index, seg.a, seg.b))
+                    add_edge("chord", chain[i], chain[i + 1], (o, j, a, b))
 
         germs: dict[tuple, list] = {}
         for eid, (kind, tail, head, data) in enumerate(self.local_edges):
@@ -144,7 +146,7 @@ class _OverlayBuilder:
 
     def _node_tri(self, node) -> int:
         if self._is_crossing(node):
-            return self.real.segments[0][node[1]].tri
+            return self.real.ends[0][node[1]][0]
         return node[0]
 
     def _germ_far_anchor(self, eid, forward):

@@ -98,9 +98,15 @@ class ShadowPairInput(_Record):
     __slots__ = ("base", "v_side", "w_side")
 
     def __init__(self, base: Triangulation, v_side: tuple[ArcWord, ...], w_side: tuple[ArcWord, ...]):
+        try:
+            v_side, w_side = tuple(v_side), tuple(w_side)
+        except TypeError:
+            raise PreconditionError("shadow lists must be sequences of arcs") from None
         if not v_side or not w_side:
             raise PreconditionError("shadow lists must be non-empty")
         for a in (*v_side, *w_side):
+            if not isinstance(a, ArcWord):
+                raise PreconditionError(f"shadow lists must hold arcs, not {type(a).__name__}")
             if a.base != base:
                 raise BaseMismatch("shadow over a different triangulation")
         object.__setattr__(self, "base", base)

@@ -26,8 +26,12 @@ class ArcSequence(_Record):
     __slots__ = ("base", "arcs")
 
     def __init__(self, base: Triangulation, arcs: tuple[ArcWord, ...]):
+        try:
+            arcs = tuple(arcs)
+        except TypeError:
+            pass  # validate_sequence reports it
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "arcs", tuple(arcs))
+        object.__setattr__(self, "arcs", arcs)
         problems = validate_sequence(self)
         if problems:
             raise InvalidSequence(problems)
@@ -55,12 +59,15 @@ def validate_sequence(seq) -> list[str]:
     data can be screened before constructing the type.
     """
     base, arcs = (seq.base, seq.arcs) if isinstance(seq, ArcSequence) else seq
-    problems = []
+    if not isinstance(arcs, (tuple, list)):
+        return [f"sequence: {type(arcs).__name__} is not a sequence of arcs"]
     if not arcs:
-        problems.append("sequence: empty")
-        return problems
+        return ["sequence: empty"]
+    problems = []
     for i, a in enumerate(arcs):
-        if a.base != base:
+        if not isinstance(a, ArcWord):
+            problems.append(f"index {i}: {type(a).__name__} is not an arc")
+        elif a.base != base:
             problems.append(f"index {i}: arc is over a different triangulation")
     if problems:
         return problems

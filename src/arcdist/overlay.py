@@ -1,8 +1,8 @@
 """The overlay cell complex of two realized arcs.
 
 This module is the overlay layer.  It reads a ``Realization`` from
-:mod:`arcdist.realization`, which holds the strand order and slots, the
-segments, the crossings and each segment's crossing partners, and
+:mod:`arcdist.realization`, which stores the strand order, the segments'
+end codes, the crossings and each segment's crossing partners, and
 re-exports that module's public names for callers that reach them here.
 
 A realization induces a cell decomposition of the surface (the overlay):
@@ -132,13 +132,13 @@ def _sign_vector_pass(real: Realization):
     """
     base = real.base
     vertex = base._vertex_of_corner
-    order = real._order  # edge -> its strands in order; only their number is read here
+    order, S = real.edge_order, real.S  # edge -> its strands in order; only their number is read here
     partners = real.partners  # per arc, per segment: the crossed segments from its end a
-    in_tri = [[] for _ in range(base.n_triangles)]  # v chords first, then w chords
-    for segs in real.segments:
-        for s in segs:
-            in_tri[s.tri].append(s)
-    bits = tuple([0] * len(segs) for segs in real.segments)  # each chord's bit in its triangle
+    in_tri = [[] for _ in range(base.n_triangles)]  # (owner, segment, end a, end b), v chords first
+    for owner, segs in enumerate(real.ends):
+        for j, (t, a, b) in enumerate(segs):
+            in_tri[t].append((owner, j, a, b))
+    bits = tuple([0] * len(segs) for segs in real.ends)  # each chord's bit in its triangle
 
     strands, gap_faces = [], []
     # face ids on the two sides of every strand point (each once, from the +
@@ -159,17 +159,17 @@ def _sign_vector_pass(real: Realization):
         toggled = [0] * m  # bits of the chords ending at each boundary item
         ends = ([], [], [])  # per corner: (chord, far end, tie) of each chord ending there
         lows = []  # per chord: item index of its low end, whether that is end b, and at a corner
-        for i, s in enumerate(chords):
-            bit = bits[s.owner][s.index] = 1 << i
-            (ka, ra), (kb, rb) = a, b = s.a, s.b
-            pa, pb = start[ka] + 1 + ra, start[kb] + 1 + rb  # a corner's rank -1 lands on its item
+        for i, (owner, j, a, b) in enumerate(chords):
+            bit = bits[owner][j] = 1 << i
+            (ka, ra), (kb, rb) = divmod(a, S), divmod(b, S)
+            pa, pb = start[ka] + ra, start[kb] + rb  # a corner's code, 0 mod S, lands on its item
             toggled[pa] ^= bit
             toggled[pb] ^= bit
-            if ra < 0:
-                ends[ka].append((i, b, s.owner))
-            if rb < 0:
-                ends[kb].append((i, a, -s.owner))
-            lows.append((pb, True, rb < 0) if pb < pa else (pa, False, ra < 0))
+            if not ra:
+                ends[ka].append((i, b, owner))
+            if not rb:
+                ends[kb].append((i, a, -owner))
+            lows.append((pb, True, not rb) if pb < pa else (pa, False, not ra))
         # every strand point holds exactly one chord end: as many ends as
         # points, and none left empty (the other zeros are corners no chord ends at)
         point_ends = 2 * len(chords) - sum(map(len, ends))
@@ -202,7 +202,7 @@ def _sign_vector_pass(real: Realization):
             sector_keys = [key]
             if ends[k]:
                 # far ends ccw from the corner, descending: (far < corner, far)
-                corner = (k, -1)
+                corner = k * S
                 for i, _, _ in sorted(ends[k], key=lambda e: (e[1] < corner, e[1], e[2]), reverse=True):
                     corner_key.setdefault(i, key)
                     key ^= 1 << i
@@ -216,7 +216,7 @@ def _sign_vector_pass(real: Realization):
                 if f not in at or reach < at[f]:
                     at[f] = reach
 
-        for i, s in enumerate(chords):
+        for i, (owner, j, _, _) in enumerate(chords):
             b = 1 << i
             lo, from_b, at_corner = lows[i]
             if at_corner:
@@ -225,10 +225,10 @@ def _sign_vector_pass(real: Realization):
             else:
                 key, near, far = keys[lo - 1], gaps[lo - 1], gaps[lo]
             first_pieces.append((near, far))
-            crossed = partners[s.owner][s.index]
+            crossed = partners[owner][j]
             if from_b:
                 crossed = crossed[::-1]
-            other, around = bits[1 - s.owner], quads[s.owner]
+            other, around = bits[1 - owner], quads[owner]
             for p in crossed:
                 key ^= other[p]
                 after = setdefault(key, nf)

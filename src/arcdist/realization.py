@@ -24,8 +24,8 @@ edge, and that order gives each strand its slot on both sides of its edge.
 In-triangle chords cross exactly when their boundary endpoints interleave,
 and the total count is the geometric intersection number of the two
 isotopy classes.  Sorting the chord ends found inside each segment ranks
-its crossings and lists its partners, which the overlay, surgery and
-figures read as they are.
+its crossings and lists its partners.  A realization builds each of these
+facts once, in one encoding, which the overlay, surgery and figures read.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -36,7 +36,7 @@ it, and the two are compared pair-by-pair in the test suite.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from typing import NamedTuple
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
@@ -147,12 +147,6 @@ def _parallel(v: ArcWord, w: ArcWord, p: int, q: int) -> int:
     return -1 if v.crossings[p] > 0 else 1
 
 
-class _Strand(NamedTuple):
-    owner: int
-    index: int
-    value: int  # signed crossing label
-
-
 def _order_edges(arcs, preps) -> dict[int, list[int]]:
     """Both arcs' strands along each edge (+side tail->head), v's crossing i
     listed as i and w's crossing j as len(v) + j: one merge of the two
@@ -195,14 +189,6 @@ def _slots(order, values) -> tuple[list[int], list[int]]:
 
 # ----------------------------------------------------------------------
 # segments and interleave counting
-
-
-class _Segment(NamedTuple):
-    owner: int
-    index: int  # anchors index..index+1 of the owning word
-    tri: int
-    a: tuple  # boundary coordinate (pos, rank); rank -1 marks the corner itself
-    b: tuple
 
 
 def _ends(prep: tuple, slots, S: int) -> list[tuple[int, int, int]]:
@@ -273,10 +259,14 @@ class Realization:
     inside it, so the crossings of a segment are ranked by sorting those
     recorded ends from its end a.
 
-    ``slots[o]`` holds word o's slot of each crossing on the side it leaves
-    by and on the side it enters by; ``partners[o][j]`` the other arc's
-    segments that segment j of arc o crosses, in order from its end a.
-    ``edge_order`` and ``segments`` are built on first use.
+    ``edge_order`` is :func:`_order_edges`'s.  ``slots[o]`` holds word o's
+    slot of each crossing on the side it leaves by and on the side it
+    enters by.  ``ends[o][j]`` is segment j of word o, from the corner
+    crossing j-1 enters by (or the start) to the one crossing j leaves by
+    (or the end), as ``(tri, a, b)`` with end codes ``pos * S + rank + 1``;
+    a code that is 0 mod ``S`` is the corner itself.  ``partners[o][j]``
+    holds the other arc's segments that segment j of arc o crosses, in
+    order from its end a.
     """
 
     def __init__(self, v: ArcWord, w: ArcWord):
@@ -284,49 +274,26 @@ class Realization:
             raise BaseMismatch("arcs live over different triangulations")
         self.base = v.base
         self.v, self.w = v, w
-        self.arcs = (v, w)
-        self._preps = (_prepare(v), _prepare(w))
-        self._order = _order_edges(self.arcs, self._preps)
-        leave, enter = _slots(self._order.values(), v.crossings + w.crossings)
+        preps = _prepare(v), _prepare(w)
+        self.edge_order = _order_edges((v, w), preps)
+        leave, enter = _slots(self.edge_order.values(), v.crossings + w.crossings)
         n = len(v)
         self.slots = (leave[:n], enter[:n]), (leave[n:], enter[n:])
-        self.crossings, self.partners = self._find_crossings()
-
-    @cached_property
-    def edge_order(self) -> dict[int, list[_Strand]]:
-        n, values = len(self.v), self.v.crossings + self.w.crossings
-        return {
-            e: [_Strand(int(x >= n), x - n if x >= n else x, values[x]) for x in xs] for e, xs in self._order.items()
-        }
-
-    @cached_property
-    def segments(self) -> tuple[list[_Segment], list[_Segment]]:
-        """Segment j runs from the corner crossing j-1 enters by (or the
-        start) to the corner crossing j leaves by (or the end)."""
-        out = []
-        for owner, (prep, (leave, enter)) in enumerate(zip(self._preps, self.slots)):
-            tris, a_pos, b_pos, *_ = prep
-            ends = zip(tris, a_pos, [-1, *enter], b_pos, [*leave, -1])
-            out.append([_Segment(owner, j, t, (pa, ra), (pb, rb)) for j, (t, pa, ra, pb, rb) in enumerate(ends)])
-        return tuple(out)
-
-    def _find_crossings(self):
-        """Every crossing once, sorted along v, with its ranks along both
-        segments, and each segment's partners."""
-        S = len(self.v) + len(self.w) + 1
-        v_ends, w_ends = map(_ends, self._preps, self.slots, (S, S))
+        self.S = S = n + len(w) + 1
+        self.ends = v_ends, w_ends = tuple(map(_ends, preps, self.slots, (S, S)))
+        # every crossing once, sorted along v, ranked along both segments
         found, on_w, across_v = _cross(v_ends, w_ends)
         w_rank = [0] * len(found)
         across_w = [[] for _ in w_ends]
-        for k, ends in on_w.items():
+        for k, inside in on_w.items():
             _, a, b = w_ends[k]
-            ends.sort(reverse=a > b)
+            inside.sort(reverse=a > b)
             across = across_w[k]
-            for r, (_, x) in enumerate(ends):
+            for r, (_, x) in enumerate(inside):
                 w_rank[x] = r
                 across.append(found[x][0])
-        crossings = tuple(_Crossing(*x, w_rank[x_k]) for x_k, x in enumerate(found))
-        return crossings, (across_v, across_w)
+        self.crossings = tuple(_Crossing(*x, w_rank[x_k]) for x_k, x in enumerate(found))
+        self.partners = across_v, across_w
 
     def count(self) -> int:
         """i(v, w); 0 for equal words, whose copies are nested side by side."""
@@ -339,8 +306,6 @@ class Realization:
 
 def intersection(v: ArcWord, w: ArcWord) -> int:
     """Minimal number of interior transverse crossings of the two classes."""
-    if v == w:
-        return 0
     return Realization(v, w).count()
 
 

@@ -33,13 +33,13 @@ def _side_point(corners, pos, frac):
     return (x1 + (x2 - x1) * frac, y1 + (y2 - y1) * frac)
 
 
-def _coord_point(real, tri, corners, coord):
+def _coord_point(real, tri, corners, code):
     """A segment end: its corner, or its slot among the edge's strands."""
-    pos, rank = coord
-    if rank < 0:
+    pos, slot = divmod(code, real.S)  # slot = rank + 1; 0 is the corner
+    if not slot:
         return corners[pos]
     m = len(real.edge_order[edge_of(real.base.triangles[tri][pos])])
-    return _side_point(corners, pos, (rank + 1) / (m + 1))
+    return _side_point(corners, pos, slot / (m + 1))
 
 
 def render_arcs_svg(arcs: list[ArcWord], labels: list[str] | None = None) -> str:
@@ -86,10 +86,10 @@ def render_arcs_svg(arcs: list[ArcWord], labels: list[str] | None = None) -> str
 
     for ai, (real, owner) in enumerate(placements):
         color = _COLORS[ai % len(_COLORS)]
-        for seg in real.segments[owner]:
-            corners = centers[seg.tri]
-            x1, y1 = _coord_point(real, seg.tri, corners, seg.a)
-            x2, y2 = _coord_point(real, seg.tri, corners, seg.b)
+        for tri, a, b in real.ends[owner]:
+            corners = centers[tri]
+            x1, y1 = _coord_point(real, tri, corners, a)
+            x2, y2 = _coord_point(real, tri, corners, b)
             out.append(
                 f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                 f'stroke="{color}" stroke-width="1.8"/>'

@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from importlib import resources
+from typing import NamedTuple
 
 import pytest
 
@@ -39,6 +40,48 @@ def self_crossing_word(g1):
     """A genus-1 word with one self-crossing: a reduced word, but no vertex
     of the arc complex."""
     return ArcWord(g1, Corner(0, 1), (-4, -5, -6, -2), Corner(1, 0))
+
+
+class Strand(NamedTuple):
+    """Crossing ``index`` of arc ``owner`` (0 for v, 1 for w) on its edge,
+    with its signed label ``value``."""
+
+    owner: int
+    index: int
+    value: int
+
+
+def strand_order(real):
+    """``real.edge_order`` with each strand, listed as i for v's crossing i
+    and len(v) + j for w's crossing j, decoded to a ``Strand``."""
+    n, values = len(real.v), real.v.crossings + real.w.crossings
+    return {
+        e: [Strand(int(x >= n), x - n if x >= n else x, values[x]) for x in xs] for e, xs in real.edge_order.items()
+    }
+
+
+class Segment(NamedTuple):
+    """Segment ``index`` of arc ``owner`` in triangle ``tri``, its ends a and
+    b as boundary coordinates (pos, rank); rank -1 marks the corner itself."""
+
+    owner: int
+    index: int
+    tri: int
+    a: tuple
+    b: tuple
+
+
+def segments_of(real):
+    """Each arc's segments, decoded from the end codes ``pos * S + rank + 1``
+    of ``real.ends``."""
+
+    def coord(code):
+        pos, slot = divmod(code, real.S)
+        return pos, slot - 1
+
+    return tuple(
+        [Segment(o, j, t, coord(a), coord(b)) for j, (t, a, b) in enumerate(ends)] for o, ends in enumerate(real.ends)
+    )
 
 
 def seeded_pairs(base, tag, count, max_steps=18, require_crossing=False):

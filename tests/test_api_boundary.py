@@ -6,15 +6,26 @@ labels and ``p1_corner`` are fed negative, out-of-range, float, boolean and
 wrong-length values.  Each call gives the result the equal plain int gives,
 or raises an ``ArcdistError`` subclass (a table reports a violation): never
 a bare ``KeyError`` or ``TypeError``, and never an answer about another
-edge.  Booleans pass as 0 and 1.
+edge.  Booleans pass as 0 and 1.  Shadow lists and arc sequences are fed
+values that are no sequences and members that are no arcs, and refuse
+them in the same way.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arcdist import ArcdistError, InvalidTriangulation, P1, build_standard_triangulation
+from arcdist import (
+    P1,
+    ArcdistError,
+    InvalidSequence,
+    InvalidTriangulation,
+    PreconditionError,
+    build_standard_triangulation,
+)
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport, transport_inverse
-from arcdist.distance import bounded_search
+from arcdist.distance import ShadowPairInput, bounded_search
+from arcdist.leveling import ArcSequence, validate_sequence
 from arcdist.surface import Corner, Triangulation
 
 G2 = build_standard_triangulation(2)
@@ -215,3 +226,43 @@ def test_rows_that_are_no_sequences_are_a_shape_violation():
             assert "shape:" in str(ex)
         else:
             raise AssertionError("an invalid table answered a query")
+
+
+@pytest.mark.parametrize(
+    "v_side, w_side, message",
+    [
+        ((ARC, 3), (OTHER,), "shadow lists must hold arcs, not int"),
+        ((ARC,), [OTHER, None], "shadow lists must hold arcs, not NoneType"),
+        ((ARC,), "ab", "shadow lists must hold arcs, not str"),
+        (5, (OTHER,), "shadow lists must be sequences of arcs"),
+        ((ARC,), None, "shadow lists must be sequences of arcs"),
+    ],
+)
+def test_shadow_lists_of_no_arcs_are_refused(v_side, w_side, message):
+    """A shadow list that is no sequence, or holds a member that is no
+    arc, is refused with a ``PreconditionError`` naming it: never a bare
+    ``AttributeError`` or ``TypeError``."""
+    with pytest.raises(PreconditionError) as refused:
+        ShadowPairInput(G2, v_side, w_side)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "arcs, problems",
+    [
+        ((ARC, 3), ["index 1: int is not an arc"]),
+        ([None, ARC], ["index 0: NoneType is not an arc"]),
+        ([ARC, "ab", 2.0], ["index 1: str is not an arc", "index 2: float is not an arc"]),
+        (5, ["sequence: int is not a sequence of arcs"]),
+        (None, ["sequence: NoneType is not a sequence of arcs"]),
+    ],
+)
+def test_sequences_of_no_arcs_are_refused(arcs, problems):
+    """``ArcSequence`` reports a member that is no arc, or a value that is
+    no sequence, through ``validate_sequence``: the error is an
+    ``InvalidSequence`` listing each violation, and ``validate_sequence``
+    gives the same list for a plain ``(base, arcs)`` pair."""
+    with pytest.raises(InvalidSequence) as refused:
+        ArcSequence(G2, arcs)
+    assert refused.value.problems == problems
+    assert validate_sequence((G2, arcs)) == problems

@@ -21,13 +21,13 @@ from arcdist.overlay import (
     self_intersection,
 )
 from arcdist.arc import ArcWord
-from arcdist.realization import _Crossing, _Segment
+from arcdist.realization import _Crossing
 from arcdist.surface import Corner, edge_of, flip_walk
 
-from conftest import seeded_arcs, seeded_pairs, self_crossing_word
+from conftest import Segment, seeded_arcs, seeded_pairs, segments_of, self_crossing_word, strand_order
 
 
-def _interleaved(s1: _Segment, s2: _Segment) -> bool:
+def _interleaved(s1: Segment, s2: Segment) -> bool:
     """Reference crossing test for two chords of one triangle."""
     pts = {s1.a, s1.b, s2.a, s2.b}
     if len(pts) < 4:  # shared boundary point: meeting, not a crossing
@@ -75,7 +75,7 @@ def brute_min_intersection(v, w):
                 else:
                     c = word.crossings[j]
                     b = (base.side_corner(c).pos, rank_of(o, j, c))
-                out.append(_Segment(o, j, tri, a, b))
+                out.append(Segment(o, j, tri, a, b))
             return out
 
         sv, sw = segs(v, 0), segs(w, 1)
@@ -181,7 +181,7 @@ def brute_min_self(word):
             else:
                 c = word.crossings[j]
                 b = (base.side_corner(c).pos, rank_of(0, j, c))
-            segs.append(_Segment(0, j, tri, a, b))
+            segs.append(Segment(0, j, tri, a, b))
         total = 0
         for i1, s1 in enumerate(segs):
             for s2 in segs[i1 + 1 :]:
@@ -364,6 +364,25 @@ def test_sign_vector_pass_output_is_pinned():
     assert h.hexdigest() == SIGN_VECTOR_DIGEST
 
 
+def test_a_realization_stores_its_strand_order_and_end_codes(g1, g2):
+    """``edge_order`` and ``ends`` are built with the realization, not on
+    first read, so a caller that reads them after construction does no
+    realization work.  Every strand of both words is listed once on its
+    edge, and every segment has its triangle and two end codes; a code
+    that is 0 mod ``S`` is a corner, which only the start and end are."""
+    for base in (g1, g2):
+        for v, w in seeded_pairs(base, f"stored-{base.genus}", 6, require_crossing=True):
+            real = Realization(v, w)
+            assert {"edge_order", "ends", "S"} <= vars(real).keys()
+            n, values = len(v), v.crossings + w.crossings
+            assert sorted(x for xs in real.edge_order.values() for x in xs) == list(range(n + len(w)))
+            assert all(edge_of(values[x]) == e for e, xs in real.edge_order.items() for x in xs)
+            for word, ends in zip((v, w), real.ends):
+                assert len(ends) == len(word) + 1
+                codes = [(j, end, code) for j, (_, a, b) in enumerate(ends) for end, code in (("a", a), ("b", b))]
+                assert [(j, end) for j, end, code in codes if code % real.S == 0] == [(0, "a"), (len(word), "b")]
+
+
 def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
     """Swapping two adjacent strands of different arcs on one edge, where
     that adds crossings, leaves a bigon or half-bigon: both the sign-vector
@@ -372,7 +391,7 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
     seen = Counter()
     for v, w in seeded_pairs(g1, "swap", 12, max_steps=30, require_crossing=True):
         k = intersection(v, w)
-        for e, strands in Realization(v, w).edge_order.items():
+        for e, strands in strand_order(Realization(v, w)).items():
             for i in range(len(strands) - 1):
                 if strands[i].owner == strands[i + 1].owner:
                     continue
@@ -406,12 +425,8 @@ def _reference_crossings(real):
     """Every v/w segment pair of a realization tested with ``_interleaved``,
     each crossing ranked along both segments by ``_position_from``, as
     ``(v_seg, w_seg, tri, v_rank, w_rank)`` sorted along v."""
-    raw = [
-        (vs, ws)
-        for vs in real.segments[0]
-        for ws in real.segments[1]
-        if vs.tri == ws.tri and _interleaved(vs, ws)
-    ]
+    v_segs, w_segs = segments_of(real)
+    raw = [(vs, ws) for vs in v_segs for ws in w_segs if vs.tri == ws.tri and _interleaved(vs, ws)]
     ranks = []
     for mine in (0, 1):
         groups = {}
@@ -430,8 +445,8 @@ def _reference_crossings(real):
 def _partners_from(real):
     """Each segment's crossed segments read off the crossing records, in
     order from its end a: along v as listed, along w by ``w_rank``."""
-    across_v = [[] for _ in real.segments[0]]
-    across_w = [[] for _ in real.segments[1]]
+    across_v = [[] for _ in real.ends[0]]
+    across_w = [[] for _ in real.ends[1]]
     for x in real.crossings:
         across_v[x.v_seg].append(x.w_seg)
     for x in sorted(real.crossings, key=lambda x: x.w_rank):

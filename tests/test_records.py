@@ -102,6 +102,21 @@ def test_checking_classes_refuse_bad_fields(g1, g2):
         ShadowPairInput(g2, (v,), (w,))
 
 
+def test_shadow_lists_are_stored_as_tuples(g1):
+    """Lists given to ``ShadowPairInput`` are stored as tuples: the record
+    hashes, equals the one built from tuples, and cannot change after its
+    checks ran when the caller's lists do."""
+    v, w = random_arc(g1, SEEDS[0], 30), random_arc(g1, SEEDS[1], 30)
+    v_side, w_side = [v], [w]
+    shadows = ShadowPairInput(g1, v_side, w_side)
+    assert shadows == ShadowPairInput(g1, (v,), (w,))
+    assert hash(shadows) == hash(ShadowPairInput(g1, (v,), (w,)))
+    v_side.append(w)
+    w_side.clear()
+    assert shadows.v_side == (v,) and shadows.w_side == (w,)
+    assert ArcSequence(g1, [v]).arcs == (v,)
+
+
 def test_copies_are_built_by_the_checking_constructor(g1, monkeypatch):
     """``__reduce__`` hands the fields back to the class, so unpickling and
     copying run the constructor's checks; a word that fails them cannot be

@@ -17,7 +17,7 @@ from arcdist.serialize import dumps
 from arcdist.surface import edge_of
 from arcdist.surgery import path_between
 
-from conftest import seeded_arcs_of_length, seeded_pairs
+from conftest import seeded_arcs_of_length, seeded_pairs, segments_of, strand_order
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ def test_strand_order_is_a_total_order(g1, g2):
     pairs."""
     for v, w in _total_order_pairs(g1, g2):
         base, arcs = v.base, (v, w)
-        orders = Realization(v, w).edge_order
+        orders = strand_order(Realization(v, w))
         expected = sorted(
             (edge_of(c), o, i) for o, word in enumerate(arcs) for i, c in enumerate(word.crossings)
         )
@@ -192,7 +192,7 @@ def test_merged_edge_order_equals_a_full_sort():
                 return d
 
             real = Realization(v, w)
-            for e, strands in real.edge_order.items():
+            for e, strands in strand_order(real).items():
                 mixed = sorted(strands, key=lambda st: (st.owner, st.index))
                 assert sorted(mixed, key=cmp_to_key(cmp)) == strands
                 shared += len({st.owner for st in strands}) == 2
@@ -267,8 +267,9 @@ def test_pair_figure_puts_strands_at_their_realized_slots(g1):
         for owner, color in enumerate(_COLORS[:2]):
             pattern = f'<line x1="{number}" y1="{number}" x2="{number}" y2="{number}" stroke="{color}" stroke-width="1.8"/>'
             lines = re.findall(pattern, svg)
-            assert len(lines) == len(real.segments[owner])
-            for seg, line in zip(real.segments[owner], lines):
+            segments = segments_of(real)[owner]
+            assert len(lines) == len(segments)
+            for seg, line in zip(segments, lines):
                 x1, y1, x2, y2 = map(float, line)
                 for (pos, rank), x, y in ((seg.a, x1, y1), (seg.b, x2, y2)):
                     if rank < 0:
