@@ -16,6 +16,13 @@ operation, an output path that cannot be written included, 141 stdout
 closed by its reader (a shell's status for SIGPIPE, with nothing on
 stderr).  All emitted JSON is canonical (sorted keys, compact, one trailing
 newline), so outputs are byte-stable and diffable.
+
+-o, --emit and --svg overwrite an existing file in place: it keeps its
+inode, mode and links, and its tail is cut when the new document is
+shorter.  The rewrite is not atomic, so a run killed mid-write can leave a
+file that check-cert refuses.  In place, because truncating the file to
+zero first cost 30-77 ms per call on ext4, and renaming a new file over it
+about as much (35-68 ms), against well under 1 ms for the rewrite.
 """
 
 from __future__ import annotations
@@ -144,6 +151,9 @@ def _cmd_examples(args) -> int:
     from .corpus import load_bundled_examples, run_examples
 
     seed = _seed_from_env()
+    if args.emit:
+        with _writing(args.emit):
+            os.makedirs(args.emit, exist_ok=True)
     records = load_bundled_examples()
     rows = run_examples(records)
     failed = 0
@@ -154,7 +164,6 @@ def _cmd_examples(args) -> int:
             failed += 1
         if args.emit:
             with _writing(args.emit):
-                os.makedirs(args.emit, exist_ok=True)
                 serialize.write_doc(os.path.join(args.emit, f"{row['name']}.record.json"), rec.to_json_dict())
                 serialize.write_doc(os.path.join(args.emit, f"{row['name']}.report.json"), row["report"])
     if seed is not None:

@@ -169,7 +169,7 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
     path does for the CLI.
     """
     from .leveling import sequence_to_level_certificate
-    from .serialize import _sequence, check_doc, load_distance_certificate, load_pair, load_sequence
+    from .serialize import _sequence, _write_file, check_doc, load_distance_certificate, load_pair, load_sequence
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,17 +182,16 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
         if cert.witness is not None:
             arcs.append(cert.witness)
             labels.append("witness")
-        (out_dir / "pair.svg").write_text(render_arcs_svg(arcs, labels))
+        _write_file(out_dir / "pair.svg", render_arcs_svg(arcs, labels))
         written.append("pair.svg")
     elif tag == "arcdist.pair/1":
         v, w = load_pair(doc, where)
-        (out_dir / "pair.svg").write_text(render_arcs_svg([v, w], ["v", "w"]))
+        _write_file(out_dir / "pair.svg", render_arcs_svg([v, w], ["v", "w"]))
         written.append("pair.svg")
     elif tag == "arcdist.arc_sequence/1":
         seq = load_sequence(doc, where)
-        (out_dir / "sequence.svg").write_text(
-            render_arcs_svg(list(seq.arcs), [f"s{i}" for i in range(len(seq.arcs))])
-        )
+        labels = [f"s{i}" for i in range(len(seq.arcs))]
+        _write_file(out_dir / "sequence.svg", render_arcs_svg(list(seq.arcs), labels))
         written.append("sequence.svg")
     elif tag in ("arcdist.level_report/1", "arcdist.level_certificate/1"):
         check_doc(doc, tag, where)
@@ -202,7 +201,7 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
             # rebuilds it, never the stored one unchecked
             place = where if level_certificate is doc else f"{where}.level_certificate"
             seq = _sequence(level_certificate, "sequence", place)
-            (out_dir / "levels.svg").write_text(render_levels_svg(sequence_to_level_certificate(seq)))
+            _write_file(out_dir / "levels.svg", render_levels_svg(sequence_to_level_certificate(seq)))
             written.append("levels.svg")
     else:
         raise ValueError(f"no renderer for format {tag!r}")

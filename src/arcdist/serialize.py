@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from importlib import resources
 from pathlib import Path
@@ -34,7 +35,31 @@ def dumps(doc: dict) -> str:
 
 
 def write_doc(path, doc: dict):
-    Path(path).write_text(dumps(doc))
+    _write_file(path, dumps(doc))
+
+
+def _write_file(path, text: str):
+    """Write ``text`` to ``path`` over any file already there, in place.
+
+    The one way the package writes an output file.  It never truncates an
+    existing file to zero, which costs tens of milliseconds per call on
+    ext4: it writes from offset 0 and cuts only the tail a longer old file
+    leaves.  The inode, mode and links of an existing file stay; a new file
+    gets mode 0o666 less the umask.  Not atomic: a write cut short can leave
+    a mix of new bytes and the old tail.  Devices and FIFOs report size 0,
+    so they are never cut.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old_size = os.fstat(fd).st_size
+        rest = data
+        while rest:
+            rest = rest[os.write(fd, rest) :]
+        if old_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def load_doc(path) -> dict:

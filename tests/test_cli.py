@@ -1,8 +1,12 @@
+import builtins
 import copy
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -129,14 +133,125 @@ def test_input_that_is_not_utf8_or_nests_too_deeply_is_malformed_json(tmp_path, 
         lambda d: (["tri", "--standard", "1", "-o", str(d / "missing" / "tri.json")], d / "missing" / "tri.json"),
         lambda d: (["examples", "--emit", str(d / "v.json")], d / "v.json"),
         lambda d: (["render", str(d / "pair.json"), "--svg", str(d / "v.json")], d / "v.json"),
+        lambda d: (["dist", str(d / "pair.json"), "-o", str(d)], d),
     ],
-    ids=["dist", "tri", "examples", "render"],
+    ids=["dist", "tri", "examples", "render", "directory"],
 )
 def test_an_unwritable_output_path_is_invalid_input(workdir, capsys, command):
     argv, path = command(workdir)
     assert main(argv) == 5
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"invalid input: cannot write {path}: ")
+
+
+def _stdout_of(argv, capsys) -> bytes:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "equal"])
+@pytest.mark.parametrize(
+    "command", [["dist", "pair.json"], ["level", "shadows.json"], ["tri", "--standard", "2"]], ids=["dist", "level", "tri"]
+)
+def test_an_output_file_is_rewritten_in_place(workdir, capsys, command, old):
+    """-o over an existing file leaves exactly the stdout bytes, in the same
+    inode with the same mode and links, whatever the old file's length."""
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in command]
+    expected = _stdout_of(argv, capsys)
+    out = workdir / "out.json"
+    out.write_bytes({"longer": b"x" * (2 * len(expected) + 7), "shorter": b"{}\n", "equal": b"y" * len(expected)}[old])
+    out.chmod(0o640)
+    os.link(out, workdir / "link.json")
+    before = out.stat()
+    assert main([*argv, "-o", str(out)]) == 0
+    after = out.stat()
+    assert out.read_bytes() == (workdir / "link.json").read_bytes() == expected
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+
+
+@pytest.mark.skipif(
+    not os.path.exists(os.devnull) or not stat.S_ISCHR(os.stat(os.devnull).st_mode),
+    reason="os.devnull is not a character device",
+)
+def test_an_output_to_a_device_is_written_and_never_cut(workdir, capsys):
+    assert main(["dist", str(workdir / "pair.json"), "-o", os.devnull]) == 0
+    assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_an_output_to_a_fifo_reaches_its_reader(workdir, capsys):
+    argv = ["dist", str(workdir / "pair.json")]
+    expected = _stdout_of(argv, capsys)
+    fifo = workdir / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main([*argv, "-o", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert got == [expected]
+
+
+def test_render_over_a_longer_figure_leaves_only_the_new_one(workdir):
+    fresh, stale = workdir / "fresh", workdir / "stale"
+    assert main(["render", str(workdir / "pair.json"), "--svg", str(fresh)]) == 0
+    figure = (fresh / "pair.svg").read_bytes()
+    stale.mkdir()
+    (stale / "pair.svg").write_bytes(figure + b"<!-- an older, longer figure -->\n" * 40)
+    assert main(["render", str(workdir / "pair.json"), "--svg", str(stale)]) == 0
+    assert (stale / "pair.svg").read_bytes() == figure
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (lambda d: ["dist", str(d / "pair.json"), "-o", str(d / "cert.json")], "cert.json"),
+        (lambda d: ["render", str(d / "pair.json"), "--svg", str(d / "figs")], "figs/pair.svg"),
+    ],
+    ids=["dist", "render"],
+)
+def test_an_output_rewrite_never_truncates_to_zero(workdir, capsys, monkeypatch, command, target):
+    """Truncating a non-empty file to zero blocks for tens of milliseconds on
+    ext4, so a rewrite opens without O_TRUNC and cuts only a longer tail."""
+    argv, path = command(workdir), workdir / target
+    assert main(argv) == 0
+    expected = path.read_bytes()
+    path.write_bytes(expected + b" " * 100)
+    truncations, written, cut = [], [], []
+
+    def watch_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            truncations.append(("open", file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def watch_os_open(file, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            truncations.append(("os.open", file, flags))
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            written.append(os.fspath(file))
+        return real_os_open(file, flags, *args, **kwargs)
+
+    def watch_truncate(name, real):
+        def watched(file, length):
+            (cut if length else truncations).append((name, file, length))
+            return real(file, length)
+
+        return watched
+
+    real_open, real_os_open = builtins.open, os.open
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", watch_open)
+        m.setattr(io, "open", watch_open)
+        m.setattr(os, "open", watch_os_open)
+        m.setattr(os, "ftruncate", watch_truncate("os.ftruncate", os.ftruncate))
+        m.setattr(os, "truncate", watch_truncate("os.truncate", os.truncate))
+        assert main(argv) == 0
+    assert truncations == []
+    assert written == [os.fspath(path)] and len(cut) == 1
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("flag", ["--max-len", "--max-depth"])
