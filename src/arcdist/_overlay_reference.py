@@ -2,7 +2,12 @@
 
 :mod:`arcdist.overlay` loads this module on first access to one of its
 names.  The test suite checks that ``complement_components`` and the face
-tracer ``build_overlay`` give the sign-vector pass's components.
+tracer ``build_overlay`` give the sign-vector pass's components, and that
+the tracer's crossing vertices number i(v, w).  The tracer reads only what
+a ``Realization`` keeps: its boundary points from the segments' end codes
+and each chord's crossings, in order, from the partner lists.  It stays in
+the package while the benchmark's tracer binds ``overlay._OverlayBuilder``
+by name.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class Overlay:
 
     v: ArcWord
     w: ArcWord
-    crossings: tuple
+    crossings: int  # crossing vertices of the traced complex
     components: tuple
     euler_characteristic: int
 
@@ -71,7 +76,8 @@ class _OverlayBuilder:
     """Glue per-triangle chord arrangements into the surface cell complex.
 
     Local nodes are ``(tri, (pos, rank))`` boundary items (rank -1 for the
-    corner itself) and ``("x", v_seg, w_seg)`` interior crossings.  Local
+    corner itself), read from ``real.ends``, and ``("x", v_seg, w_seg)``
+    interior crossings, chained along each chord from ``real.partners``.  Local
     1-cells are boundary intervals (pieces of triangulation edges) and
     chord pieces (pieces of the arcs).  Faces are traced with the face on
     the left of each half-edge; the fake outer region of each triangle disc
@@ -89,20 +95,19 @@ class _OverlayBuilder:
     def _build_local(self):
         base = self.base
         real = self.real
+        # end code pos * S + rank + 1 -> coordinate (pos, rank), the corner rank -1
+        S = real.S
+        coords = [[((a // S, a % S - 1), (b // S, b % S - 1)) for _, a, b in segs] for segs in real.ends]
         pts: dict[int, dict[tuple, tuple]] = {t: {} for t in range(base.n_triangles)}
-        for o, word in enumerate((real.v, real.w)):
-            for i, c in enumerate(word.crossings):
-                for value, slots in zip((c, -c), real.slots[o]):
-                    sc = base.side_corner(value)
-                    pts[sc.tri][(sc.pos, slots[i])] = ("p", o, i)
+        for o, segs in enumerate(real.ends):
+            for j, (t, _, _) in enumerate(segs):
+                # end a is where crossing j-1 enters, end b where crossing j leaves
+                for i, coord in zip((j - 1, j), coords[o][j]):
+                    if coord[1] >= 0:
+                        pts[t][coord] = ("p", o, i)
         for t in range(base.n_triangles):
             for k in range(3):
                 pts[t][(k, -1)] = ("v", base.vertex_of(Corner(t, k)))
-
-        cross_on_seg: dict[tuple, list] = {}
-        for x in real.crossings:
-            cross_on_seg.setdefault((0, x.v_seg), []).append((x.v_rank, ("x", x.v_seg, x.w_seg)))
-            cross_on_seg.setdefault((1, x.w_seg), []).append((x.w_rank, ("x", x.v_seg, x.w_seg)))
 
         self.local_edges = []  # (kind, tail node, head node, data)
         self.tri_boundary_items: dict[int, list] = {}
@@ -125,13 +130,11 @@ class _OverlayBuilder:
         # chord pieces, split at crossings; data records the far anchors of
         # the owning segment for rotational sorting
         for o in (0, 1):
-            for j, (t, *codes) in enumerate(real.ends[o]):
-                # end code pos * S + rank + 1 -> coordinate (pos, rank), the corner rank -1
-                a, b = ((code // real.S, code % real.S - 1) for code in codes)
-                chain = [(t, a)]
-                for _, xkey in sorted(cross_on_seg.get((o, j), [])):
-                    chain.append(xkey)
-                chain.append((t, b))
+            for j, (t, _, _) in enumerate(real.ends[o]):
+                a, b = coords[o][j]
+                # the crossings along the segment from its end a, keyed (v segment, w segment)
+                crossed = (("x", j, k) if o == 0 else ("x", k, j) for k in real.partners[o][j])
+                chain = [(t, a), *crossed, (t, b)]
                 for i in range(len(chain) - 1):
                     add_edge("chord", chain[i], chain[i + 1], (o, j, a, b))
 
@@ -339,7 +342,7 @@ class _OverlayBuilder:
         return Overlay(
             v=self.real.v,
             w=self.real.w,
-            crossings=self.real.crossings,
+            crossings=sum(1 for x in total_v if x[0] == "x"),
             components=tuple(components),
             euler_characteristic=chi_global,
         )

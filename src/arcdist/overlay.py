@@ -2,8 +2,8 @@
 
 This module is the overlay layer.  It reads a ``Realization`` from
 :mod:`arcdist.realization`, which stores the strand order, the segments'
-end codes, the crossings and each segment's crossing partners, and
-re-exports that module's public names for callers that reach them here.
+end codes and each segment's crossing partners, and re-exports that
+module's public names for callers that reach them here.
 
 A realization induces a cell decomposition of the surface (the overlay):
 faces are the complement components of the two arcs, glued from
@@ -22,9 +22,9 @@ The reference, the test suite's check on the pass, is loaded from
 :mod:`arcdist._overlay_reference` on first access to one of its names
 here.  ``complement_components`` builds an ``OverlayFace`` record per
 component from the same pass.  The face tracer (``_OverlayBuilder``,
-behind ``build_overlay``) sorts the germs at every node and walks each
-face, chaining each chord's crossings from the crossing records rather
-than the partner lists.
+behind ``build_overlay``) reads the same end codes and partner lists,
+sorts the germs at every node and walks each face, and counts the
+crossing vertices it traced.
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ its own strands in order.  A pair then merges the two words' runs on each
 edge, and that order gives each strand its slot on both sides of its edge.
 In-triangle chords cross exactly when their boundary endpoints interleave,
 and the total count is the geometric intersection number of the two
-isotopy classes.  Sorting the chord ends found inside each segment ranks
-its crossings and lists its partners.  A realization builds each of these
-facts once, in one encoding, which the overlay, surgery and figures read.
+isotopy classes.  Each segment's crossings are kept once, as its partners
+(the other arc's segments it crosses, sorted from its end a by the chord
+ends found inside it).  A realization builds each of these facts once, in
+one encoding, which the overlay, surgery and figures read.
 
 Correctness of this bookkeeping is deliberately not trusted on its own:
 ``intersection_via_flips`` recomputes the same number by straightening one
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
-from typing import NamedTuple
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
 from .surface import Corner, edge_of
@@ -201,16 +201,17 @@ def _ends(prep: tuple, slots, S: int) -> list[tuple[int, int, int]]:
     return list(zip(tris, a, b))
 
 
-def _cross(v_ends, w_ends) -> tuple[list[tuple[int, int, int, int]], dict[int, list], list[list[int]]]:
-    """Every crossing of a v chord with a w chord, sorted along v.
+def _cross(v_ends, w_ends) -> tuple[list[list[int]], list[list[int]]]:
+    """Each segment's crossing partners: per v segment, the w segments it
+    crosses, and per w segment, the v segments it crosses, each in order
+    from the segment's end a.
 
     In a triangle, a w chord crosses a v chord when one of its ends lies
     strictly inside the v chord's span, found by bisecting the sorted w
     ends, and the other strictly outside.  It must then also separate the v
-    chord's ends, which is checked on every hit.  Returns each crossing as
-    (v segment, w segment, triangle, rank along v); per w segment, the v
-    end inside it and the crossing's number; and per v segment, the w
-    segments it crosses in order from its end a.
+    chord's ends, which is checked on every hit.  A crossing's place along
+    either chord is the other chord's end inside it, so a w segment's
+    partners are sorted by the v ends found inside it.
     """
     chords: dict[int, list] = {}  # triangle -> both ends of each w chord as (code, other end, segment)
     for k, (t, a, b) in enumerate(w_ends):
@@ -219,11 +220,11 @@ def _cross(v_ends, w_ends) -> tuple[list[tuple[int, int, int, int]], dict[int, l
     for t, points in chords.items():
         points.sort()
         codes[t] = [x for x, _, _ in points]
-    found, on_w, across_v = [], {}, []
+    across_v, across_w = [], [[] for _ in w_ends]  # across_w first holds (v end inside, v segment)
     for j, (t, a, b) in enumerate(v_ends):
         lo, hi = (a, b) if a < b else (b, a)
         at, points = codes.get(t, ()), chords.get(t, ())
-        hits = []  # (w segment, the v end inside it) in boundary order
+        hits = []  # w segments in boundary order
         for inside, other, k in points[bisect_right(at, lo) : bisect_left(at, hi)]:
             if lo <= other <= hi:
                 continue
@@ -231,22 +232,15 @@ def _cross(v_ends, w_ends) -> tuple[list[tuple[int, int, int, int]], dict[int, l
             a_in = wlo < a < whi
             if a_in == (wlo < b < whi):
                 raise VerificationError("crossing chord does not separate the segment ends")
-            hits.append((k, a if a_in else b))
+            hits.append(k)
+            across_w[k].append((a if a_in else b, j))
         if a > b:
             hits.reverse()
-        across_v.append([k for k, _ in hits])
-        for r, (k, v_end) in enumerate(hits):
-            on_w.setdefault(k, []).append((v_end, len(found)))
-            found.append((j, k, t, r))
-    return found, on_w, across_v
-
-
-class _Crossing(NamedTuple):
-    v_seg: int
-    w_seg: int
-    tri: int
-    v_rank: int  # order along the v segment, from its end a
-    w_rank: int  # order along the w segment, from its end a
+        across_v.append(hits)
+    for k, (_, a, b) in enumerate(w_ends):
+        if across_w[k]:
+            across_w[k] = [j for _, j in sorted(across_w[k], reverse=a > b)]
+    return across_v, across_w
 
 
 class Realization:
@@ -254,19 +248,15 @@ class Realization:
     by the count, the overlay and the surgery step at that pair.
 
     Boundary coordinates are ordered linearly from corner 0 of a triangle,
-    so two chords there cross exactly when their ends interleave.  A
-    crossing's place along each chord is the other chord's end that lies
-    inside it, so the crossings of a segment are ranked by sorting those
-    recorded ends from its end a.
+    so two chords there cross exactly when their ends interleave.
 
-    ``edge_order`` is :func:`_order_edges`'s.  ``slots[o]`` holds word o's
-    slot of each crossing on the side it leaves by and on the side it
-    enters by.  ``ends[o][j]`` is segment j of word o, from the corner
-    crossing j-1 enters by (or the start) to the one crossing j leaves by
-    (or the end), as ``(tri, a, b)`` with end codes ``pos * S + rank + 1``;
-    a code that is 0 mod ``S`` is the corner itself.  ``partners[o][j]``
-    holds the other arc's segments that segment j of arc o crosses, in
-    order from its end a.
+    ``edge_order`` is :func:`_order_edges`'s.  ``ends[o][j]`` is segment j
+    of word o, from the corner crossing j-1 enters by (or the start) to the
+    one crossing j leaves by (or the end), as ``(tri, a, b)`` with end codes
+    ``pos * S + rank + 1``; a code that is 0 mod ``S`` is the corner itself.
+    ``partners[o][j]`` holds the other arc's segments that segment j of arc
+    o crosses, in order from its end a; they are the only crossing data
+    kept, with their number for :meth:`count`.
     """
 
     def __init__(self, v: ArcWord, w: ArcWord):
@@ -278,26 +268,15 @@ class Realization:
         self.edge_order = _order_edges((v, w), preps)
         leave, enter = _slots(self.edge_order.values(), v.crossings + w.crossings)
         n = len(v)
-        self.slots = (leave[:n], enter[:n]), (leave[n:], enter[n:])
         self.S = S = n + len(w) + 1
-        self.ends = v_ends, w_ends = tuple(map(_ends, preps, self.slots, (S, S)))
-        # every crossing once, sorted along v, ranked along both segments
-        found, on_w, across_v = _cross(v_ends, w_ends)
-        w_rank = [0] * len(found)
-        across_w = [[] for _ in w_ends]
-        for k, inside in on_w.items():
-            _, a, b = w_ends[k]
-            inside.sort(reverse=a > b)
-            across = across_w[k]
-            for r, (_, x) in enumerate(inside):
-                w_rank[x] = r
-                across.append(found[x][0])
-        self.crossings = tuple(_Crossing(*x, w_rank[x_k]) for x_k, x in enumerate(found))
-        self.partners = across_v, across_w
+        slots = (leave[:n], enter[:n]), (leave[n:], enter[n:])
+        self.ends = tuple(map(_ends, preps, slots, (S, S)))
+        self.partners = _cross(*self.ends)
+        self._count = sum(map(len, self.partners[0]))
 
     def count(self) -> int:
         """i(v, w); 0 for equal words, whose copies are nested side by side."""
-        return len(self.crossings)
+        return self._count
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +292,7 @@ def self_intersection(word: ArcWord) -> int:
     """Minimal self-crossings of a reduced word; 0 exactly when embedded."""
     prep = _prepare(word)
     ends = _ends(prep, _slots(prep[-1].values(), word.crossings), len(word) + 1)
-    return len(_cross(ends, ends)[0]) // 2  # each crossing is met from both of its chords
+    return sum(map(len, _cross(ends, ends)[0])) // 2  # each crossing is met from both of its chords
 
 
 def intersection_via_flips(v: ArcWord, w: ArcWord) -> int:

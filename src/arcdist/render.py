@@ -166,14 +166,13 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
     """Write figures for a certificate-bearing document; returns file names.
 
     ``where`` names the document in error messages, as the input file's
-    path does for the CLI.
+    path does for the CLI.  ``out_dir``, parents included, is made only
+    once the document has passed its checks, so a refusal leaves nothing.
     """
     from .leveling import sequence_to_level_certificate
     from .serialize import _sequence, _write_file, check_doc, load_distance_certificate, load_pair, load_sequence
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    figures = []  # (file name, svg text)
     tag = doc.get("format")
     if tag == "arcdist.distance_certificate/1":
         cert = load_distance_certificate(doc, where)
@@ -182,17 +181,14 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
         if cert.witness is not None:
             arcs.append(cert.witness)
             labels.append("witness")
-        _write_file(out_dir / "pair.svg", render_arcs_svg(arcs, labels))
-        written.append("pair.svg")
+        figures.append(("pair.svg", render_arcs_svg(arcs, labels)))
     elif tag == "arcdist.pair/1":
         v, w = load_pair(doc, where)
-        _write_file(out_dir / "pair.svg", render_arcs_svg([v, w], ["v", "w"]))
-        written.append("pair.svg")
+        figures.append(("pair.svg", render_arcs_svg([v, w], ["v", "w"])))
     elif tag == "arcdist.arc_sequence/1":
         seq = load_sequence(doc, where)
         labels = [f"s{i}" for i in range(len(seq.arcs))]
-        _write_file(out_dir / "sequence.svg", render_arcs_svg(list(seq.arcs), labels))
-        written.append("sequence.svg")
+        figures.append(("sequence.svg", render_arcs_svg(list(seq.arcs), labels)))
     elif tag in ("arcdist.level_report/1", "arcdist.level_certificate/1"):
         check_doc(doc, tag, where)
         level_certificate = doc if tag == "arcdist.level_certificate/1" else doc.get("level_certificate")
@@ -201,8 +197,11 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
             # rebuilds it, never the stored one unchecked
             place = where if level_certificate is doc else f"{where}.level_certificate"
             seq = _sequence(level_certificate, "sequence", place)
-            _write_file(out_dir / "levels.svg", render_levels_svg(sequence_to_level_certificate(seq)))
-            written.append("levels.svg")
+            figures.append(("levels.svg", render_levels_svg(sequence_to_level_certificate(seq))))
     else:
         raise ValueError(f"no renderer for format {tag!r}")
-    return written
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, svg in figures:
+        _write_file(out_dir / name, svg)
+    return [name for name, _ in figures]

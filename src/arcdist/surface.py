@@ -65,7 +65,6 @@ class Triangulation:
         "_vertex_of_corner",
         "_violations",
         "_hash",
-        "_canonical",
         "_id",
     )
 
@@ -76,7 +75,6 @@ class Triangulation:
         self._corners = None
         self._side_of = None
         self._vertex_of_corner = None
-        self._canonical = None
         self._id = None
         self._hash = None
         self._p1_anchor = None
@@ -389,60 +387,8 @@ class Triangulation:
         flipped._vertex_of_corner = vertex
         flipped._p1_anchor = corners[vertex.index(P1)]
         flipped._violations = []
-        flipped._hash = flipped._canonical = flipped._id = None
+        flipped._hash = flipped._id = None
         return flipped
-
-    # ------------------------------------------------------------------
-    # canonical form and isomorphism
-
-    def canonical_form(self) -> tuple:
-        """Canonical encoding up to orientation-preserving relabelling fixing P1.
-
-        BFS from every corner at P1; triangles and edges are renumbered in
-        discovery order, edge signs normalized to the first traversal
-        direction, and the minimum encoding over all starts is returned.
-        """
-        self._require_valid()
-        if self._canonical is not None:
-            return self._canonical
-        best = None
-        for start in self.corners_at(P1):
-            enc = self._encode_from(start)
-            if best is None or enc < best:
-                best = enc
-        self._canonical = best
-        return best
-
-    def _encode_from(self, start: Corner) -> tuple:
-        edge_map = {}  # old signed -> new signed
-        tri_order = []
-        tri_rot = {}
-        queue = [(start.tri, start.pos)]
-        seen = {start.tri}
-        out = []
-        while queue:
-            ti, rot = queue.pop(0)
-            tri_order.append(ti)
-            tri_rot[ti] = rot
-            row = []
-            for k in range(3):
-                s = self.triangles[ti][(rot + k) % 3]
-                if s not in edge_map:
-                    new = len(edge_map) // 2 + 1
-                    edge_map[s] = new
-                    edge_map[-s] = -new
-                row.append(edge_map[s])
-            out.append(tuple(row))
-            for k in range(3):
-                s = self.triangles[ti][(rot + k) % 3]
-                opp = self._side_of[-s]
-                if opp.tri not in seen:
-                    seen.add(opp.tri)
-                    queue.append((opp.tri, opp.pos))
-        return tuple(out)
-
-    def is_isomorphic_to(self, other: "Triangulation") -> bool:
-        return self.genus == other.genus and self.canonical_form() == other.canonical_form()
 
     # ------------------------------------------------------------------
     # serialization

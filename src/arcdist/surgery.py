@@ -67,8 +67,10 @@ def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
     k = real.count()
     if k == 0:
         raise PreconditionError("surgery needs crossing arcs; these are disjoint")
-    p = real.crossings[-1]  # the crossings come sorted along v
-    w_prime = _spliced_word(v, w, p.v_seg, p.w_seg)
+    across_v = real.partners[0]
+    v_seg = max(j for j, crossed in enumerate(across_v) if crossed)  # the last crossing along v
+    w_seg = across_v[v_seg][-1]
+    w_prime = _spliced_word(v, w, v_seg, w_seg)
 
     after = Realization(v, w_prime)
     k_vw = after.count()
@@ -80,7 +82,7 @@ def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
     return SurgeryTrace(
         v=v,
         w=w,
-        crossing=(p.v_seg, p.w_seg, p.tri),
+        crossing=(v_seg, w_seg, real.ends[0][v_seg][0]),
         resolution="splice-at-last-crossing",
         w_prime=w_prime,
         intersections_before=k,

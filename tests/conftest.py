@@ -9,7 +9,7 @@ import pytest
 from arcdist import build_standard_triangulation
 from arcdist.arc import ArcWord, random_arc
 from arcdist.overlay import intersection
-from arcdist.surface import Corner
+from arcdist.surface import P1, Corner
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +82,84 @@ def segments_of(real):
     return tuple(
         [Segment(o, j, t, coord(a), coord(b)) for j, (t, a, b) in enumerate(ends)] for o, ends in enumerate(real.ends)
     )
+
+
+def interleaved(s1: Segment, s2: Segment) -> bool:
+    """Reference crossing test for two chords of one triangle."""
+    pts = {s1.a, s1.b, s2.a, s2.b}
+    if len(pts) < 4:  # shared boundary point: meeting, not a crossing
+        return False
+    # boundary coordinates are ordered linearly from corner 0, so the chords
+    # cross iff exactly one end of s2 lies strictly between the ends of s1
+    lo, hi = min(s1.a, s1.b), max(s1.a, s1.b)
+    return (lo < s2.a < hi) != (lo < s2.b < hi)
+
+
+def _position_from(seg, other):
+    """Reference place where ``other`` crosses ``seg``, measured from seg.a."""
+    lo, hi = min(seg.a, seg.b), max(seg.a, seg.b)
+    [p] = [p for p in (other.a, other.b) if lo < p < hi]
+    return p if seg.a < seg.b else tuple(-x for x in p)
+
+
+def reference_crossings(real):
+    """Every v/w segment pair of a realization tested with ``interleaved``,
+    each crossing ranked along both segments by ``_position_from``, as
+    ``(v_seg, w_seg, tri, v_rank, w_rank)`` sorted along v."""
+    v_segs, w_segs = segments_of(real)
+    raw = [(vs, ws) for vs in v_segs for ws in w_segs if vs.tri == ws.tri and interleaved(vs, ws)]
+    ranks = []
+    for mine in (0, 1):
+        groups = {}
+        for pair in raw:
+            seg, other = pair[mine], pair[1 - mine]
+            groups.setdefault(seg.index, []).append((_position_from(seg, other), pair[0].index, pair[1].index))
+        rank = {}
+        for group in groups.values():
+            for r, (_, i, j) in enumerate(sorted(group)):
+                rank[i, j] = r
+        ranks.append(rank)
+    out = [(vs.index, ws.index, vs.tri, ranks[0][vs.index, ws.index], ranks[1][vs.index, ws.index]) for vs, ws in raw]
+    return sorted(out, key=lambda x: (x[0], x[3]))
+
+
+def canonical_form(t) -> tuple:
+    """Encoding of a valid table up to orientation-preserving relabelling
+    fixing P1.
+
+    Breadth-first from every corner at P1; triangles and edges are
+    renumbered in discovery order, edge signs normalized to the first
+    traversal direction, and the least encoding over all starts is returned.
+    """
+
+    def encode_from(start):
+        edge_map = {}  # old signed -> new signed
+        queue = [(start.tri, start.pos)]
+        seen = {start.tri}
+        out = []
+        while queue:
+            ti, rot = queue.pop(0)
+            row = []
+            for k in range(3):
+                s = t.triangles[ti][(rot + k) % 3]
+                if s not in edge_map:
+                    new = len(edge_map) // 2 + 1
+                    edge_map[s] = new
+                    edge_map[-s] = -new
+                row.append(edge_map[s])
+            out.append(tuple(row))
+            for k in range(3):
+                opp = t.side_corner(-t.triangles[ti][(rot + k) % 3])
+                if opp.tri not in seen:
+                    seen.add(opp.tri)
+                    queue.append((opp.tri, opp.pos))
+        return tuple(out)
+
+    return min(encode_from(start) for start in t.corners_at(P1))
+
+
+def is_isomorphic(t1, t2) -> bool:
+    return t1.genus == t2.genus and canonical_form(t1) == canonical_form(t2)
 
 
 def seeded_pairs(base, tag, count, max_steps=18, require_crossing=False):

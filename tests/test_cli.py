@@ -83,6 +83,27 @@ def test_render_pair(workdir):
     assert (svgdir / "pair.svg").read_text().startswith("<svg")
 
 
+def test_a_refused_render_leaves_no_directory(workdir, g1, capsys):
+    """``--svg DIR`` is made only for a document that passes its checks: a
+    format with no renderer (exit 5) and a pair with no triangulation
+    (exit 3) leave nothing behind, and a nested directory is still made
+    when the figure is drawn."""
+    serialize.write_doc(workdir / "tri.json", g1.to_json_dict())
+    pair = json.loads((workdir / "pair.json").read_text())
+    del pair["triangulation"]
+    serialize.write_doc(workdir / "bare.json", pair)
+    refusals = [
+        ("tri.json", 5, "invalid input: no renderer for format 'arcdist.triangulation/1'"),
+        ("bare.json", 3, f"schema violation: {workdir / 'bare.json'}: missing field 'triangulation'"),
+    ]
+    for name, code, message in refusals:
+        assert main(["render", str(workdir / name), "--svg", str(workdir / "figs")]) == code
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (workdir / "figs").exists()
+    assert main(["render", str(workdir / "pair.json"), "--svg", str(workdir / "a" / "b")]) == 0
+    assert (workdir / "a" / "b" / "pair.svg").read_text().startswith("<svg")
+
+
 def test_exit_codes(tmp_path, workdir):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

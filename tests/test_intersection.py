@@ -21,21 +21,17 @@ from arcdist.overlay import (
     self_intersection,
 )
 from arcdist.arc import ArcWord
-from arcdist.realization import _Crossing
 from arcdist.surface import Corner, edge_of, flip_walk
 
-from conftest import Segment, seeded_arcs, seeded_pairs, segments_of, self_crossing_word, strand_order
-
-
-def _interleaved(s1: Segment, s2: Segment) -> bool:
-    """Reference crossing test for two chords of one triangle."""
-    pts = {s1.a, s1.b, s2.a, s2.b}
-    if len(pts) < 4:  # shared boundary point: meeting, not a crossing
-        return False
-    # boundary coordinates are ordered linearly from corner 0, so the chords
-    # cross iff exactly one end of s2 lies strictly between the ends of s1
-    lo, hi = min(s1.a, s1.b), max(s1.a, s1.b)
-    return (lo < s2.a < hi) != (lo < s2.b < hi)
+from conftest import (
+    Segment,
+    interleaved,
+    reference_crossings,
+    seeded_arcs,
+    seeded_pairs,
+    self_crossing_word,
+    strand_order,
+)
 
 
 def brute_min_intersection(v, w):
@@ -86,7 +82,7 @@ def brute_min_intersection(v, w):
                 for i2, s2 in enumerate(g2):
                     if same and i2 <= i1:
                         continue
-                    if s1.tri == s2.tri and _interleaved(s1, s2):
+                    if s1.tri == s2.tri and interleaved(s1, s2):
                         total += 1
             return total
 
@@ -120,7 +116,7 @@ def test_self_pairing_is_zero(g1, g2):
         for seed in range(10):
             a = random_arc(base, 500 + seed, 10)
             assert intersection(a, a) == 0
-            assert len(build_overlay(a, a).crossings) == 0
+            assert build_overlay(a, a).crossings == 0
 
 
 def test_disjoint_edges(g1):
@@ -185,7 +181,7 @@ def brute_min_self(word):
         total = 0
         for i1, s1 in enumerate(segs):
             for s2 in segs[i1 + 1 :]:
-                if s1.tri == s2.tri and _interleaved(s1, s2):
+                if s1.tri == s2.tri and interleaved(s1, s2):
                     total += 1
         if best is None or total < best:
             best = total
@@ -233,7 +229,7 @@ def test_overlay_crossing_count_matches_intersection(g1, g2):
     for base in (g1, g2):
         for v, w in seeded_pairs(base, f"ovl-{base.genus}", 150):
             ov = build_overlay(v, w)
-            assert len(ov.crossings) == intersection(v, w)
+            assert ov.crossings == intersection(v, w)
 
 
 def test_parallel_map_matches_sequential(g1):
@@ -263,7 +259,7 @@ def test_overlay_disjoint_pair_faces(g1):
     v = edge_word(g1, 2)
     w = edge_word(g1, 3)
     ov = build_overlay(v, w)
-    assert len(ov.crossings) == 0
+    assert ov.crossings == 0
     assert len(ov.components) >= 1
 
 
@@ -414,58 +410,37 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
     assert seen.keys() == {"overlay: bigon between the arcs survived", "overlay: endpoint half-bigon survived"}
 
 
-def _position_from(seg, other):
-    """Reference place where ``other`` crosses ``seg``, measured from seg.a."""
-    lo, hi = min(seg.a, seg.b), max(seg.a, seg.b)
-    [p] = [p for p in (other.a, other.b) if lo < p < hi]
-    return p if seg.a < seg.b else tuple(-x for x in p)
-
-
-def _reference_crossings(real):
-    """Every v/w segment pair of a realization tested with ``_interleaved``,
-    each crossing ranked along both segments by ``_position_from``, as
-    ``(v_seg, w_seg, tri, v_rank, w_rank)`` sorted along v."""
-    v_segs, w_segs = segments_of(real)
-    raw = [(vs, ws) for vs in v_segs for ws in w_segs if vs.tri == ws.tri and _interleaved(vs, ws)]
-    ranks = []
-    for mine in (0, 1):
-        groups = {}
-        for pair in raw:
-            seg, other = pair[mine], pair[1 - mine]
-            groups.setdefault(seg.index, []).append((_position_from(seg, other), pair[0].index, pair[1].index))
-        rank = {}
-        for group in groups.values():
-            for r, (_, i, j) in enumerate(sorted(group)):
-                rank[i, j] = r
-        ranks.append(rank)
-    out = [(vs.index, ws.index, vs.tri, ranks[0][vs.index, ws.index], ranks[1][vs.index, ws.index]) for vs, ws in raw]
-    return sorted(out, key=lambda x: (x[0], x[3]))
-
-
-def _partners_from(real):
-    """Each segment's crossed segments read off the crossing records, in
-    order from its end a: along v as listed, along w by ``w_rank``."""
+def _partners_from(crossings, real):
+    """Each segment's crossed segments, in order from its end a, read off
+    ``(v_seg, w_seg, tri, v_rank, w_rank)`` records sorted along v: along
+    v as listed, along w by ``w_rank``."""
     across_v = [[] for _ in real.ends[0]]
     across_w = [[] for _ in real.ends[1]]
-    for x in real.crossings:
-        across_v[x.v_seg].append(x.w_seg)
-    for x in sorted(real.crossings, key=lambda x: x.w_rank):
-        across_w[x.w_seg].append(x.v_seg)
+    for v_seg, w_seg, *_ in crossings:
+        across_v[v_seg].append(w_seg)
+    for v_seg, w_seg, *_ in sorted(crossings, key=lambda x: x[4]):
+        across_w[w_seg].append(v_seg)
     return across_v, across_w
+
+
+def _check_against_the_reference(real):
+    """The realization's partners and count equal those the brute-force
+    reference gives, segment pair by segment pair."""
+    crossings = reference_crossings(real)
+    assert real.partners == _partners_from(crossings, real)
+    assert real.count() == len(crossings)
 
 
 @pytest.mark.parametrize("genus, steps, count", [(1, 18, 40), (2, 60, 25), (3, 120, 15), (4, 160, 15)])
 def test_crossings_match_the_all_pairs_reference(genus, steps, count):
     """One interval test per segment pair, ranked from the recorded ends,
-    gives the reference's crossing records field for field and in order:
-    on crossing pairs, and on each of their arcs paired with itself."""
-    assert _Crossing._fields == ("v_seg", "w_seg", "tri", "v_rank", "w_rank")
+    gives the reference's partners in order, and its count: on crossing
+    pairs, and on each of their arcs paired with itself."""
     base = build_standard_triangulation(genus)
     pairs = seeded_pairs(base, f"ranks-{genus}", count, max_steps=steps, require_crossing=True)
     for v, w in pairs + [(a, a) for pair in pairs for a in pair]:
         real = Realization(v, w)
-        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
-        assert real.partners == _partners_from(real)
+        _check_against_the_reference(real)
 
 
 def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words(g1):
@@ -476,16 +451,14 @@ def test_crossings_match_the_all_pairs_reference_on_long_and_self_crossing_words
     for _ in range(6):
         seed = rng.randrange(1 << 30)
         real = Realization(random_arc(g1, seed, 90), random_arc(g1, seed + 1, 90))
-        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
-        assert real.partners == _partners_from(real)
+        _check_against_the_reference(real)
         counts.append(real.count())
     assert max(counts) >= 100
     doubled = ArcWord(g1, Corner(0, 1), (-4, -5, -1, -4, -5, -1), Corner(0, 0))
     for a in (self_crossing_word(g1), doubled):
         real = Realization(a, a)
         assert real.count() == 2 * self_intersection(a) > 0
-        assert list(map(tuple, real.crossings)) == _reference_crossings(real)
-        assert real.partners == _partners_from(real)
+        _check_against_the_reference(real)
 
 
 class _Level(bytes):

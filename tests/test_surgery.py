@@ -1,13 +1,13 @@
 import pytest
 
-from arcdist import PreconditionError
+from arcdist import PreconditionError, build_standard_triangulation
 from arcdist.arc import edge_word
 from arcdist.leveling import validate_sequence
-from arcdist.overlay import intersection
+from arcdist.overlay import Realization, intersection
 from arcdist.serialize import verify_document
 from arcdist.surgery import path_between, surgery_step
 
-from conftest import seeded_pairs
+from conftest import reference_crossings, seeded_pairs
 
 
 def test_surgery_requires_crossing(g1):
@@ -25,6 +25,16 @@ def test_surgery_postconditions(g1, g2):
             assert intersection(trace.w, trace.w_prime) == 0
             assert intersection(trace.v, trace.w_prime) < k
             assert trace.intersections_before == k
+
+
+@pytest.mark.parametrize("genus, steps", [(1, 18), (2, 60), (3, 120), (4, 160)])
+def test_surgery_splices_at_the_last_crossing_along_v(genus, steps):
+    """The trace's crossing is ``(v_seg, w_seg, tri)`` of the last crossing
+    along v, as the brute-force all-pairs reference ranks them."""
+    base = build_standard_triangulation(genus)
+    for v, w in seeded_pairs(base, f"splice-{genus}", 10, max_steps=steps, require_crossing=True):
+        v_seg, w_seg, tri, _, _ = reference_crossings(Realization(v, w))[-1]
+        assert surgery_step(v, w).crossing == (v_seg, w_seg, tri)
 
 
 def test_surgery_single_crossing_clears(g1):
