@@ -213,11 +213,21 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
     fields; anything else raises ``InconsistentWord``.  Idempotent on
     already-reduced words.
 
-    ``_check_word`` runs once, on the raw word; the moves below keep a word
+    ``_check_word`` runs once, on the raw word; the moves keep a word
     consistent, so the result is built without walking it again.  The
     result's reduction and P1/P2 corner checks still run.
     """
-    start, word, end = _check_word(base, start, crossings, end)
+    return ArcWord._from_consistent(base, *_moves(base, *_check_word(base, start, crossings, end)))
+
+
+def _moves(base: Triangulation, start: Corner, word: list[int], end: Corner) -> tuple[Corner, list[int], Corner]:
+    """Remove backtracks and endpoint corner bigons from a word that
+    ``_check_word`` has passed, editing ``word`` in place.
+
+    Returns the reduced ``(start, word, end)``, the zero-crossing case
+    written in its canonical triangle; a word that tightens to a loop at
+    one marked point raises ``InconsistentWord``.
+    """
     triangles, side_of, corners = base.triangles, base._side_of, base._corners
 
     changed = True
@@ -268,7 +278,7 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
             end = corners[3 * start.tri + (start.pos + 1) % 3]
         if start.pos == end.pos:
             raise InconsistentWord("word tightened to a loop at one marked point")
-    return ArcWord._from_consistent(base, start, word, end)
+    return start, word, end
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +295,14 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
 # * a quad corner moves to the tail, in the new table, of the outer side it
 #   is the tail of (on a side of e: the head of the outer side it is the
 #   head of); every other corner stays;
-# * tighten removes the corner bigon left when a diagonal endpoint lands
+# * the moves remove the corner bigon left when a diagonal endpoint lands
 #   in the wrong new triangle.
+#
+# _quad_rewrite does the raw rewrite on a bare (start, crossings, end).
+# transport and transport_inverse tighten its result into an ArcWord at
+# once.  _carry takes a word across many flips: every step checks the
+# rewritten word with _check_word and runs the moves, as tighten does, but
+# only the last table gets an ArcWord, with its full checks.
 
 
 def transport(arc: ArcWord, e: int) -> ArcWord:
@@ -308,7 +324,14 @@ def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
 
 def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
     """``arc`` over ``new``, which differs from its base only in ``e``'s quad."""
-    old_rows, old_side_of = arc.base.triangles, arc.base._side_of
+    return tighten(new, *_quad_rewrite(arc.base, new, e, arc.start, arc.crossings, arc.end))
+
+
+def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner, crossings, end: Corner):
+    """The raw ``(start, crossings, end)`` over ``new`` of a consistent word
+    over ``old``, the two tables differing only in ``e``'s quad; not yet
+    reduced."""
+    old_rows, old_side_of = old.triangles, old._side_of
     new_side_of, corners = new._side_of, new._corners
     s = e + 1
     quad = (old_side_of[s].tri, old_side_of[-s].tri)
@@ -324,10 +347,10 @@ def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
         head = new_side_of[row[(c.pos + 2) % 3]]
         return corners[3 * head.tri + (head.pos + 1) % 3]
 
-    start, end = corner(arc.start), corner(arc.end)
+    start, end = corner(start), corner(end)
     here = start.tri if start.tri in quad else None  # new triangle, while in the quad
     out = []
-    for c in arc.crossings:
+    for c in crossings:
         if c == s or c == -s:
             continue
         if here is not None and new_side_of[c].tri != here:
@@ -337,7 +360,24 @@ def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
         here = landing if landing in quad else None
     if here is not None and end.tri != here:
         out.append(s if here == plus_tri else -s)
-    return tighten(new, start, out, end)
+    return start, out, end
+
+
+def _carry(base: Triangulation, start: Corner, crossings, end: Corner, rewrites) -> ArcWord:
+    """The word ``(start, crossings, end)`` over ``base``, carried across
+    ``rewrites`` and built as one ``ArcWord`` over the last table.
+
+    Each rewrite is ``(table, next table, e)``: the word is over ``table``,
+    which differs from ``next table`` only in ``e``'s quad, and the first
+    ``table`` is ``base``.  Every step checks its rewritten word with
+    ``_check_word`` and tightens it, as :func:`tighten` would; the
+    reduction and P1/P2 checks run once, on the result.
+    """
+    table = base
+    for old, table, e in rewrites:
+        raw = _quad_rewrite(old, table, e, start, crossings, end)
+        start, crossings, end = _moves(table, *_check_word(table, *raw))
+    return ArcWord(table, start, crossings, end)
 
 
 # ----------------------------------------------------------------------
@@ -354,12 +394,18 @@ def _integer(name: str, x) -> int:
 
 def edge_word(base: Triangulation, e: int) -> ArcWord:
     """The canonical zero-crossing word parallel to connector edge ``e``."""
+    start, end = _edge_corners(base, e)
+    return ArcWord(base, start, (), end)
+
+
+def _edge_corners(base: Triangulation, e: int) -> tuple[Corner, Corner]:
+    """The start and end corners of :func:`edge_word`'s word for ``e``."""
     head_tail = base.edge_endpoints(e)
     if head_tail[0] == head_tail[1]:
         raise PreconditionError(f"edge {e} does not join P1 to P2")
     s = e + 1 if head_tail[0] == P1 else -(e + 1)
     c = base.side_corner(s)
-    return ArcWord(base, c, (), Corner(c.tri, (c.pos + 1) % 3))
+    return c, Corner(c.tri, (c.pos + 1) % 3)
 
 
 def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
@@ -369,8 +415,10 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     construction (it is a transported triangulation edge).
 
     The walk is :func:`arcdist.surface.flip_walk`, one flip per step.  The
-    pull-back rewrites onto the tables the walk built, so it makes no check
-    flip; each rewrite's ``tighten`` still checks the word.
+    connector's word is pulled back as a bare word by :func:`_carry`, onto
+    the tables the walk built, so it makes no check flip.  Each step's
+    rewritten word is checked by ``_check_word`` and tightened, and the one
+    ``ArcWord`` built, over ``base``, runs every check of the constructor.
     """
     seed, steps = _integer("seed", seed), _integer("steps", steps)
     if steps < 0:
@@ -378,12 +426,11 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     rng = random.Random(seed)
     tables, flips = flip_walk(base, rng, steps)
     connectors = tables[-1].connector_edges()  # nonempty: the 1-skeleton is connected
-    word = edge_word(tables[-1], rng.choice(connectors))
-    for i in range(steps - 1, -1, -1):
-        # tables[i + 1] is tables[i].flip(flips[i]) and word.base, so the
-        # check in transport_inverse would only repeat that flip
-        word = _rewrite_in_quad(word, tables[i], flips[i])
-    return word
+    start, end = _edge_corners(tables[-1], rng.choice(connectors))
+    # tables[i + 1] is tables[i].flip(flips[i]), so transport_inverse's
+    # check would only repeat that flip
+    rewrites = ((tables[i + 1], tables[i], flips[i]) for i in range(steps - 1, -1, -1))
+    return _carry(tables[-1], start, (), end, rewrites)
 
 
 def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:

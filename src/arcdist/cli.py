@@ -10,12 +10,13 @@ Subcommands::
     arcdist render FILE --svg DIR
     arcdist examples [--emit DIR]
 
-Exit codes: 0 success / verified, 1 verification failed, 2 malformed JSON,
-3 schema violation, 4 triangulation mismatch, 5 invalid input for the
-operation, an output path that cannot be written included, 141 stdout
-closed by its reader (a shell's status for SIGPIPE, with nothing on
-stderr).  All emitted JSON is canonical (sorted keys, compact, one trailing
-newline), so outputs are byte-stable and diffable.
+Exit codes: 0 success / verified, 1 verification failed, 2 malformed JSON
+or a command-line usage error (argparse: a usage line and the error on
+stderr, nothing on stdout), 3 schema violation, 4 triangulation mismatch,
+5 invalid input for the operation, an output path that cannot be written
+included, 141 stdout closed by its reader (a shell's status for SIGPIPE,
+with nothing on stderr).  All emitted JSON is canonical (sorted keys,
+compact, one trailing newline), so outputs are byte-stable and diffable.
 
 -o, --emit and --svg overwrite an existing file in place: it keeps its
 inode, mode and links, and its tail is cut when the new document is
@@ -175,18 +176,17 @@ def _examples_spot_check(records, seed: int) -> int:
     """Seeded representation-independence probe over the bundled records."""
     import random
 
-    from .arc import _rewrite_in_quad
+    from .arc import _carry
     from .distance import classify
     from .surface import flip_walk
 
     rng = random.Random(seed)
     failures = 0
     for rec in records:
-        cv = rec.shadows.v_side[0]
-        cw = rec.shadows.w_side[0]
-        tables, flips = flip_walk(cv.base, rng, 4)
-        for table, e in zip(tables[1:], flips):
-            cv, cw = _rewrite_in_quad(cv, table, e), _rewrite_in_quad(cw, table, e)
+        v, w = rec.shadows.v_side[0], rec.shadows.w_side[0]
+        tables, flips = flip_walk(v.base, rng, 4)
+        rewrites = list(zip(tables, tables[1:], flips))
+        cv, cw = (_carry(a.base, a.start, a.crossings, a.end, rewrites) for a in (v, w))
         got = classify(cv, cw).verdict.to_json_dict()
         if got != rec.expected:
             print(f"FAIL  {rec.name}: verdict changed to {got} after transport (seed {seed})")

@@ -69,7 +69,9 @@ def load_doc(path) -> dict:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
     try:
         doc = json.loads(raw.decode("utf-8"))  # a JSON text is UTF-8 (RFC 8259, section 8.1)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as ex:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is an
+    # integer literal longer than Python's int digit limit (4,300 by default)
+    except (ValueError, RecursionError) as ex:
         raise MalformedJSON(f"{path}: {ex}") from ex
     if not isinstance(doc, dict) or "format" not in doc:
         raise SchemaError(f"{path}: not an arcdist document (missing format tag)")
@@ -77,7 +79,8 @@ def load_doc(path) -> dict:
 
 
 class MalformedJSON(ArcdistError):
-    """The file is not JSON, not UTF-8, or nested too deeply to parse (not a schema violation)."""
+    """The file is not JSON, not UTF-8, or nested too deeply or holding an
+    integer too long to parse (not a schema violation)."""
 
 
 # ----------------------------------------------------------------------

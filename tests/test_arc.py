@@ -323,6 +323,40 @@ def test_random_arc_output_is_pinned():
     assert digest.hexdigest() == "d08367203774a27b2f65d71985aa57a4898661fe508982e33f5de4aca1a8cc40"
 
 
+def test_random_arc_long_pull_backs_are_pinned():
+    """Genus 3-4 walks of 200 steps pull back words of up to 974 letters,
+    far longer than the 80-step pin above reaches."""
+    digest = hashlib.sha256()
+    for genus in (3, 4):
+        base = build_standard_triangulation(genus)
+        for seed in range(20):
+            a = random_arc(base, seed, 200)
+            digest.update(repr((tuple(a.start), a.crossings, tuple(a.end))).encode())
+            digest.update(b";")
+    assert digest.hexdigest() == "55c08b368a2501b5f6136e4b06f9de1df1d792e3fad56c48e53b382e15e4e498"
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_random_arc_builds_one_record_and_checks_every_step(genus, monkeypatch):
+    """The pull-back carries a bare word and builds one ``ArcWord`` at the
+    end, but ``_check_word`` still walks the rewritten word of every step,
+    over that step's table, and then the result's own word."""
+    base = build_standard_triangulation(genus)
+    fill, check = ArcWord._fill, arc_module._check_word
+    fills, checked = [], []
+    monkeypatch.setattr(ArcWord, "_fill", lambda self, *args: fills.append(args) or fill(self, *args))
+    monkeypatch.setattr(arc_module, "_check_word", lambda table, *word: checked.append(table) or check(table, *word))
+    for seed in range(5):
+        for steps in (0, 1, 7, 30, 80):
+            fills.clear()
+            checked.clear()
+            a = random_arc(base, seed, steps)
+            assert len(fills) == 1
+            tables, _ = flip_walk(base, random.Random(seed), steps)
+            assert checked == [*reversed(tables[:-1]), base]
+            assert a.base == base
+
+
 @pytest.mark.parametrize("steps", [0, 1, 7, 30])
 def test_random_arc_flips_once_per_step(g2, monkeypatch, steps):
     flip = Triangulation.flip

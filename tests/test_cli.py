@@ -41,6 +41,12 @@ def workdir(tmp_path, g1):
     return tmp_path
 
 
+def _cli_env():
+    """The environment for ``python -m arcdist.cli``, with the tested package first on its path."""
+    src = os.path.dirname(os.path.dirname(arcdist.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_tri_standard_and_check(tmp_path, capsys):
     out = tmp_path / "tri.json"
     assert main(["tri", "--standard", "2", "-o", str(out)]) == 0
@@ -145,6 +151,53 @@ def test_input_that_is_not_utf8_or_nests_too_deeply_is_malformed_json(tmp_path, 
     assert out == "" and line.startswith(f"malformed JSON: {doc}: ")
     assert main([command, str(tmp_path)]) == 3  # a path that cannot be read stays a schema violation
     assert capsys.readouterr().err.startswith(f"schema violation: cannot read {tmp_path}: ")
+
+
+@pytest.fixture()
+def default_digit_limit():
+    """Python's default limit on the digits of an int read from text, set
+    for the test whatever the environment chose."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command", ["dist", "check-cert"])
+def test_an_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys, default_digit_limit, command):
+    """An integer literal too long for Python to read is malformed JSON, like
+    a text nested too deeply: the loader raises ``MalformedJSON`` and the CLI
+    exits 2 with one line, not 5 with a bare ``ValueError``."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b'{"format": "arcdist.pair/1", "n": ' + b"7" * (default_digit_limit + 1) + b"}")
+    with pytest.raises(serialize.MalformedJSON, match="for integer string conversion"):
+        serialize.load_doc(doc)
+    assert main([command, str(doc)]) == 2
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith(f"malformed JSON: {doc}: Exceeds the limit (4300")
+    doc.write_bytes(b'{"format": "arcdist.pair/1", "n": ' + b"7" * default_digit_limit + b"}")
+    assert serialize.load_doc(doc)["n"] == int("7" * default_digit_limit)  # at the limit it still reads
+
+
+@pytest.mark.parametrize(
+    "argv, prog, error",
+    [
+        (["dist"], "arcdist dist", "the following arguments are required: PAIR.json"),
+        (["dist", "pair.json", "--max-len", "abc"], "arcdist dist", "argument --max-len: invalid int value: 'abc'"),
+        ([], "arcdist", "the following arguments are required: command"),
+    ],
+    ids=["dist-without-pair", "max-len-abc", "no-command"],
+)
+def test_a_usage_error_exits_2_with_the_usage_line(tmp_path, argv, prog, error):
+    """A command line argparse cannot read exits 2, the code malformed JSON
+    also uses: the usage line and the error on stderr, nothing on stdout."""
+    done = subprocess.run(
+        [sys.executable, "-m", "arcdist.cli", *argv], capture_output=True, cwd=tmp_path, env=_cli_env(), timeout=120
+    )
+    lines = done.stderr.decode().splitlines()
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert lines[0].startswith(f"usage: {prog} ") and lines[-1] == f"{prog}: error: {error}"
 
 
 @pytest.mark.parametrize(
@@ -332,8 +385,7 @@ def test_a_closed_stdout_exits_141_quietly(argv):
     shell's status for SIGPIPE) and writes nothing to stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader: the first write to stdout breaks the pipe
-    src = os.path.dirname(os.path.dirname(arcdist.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     try:
         done = subprocess.run(
             [sys.executable, "-m", "arcdist.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
