@@ -298,33 +298,28 @@ def _moves(base: Triangulation, start: Corner, word: list[int], end: Corner) -> 
 # * the moves remove the corner bigon left when a diagonal endpoint lands
 #   in the wrong new triangle.
 #
-# _quad_rewrite does the raw rewrite on a bare (start, crossings, end).
-# transport and transport_inverse tighten its result into an ArcWord at
-# once.  _carry takes a word across many flips: every step checks the
-# rewritten word with _check_word and runs the moves, as tighten does, but
-# only the last table gets an ArcWord, with its full checks.
+# _step is the one way a bare (start, crossings, end) crosses a flip:
+# _quad_rewrite, _check_word over the new table, then the moves.  _carry
+# runs it over many flips and builds one ArcWord, with its full checks;
+# transport and transport_inverse are one-flip _carry calls, and
+# straighten_to_edge, which picks each flip from the last word, runs _step.
 
 
 def transport(arc: ArcWord, e: int) -> ArcWord:
     """The same isotopy class written over ``arc.base.flip(e)``."""
-    return _rewrite_in_quad(arc, arc.base.flip(e), e)
+    return _carry(arc.base, arc.start, arc.crossings, arc.end, [(arc.base, arc.base.flip(e), e)])
 
 
 def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
     """Undo ``transport(-, e)``: rewrite ``arc`` over the pre-flip base.
 
     ``previous.flip(e)`` must equal ``arc.base``; that is checked by
-    flipping ``previous`` (``BaseMismatch`` otherwise), and the rewrite's
-    ``tighten`` checks the word.
+    flipping ``previous`` (``BaseMismatch`` otherwise), and the rewritten
+    word is checked by ``_check_word``.
     """
     if previous.flip(e) != arc.base:
         raise BaseMismatch("previous.flip(e) does not give the arc's base")
-    return _rewrite_in_quad(arc, previous, e)
-
-
-def _rewrite_in_quad(arc: ArcWord, new: Triangulation, e: int) -> ArcWord:
-    """``arc`` over ``new``, which differs from its base only in ``e``'s quad."""
-    return tighten(new, *_quad_rewrite(arc.base, new, e, arc.start, arc.crossings, arc.end))
+    return _carry(arc.base, arc.start, arc.crossings, arc.end, [(arc.base, previous, e)])
 
 
 def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner, crossings, end: Corner):
@@ -363,20 +358,24 @@ def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner,
     return start, out, end
 
 
+def _step(old: Triangulation, new: Triangulation, e: int, start: Corner, crossings, end: Corner):
+    """:func:`_quad_rewrite`'s word, checked by ``_check_word`` over ``new``
+    and tightened."""
+    return _moves(new, *_check_word(new, *_quad_rewrite(old, new, e, start, crossings, end)))
+
+
 def _carry(base: Triangulation, start: Corner, crossings, end: Corner, rewrites) -> ArcWord:
     """The word ``(start, crossings, end)`` over ``base``, carried across
     ``rewrites`` and built as one ``ArcWord`` over the last table.
 
     Each rewrite is ``(table, next table, e)``: the word is over ``table``,
     which differs from ``next table`` only in ``e``'s quad, and the first
-    ``table`` is ``base``.  Every step checks its rewritten word with
-    ``_check_word`` and tightens it, as :func:`tighten` would; the
-    reduction and P1/P2 checks run once, on the result.
+    ``table`` is ``base``.  The reduction and P1/P2 checks run once, on the
+    result.
     """
     table = base
     for old, table, e in rewrites:
-        raw = _quad_rewrite(old, table, e, start, crossings, end)
-        start, crossings, end = _moves(table, *_check_word(table, *raw))
+        start, crossings, end = _step(old, table, e, start, crossings, end)
     return ArcWord(table, start, crossings, end)
 
 
@@ -476,35 +475,36 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
     self-glued triangle) the fallback rotates the start triangle by
     flipping its third side.  A later passage through the quad can recreate
     a crossing, so the length need not drop on every single flip; the guard
-    requires a new minimum length within a checkpoint window and the
-    zero-crossing postcondition certifies the result.
+    requires a new minimum length within a checkpoint window.  The word
+    crosses each flip bare, by :func:`_step`; the final zero-crossing word
+    is built as one ``ArcWord``, with every check, and certifies the result.
 
     Returns ``(flips, edge)`` with the transported word parallel to
     ``edge`` in the final triangulation.
     """
-    word = arc
+    table, start, word, end = arc.base, arc.start, arc.crossings, arc.end
     flips: list[int] = []
-    cap = 40 * (len(arc) + 2)
-    window = 4 * arc.base.n_edges
+    cap = 40 * (len(word) + 2)
+    window = 4 * table.n_edges
     best = len(word)
     since_best = 0
-    while len(word) > 0:
+    while word:
         if len(flips) >= cap or since_best > window:
             raise PreconditionError(
                 f"straighten_to_edge: stalled after {len(flips)} flips (length {len(word)})"
             )
-        base = word.base
-        e = edge_of(word.crossings[0])
-        if not base.is_flippable(e):
-            sides = (edge_of(s) for s in base.triangles[word.start.tri])
-            e = next((x for x in sides if base.is_flippable(x)), None)
+        e = edge_of(word[0])
+        if not table.is_flippable(e):
+            sides = (edge_of(s) for s in table.triangles[start.tri])
+            e = next((x for x in sides if table.is_flippable(x)), None)
             if e is None:
                 raise PreconditionError("straighten_to_edge: start triangle has no flippable side")
         flips.append(e)
-        word = transport(word, e)
+        old, table = table, table.flip(e)
+        start, word, end = _step(old, table, e, start, word, end)
         if len(word) < best:
             best = len(word)
             since_best = 0
         else:
             since_best += 1
-    return flips, edge_of(word.base.side(word.start))
+    return flips, edge_of(table.side(ArcWord(table, start, word, end).start))

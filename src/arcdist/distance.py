@@ -144,12 +144,13 @@ def classify(v: ArcWord, w: ArcWord, max_len: int | None = None, max_depth: int 
 
     When search bounds are supplied, a breadth-first search through the
     arcs of length <= max_len may shorten the upper bound coming from the
-    surgery path.  Giving only one of the two bounds is an error.
+    surgery path.  Giving only one of the two bounds is an error, and so
+    is a bound that is not a positive integer, whatever the verdict.
     """
     if (max_len is None) != (max_depth is None):
         raise PreconditionError("search bounds: give both max_len and max_depth, or neither")
-    if max_len is not None:  # read as ints here, so the note names them as the search reads them
-        max_len, max_depth = _integer("max_len", max_len), _integer("max_depth", max_depth)
+    if max_len is not None:  # read before any work, so the note names them as the search reads them
+        max_len, max_depth = _search_bounds(max_len, max_depth)
     if v == w:
         return DistanceCertificate(v, w, Verdict("exact", value=0))
     real = Realization(v, w)
@@ -188,16 +189,23 @@ def bounded_search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> ArcS
     found inside them, never that no path exists.  Exploration order is
     canonical, so the result is deterministic.
     """
-    hops = _search(v, w, max_len, max_depth)
+    hops = _search(v, w, *_search_bounds(max_len, max_depth))
     return None if hops is None else ArcSequence(v.base, hops)
+
+
+def _search_bounds(max_len, max_depth) -> tuple[int, int]:
+    """The search bounds read as integers; ``PreconditionError`` unless both
+    are positive."""
+    max_len, max_depth = _integer("max_len", max_len), _integer("max_depth", max_depth)
+    if max_len <= 0 or max_depth <= 0:
+        raise PreconditionError("search bounds must be positive")
+    return max_len, max_depth
 
 
 def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWord, ...] | None:
     """The hops w, ..., v of :func:`bounded_search`, each proven disjoint
-    from the one before by the search's own intersection test."""
-    max_len, max_depth = _integer("max_len", max_len), _integer("max_depth", max_depth)
-    if max_len <= 0 or max_depth <= 0:
-        raise PreconditionError("search bounds must be positive")
+    from the one before by the search's own intersection test; the bounds
+    are already read by :func:`_search_bounds`."""
     if v.base != w.base:
         raise BaseMismatch("arcs live over different triangulations")
     if v == w:
@@ -291,6 +299,8 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
     k = real.count()
     if cert.intersection_vw != k:
         problems.append(f"evidence: intersection_vw is {cert.intersection_vw}, recomputed {k}")
+    if cert.checked_distance_two is not (k > 0):  # classify checks distance 2 exactly when the arcs cross
+        problems.append(f"evidence: checked_distance_two is {cert.checked_distance_two!r}, recomputed intersection {k}")
     if cert.verdict.kind == "exact":
         d = cert.verdict.value
         if d == 0:

@@ -442,3 +442,52 @@ def test_straighten_one_crossing_arcs_exhaustively(g1):
             continue
         flips, e = straighten_to_edge(a)
         assert len(flips) >= 1
+
+
+def _straighten_by_transport(a):
+    """The straightening loop over public ``transport``: a reference for
+    :func:`straighten_to_edge`, which carries a bare word instead."""
+    word, flips = a, []
+    while len(word) > 0:
+        assert len(flips) < 40 * (len(a) + 2)
+        base = word.base
+        e = edge_of(word.crossings[0])
+        if not base.is_flippable(e):
+            e = next(x for x in map(edge_of, base.triangles[word.start.tri]) if base.is_flippable(x))
+        flips.append(e)
+        word = transport(word, e)
+    return flips, edge_of(word.base.side(word.start))
+
+
+@pytest.mark.parametrize("genus, long_walk", [(1, 60), (2, 120), (3, 200), (4, 200)])
+def test_straighten_to_edge_matches_a_transport_loop(genus, long_walk):
+    base = build_standard_triangulation(genus)
+    lengths = []
+    for seed in range(12):
+        for steps in (10, 40, long_walk):
+            a = random_arc(base, seed, steps)
+            assert straighten_to_edge(a) == _straighten_by_transport(a)
+            lengths.append(len(a))
+    assert min(lengths) == 0 and max(lengths) > 100
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_the_flip_oracle_neither_transports_nor_tightens(genus, monkeypatch):
+    """Straightening carries a bare word and the flip oracle carries ``w``
+    with ``_carry``: neither runs public ``transport`` or ``tighten``, which
+    would build a checked ``ArcWord`` per flip."""
+    from arcdist import realization
+
+    calls = []
+    for module in (arc_module, realization):
+        for name in ("transport", "transport_inverse", "tighten"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    base = build_standard_triangulation(genus)
+    flips = 0
+    for seed in range(6):
+        v, w = random_arc(base, seed, 40), random_arc(base, seed + 100, 40)
+        flips += len(straighten_to_edge(v)[0])
+        realization.intersection_via_flips(v, w)
+    assert flips > 0 and calls == []

@@ -336,6 +336,18 @@ def test_dist_rejects_a_lone_search_bound(tmp_path, g1, capsys, flag):
     assert "search bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-5", "-1")])
+def test_dist_rejects_a_non_positive_search_bound_whatever_the_verdict(tmp_path, g1, capsys, bounds):
+    """A disjoint pair, settled before any search, once exited 0 on these
+    bounds where a pair with a bounds verdict exited 5."""
+    pair, cert = tmp_path / "pair.json", tmp_path / "cert.json"
+    for v, w in ((edge_word(g1, 2), edge_word(g1, 3)), (random_arc(g1, 31010, 30), random_arc(g1, 31011, 30))):
+        serialize.write_doc(pair, serialize.pair_dict(v, w))
+        assert main(["dist", str(pair), "--max-len", bounds[0], "--max-depth", bounds[1], "-o", str(cert)]) == 5
+        assert capsys.readouterr().err == "invalid input: search bounds must be positive\n"
+        assert not cert.exists()
+
+
 @pytest.mark.parametrize("equal", [False, True], ids=["edge-and-word", "word-twice"])
 def test_dist_rejects_a_non_embedded_arc(tmp_path, g1, capsys, equal):
     """Such a pair once failed the overlay's Euler check (exit 1, read as an
@@ -585,6 +597,16 @@ def test_check_cert_rejects_a_wrong_recorded_intersection(tmp_path, g1):
         path = tmp_path / "cert.json"
         serialize.write_doc(path, doc)
         assert main(["check-cert", str(path)]) == 1
+
+
+def test_check_cert_rejects_a_flipped_checked_distance_two(tmp_path, g1, capsys):
+    for v, w in (_crossing_pair(g1), (edge_word(g1, 2), edge_word(g1, 3))):
+        doc = classify(v, w).to_json_dict()
+        doc["evidence"]["checked_distance_two"] = not doc["evidence"]["checked_distance_two"]
+        path = tmp_path / "cert.json"
+        serialize.write_doc(path, doc)
+        assert main(["check-cert", str(path)]) == 1
+        assert "failed: evidence: checked_distance_two is" in capsys.readouterr().out
 
 
 def _pair_g2(g2):

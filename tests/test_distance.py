@@ -139,6 +139,50 @@ def test_bounded_search_rejects_bad_bounds(g1):
         bounded_search(edge_word(g1, 2), edge_word(g1, 3), 0, 3)
 
 
+def _one_pair_per_verdict(g1):
+    """A genus-1 pair for each verdict ``classify`` gives."""
+    two = next(
+        (v, w)
+        for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
+        if classify(v, w).verdict.as_tuple() == (2, 2)
+    )
+    return {
+        "exact(0)": (edge_word(g1, 2), edge_word(g1, 2)),
+        "exact(1)": (edge_word(g1, 2), edge_word(g1, 3)),
+        "exact(2)": two,
+        "bounds": (random_arc(g1, 31002, 30), random_arc(g1, 31003, 30)),
+    }
+
+
+@pytest.mark.parametrize("max_len, max_depth", [(0, 1), (1, 0), (-5, -1)])
+def test_non_positive_search_bounds_are_refused_whatever_the_verdict(g1, max_len, max_depth):
+    """The bounds are read before any work, so a verdict settled before the
+    search (equal or disjoint arcs, a distance-2 witness) lets no bad bound
+    through."""
+    for v, w in _one_pair_per_verdict(g1).values():
+        with pytest.raises(PreconditionError, match="search bounds must be positive"):
+            classify(v, w, max_len=max_len, max_depth=max_depth)
+        with pytest.raises(PreconditionError, match="search bounds must be positive"):
+            bounded_search(v, w, max_len, max_depth)
+
+
+def test_verify_certificate_checks_checked_distance_two(g1):
+    """classify writes ``checked_distance_two`` as exactly "the arcs cross",
+    so a flipped flag is refused on every verdict kind, in the record and in
+    its JSON document."""
+    for kind, (v, w) in _one_pair_per_verdict(g1).items():
+        cert = classify(v, w)
+        verdict = cert.verdict
+        assert (f"exact({verdict.value})" if verdict.kind == "exact" else "bounds") == kind
+        assert verify_certificate(cert) == []
+        flag = not cert.checked_distance_two
+        expected = [f"evidence: checked_distance_two is {flag}, recomputed intersection {cert.intersection_vw}"]
+        assert verify_certificate(cert._replace(checked_distance_two=flag)) == expected
+        doc = json.loads(dumps(cert.to_json_dict()))
+        doc["evidence"]["checked_distance_two"] = flag
+        assert verify_document(doc) == expected
+
+
 def test_classify_rejects_a_lone_search_bound(g1):
     v, w = random_arc(g1, 31010, 30), random_arc(g1, 31011, 30)
     assert classify(v, w).verdict.kind == "bounds"

@@ -111,6 +111,22 @@ def test_triple_agreement_short_pairs_genus2(g2):
         assert a == brute_min_intersection(v, w)
 
 
+@pytest.mark.parametrize("genus", [3, 4])
+def test_both_oracles_agree_on_long_genus_3_and_4_pairs(genus):
+    """Pairs of 200-step arcs: words of up to 974 letters crossing up to
+    4,468 times, far past the short pairs above."""
+    base = build_standard_triangulation(genus)
+    counts = []
+    for seed in range(0, 24, 2):
+        v, w = random_arc(base, seed, 200), random_arc(base, seed + 1, 200)
+        counts.append(intersection(v, w))
+        assert intersection_via_flips(v, w) == counts[-1]
+    assert counts == {
+        3: [176, 354, 621, 21, 52, 83, 4468, 17, 14, 579, 406, 844],
+        4: [18, 32, 55, 14, 23, 60, 36, 5, 6, 0, 19, 111],
+    }[genus]
+
+
 def test_self_pairing_is_zero(g1, g2):
     for base in (g1, g2):
         for seed in range(10):
