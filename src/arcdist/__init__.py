@@ -24,7 +24,6 @@ from .surface import (
     Corner,
     Triangulation,
     build_standard_triangulation,
-    random_flip_walk,
 )
 from .arc import (
     ArcWord,
@@ -44,7 +43,6 @@ from .distance import (
     Verdict,
     bounded_search,
     classify,
-    common_neighbor_scan,
     pair_set_distance,
     verify_certificate,
 )
@@ -54,7 +52,6 @@ from .leveling import (
     arcs_to_leveling,
     level_number_report,
     leveling_to_arc_sequence,
-    proposition_bound,
     sequence_to_level_certificate,
     validate_sequence,
 )

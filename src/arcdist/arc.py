@@ -468,12 +468,16 @@ def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:
 def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
     """Flip sequence turning ``arc`` into a triangulation edge.
 
-    Strategy: flip the edge of the arc's first crossing whenever it is
-    flippable -- a reduced word leaves its start corner across the opposite
-    side, so the start corner is a diagonal endpoint of the quad and that
-    flip removes the first crossing.  When the first edge is unflippable (a
-    self-glued triangle) the fallback rotates the start triangle by
-    flipping its third side.  A later passage through the quad can recreate
+    Strategy: flip the edge of the arc's first crossing -- a reduced word
+    leaves its start corner across the opposite side, so the start corner
+    is a diagonal endpoint of the quad and that flip removes the first
+    crossing.  That edge is flippable unless the arc crosses itself, which
+    is refused at once: an unflippable edge is the folded edge of a
+    self-folded triangle, whose inner vertex has one corner.  If that is P1,
+    the start corner faces the flippable loop side; if it is P2, the word
+    ends through the loop side into the inner corner, a chord whose ends
+    interleave with those of a first chord from an outer corner across the
+    folded edge.  A later passage through the quad can recreate
     a crossing, so the length need not drop on every single flip; the guard
     requires a new minimum length within a checkpoint window.  The word
     crosses each flip bare, by :func:`_step`; the final zero-crossing word
@@ -495,10 +499,10 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
             )
         e = edge_of(word[0])
         if not table.is_flippable(e):
-            sides = (edge_of(s) for s in table.triangles[start.tri])
-            e = next((x for x in sides if table.is_flippable(x)), None)
-            if e is None:
-                raise PreconditionError("straighten_to_edge: start triangle has no flippable side")
+            raise PreconditionError(
+                "straighten_to_edge: the arc is not embedded"
+                f" (its first crossing is on folded edge {e} after {len(flips)} flips)"
+            )
         flips.append(e)
         old, table = table, table.flip(e)
         start, word, end = _step(old, table, e, start, word, end)

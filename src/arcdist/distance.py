@@ -252,14 +252,6 @@ def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWo
     return tuple(hops)
 
 
-def common_neighbor_scan(v: ArcWord, w: ArcWord, max_len: int) -> ArcWord | None:
-    """First enumerated arc disjoint from both, if any (distance-2 probe)."""
-    for cand in enumerate_arcs(v.base, max_len):
-        if cand != v and cand != w and intersection(cand, v) == 0 and intersection(cand, w) == 0:
-            return cand
-    return None
-
-
 def pair_set_distance(shadow_input: ShadowPairInput) -> DistanceCertificate:
     """Minimum verdict over all shadow pairs from the two finite lists.
 

@@ -248,16 +248,6 @@ def sequence_to_level_certificate(seq: ArcSequence) -> dict:
     }
 
 
-def proposition_bound(v: ArcWord, w: ArcWord) -> int:
-    """Level bound from shadows meeting in i(v, w) + 2 points.
-
-    Shadows sharing both endpoints meet in n = i + 2 points, and the
-    leveling obtained from the surgery path uses at most n - 1 = i + 1
-    levels; path construction never exceeds this.
-    """
-    return intersection(v, w) + 1
-
-
 def level_number_report(shadow_input) -> dict:
     """Restate a pair-set distance verdict as a level number with certificate.
 

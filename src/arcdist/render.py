@@ -5,7 +5,8 @@ triangle of the base becomes one equilateral cell, its sides carry the edge
 labels, and the arcs appear as chords through the cells at their exact
 strand positions: the slots and strand counts of one ``Realization`` of
 the first two arcs, and of the first arc with each later one.  Level
-reports get one band per level with the tube columns drawn between bands.
+reports get one band per level with the tube columns drawn between bands,
+and a distance-0 report, with no level position, its certificate's pair.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from pathlib import Path
 
 from .arc import ArcWord
+from .errors import VerificationError
 from .realization import Realization
 from .surface import Corner, edge_of
 
@@ -174,6 +176,11 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
 
     figures = []  # (file name, svg text)
     tag = doc.get("format")
+    if tag == "arcdist.level_report/1" and "level_certificate" not in doc:
+        check_doc(doc, tag, where)  # distance 0: no level position is defined, so draw the pair
+        if doc["level_number"] != {"kind": "trivial"}:
+            raise VerificationError(f"{where}: level certificate missing")
+        doc, tag, where = doc["distance"], "arcdist.distance_certificate/1", f"{where}.distance"
     if tag == "arcdist.distance_certificate/1":
         cert = load_distance_certificate(doc, where)
         arcs = [cert.v, cert.w]
@@ -191,13 +198,12 @@ def render_document(doc: dict, out_dir, where: str = "document") -> list[str]:
         figures.append(("sequence.svg", render_arcs_svg(list(seq.arcs), labels)))
     elif tag in ("arcdist.level_report/1", "arcdist.level_certificate/1"):
         check_doc(doc, tag, where)
-        level_certificate = doc if tag == "arcdist.level_certificate/1" else doc.get("level_certificate")
-        if level_certificate is not None:
-            # draw the position the sequence certifies, rebuilt as check-cert
-            # rebuilds it, never the stored one unchecked
-            place = where if level_certificate is doc else f"{where}.level_certificate"
-            seq = _sequence(level_certificate, "sequence", place)
-            figures.append(("levels.svg", render_levels_svg(sequence_to_level_certificate(seq))))
+        # draw the position the sequence certifies, rebuilt as check-cert
+        # rebuilds it, never the stored one unchecked
+        if tag == "arcdist.level_report/1":
+            doc, where = doc["level_certificate"], f"{where}.level_certificate"
+        seq = _sequence(doc, "sequence", where)
+        figures.append(("levels.svg", render_levels_svg(sequence_to_level_certificate(seq))))
     else:
         raise ValueError(f"no renderer for format {tag!r}")
     out_dir = Path(out_dir)

@@ -182,14 +182,6 @@ def load_arc_file(doc: dict, where="arc file") -> ArcWord:
     return _arc(doc["arc"], Triangulation.from_json_dict(doc["triangulation"]), f"{where}.arc")
 
 
-def arc_file_dict(arc: ArcWord) -> dict:
-    return {
-        "format": "arcdist.arc_file/1",
-        "triangulation": arc.base.to_json_dict(),
-        "arc": arc.to_json_dict(),
-    }
-
-
 def load_pair(doc: dict, where="pair file") -> tuple[ArcWord, ArcWord]:
     check_doc(doc, "arcdist.pair/1", where)
     base = Triangulation.from_json_dict(doc["triangulation"])

@@ -491,12 +491,3 @@ def flip_walk(t: Triangulation, rng: random.Random, steps: int) -> tuple[list[Tr
             for s in row:
                 flippable[abs(s) - 1] = -s not in row
     return tables, flips
-
-
-def random_flip_walk(t: Triangulation, seed: int, steps: int) -> tuple[Triangulation, list[int]]:
-    """Apply ``steps`` seeded random flips; returns (result, flip sequence).
-
-    The walk is :func:`flip_walk` drawing from ``random.Random(seed)``.
-    """
-    tables, flips = flip_walk(t, random.Random(seed), steps)
-    return tables[-1], flips

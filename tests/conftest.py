@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from arcdist import build_standard_triangulation
-from arcdist.arc import ArcWord, random_arc
+from arcdist.arc import ArcWord, enumerate_arcs, random_arc
 from arcdist.overlay import intersection
 from arcdist.surface import P1, Corner
 
@@ -160,6 +160,22 @@ def canonical_form(t) -> tuple:
 
 def is_isomorphic(t1, t2) -> bool:
     return t1.genus == t2.genus and canonical_form(t1) == canonical_form(t2)
+
+
+def common_neighbor_scan(v: ArcWord, w: ArcWord, max_len: int) -> ArcWord | None:
+    """First enumerated arc disjoint from both, if any (distance-2 probe)."""
+    for cand in enumerate_arcs(v.base, max_len):
+        if cand != v and cand != w and intersection(cand, v) == 0 and intersection(cand, w) == 0:
+            return cand
+    return None
+
+
+def arc_file_dict(arc: ArcWord) -> dict:
+    return {
+        "format": "arcdist.arc_file/1",
+        "triangulation": arc.base.to_json_dict(),
+        "arc": arc.to_json_dict(),
+    }
 
 
 def seeded_pairs(base, tag, count, max_steps=18, require_crossing=False):

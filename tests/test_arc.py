@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from arcdist import (
     InconsistentWord,
     P1,
     P2,
+    PreconditionError,
     UnflippableEdge,
     build_standard_triangulation,
-    random_flip_walk,
 )
 from arcdist import arc as arc_module
 from arcdist.arc import (
@@ -24,7 +25,7 @@ from arcdist.arc import (
     transport,
     transport_inverse,
 )
-from arcdist.overlay import intersection, self_intersection
+from arcdist.overlay import intersection, intersection_via_flips, self_intersection
 from arcdist.surface import Triangulation, edge_of, flip_walk
 
 from conftest import seeded_arcs
@@ -268,7 +269,7 @@ def test_transport_round_trips_every_short_arc(genus):
     standard = build_standard_triangulation(genus)
     rng = random.Random(f"quad-rewrite-{genus}")
     trips = zero = at_apex = 0
-    for base in (standard, random_flip_walk(standard, 1, 8)[0], random_flip_walk(standard, 2, 8)[0]):
+    for base in (standard, *(flip_walk(standard, random.Random(seed), 8)[0][-1] for seed in (1, 2))):
         arcs = enumerate_arcs(base, 3)
         pairs = [tuple(rng.sample(arcs, 2)) for _ in range(3)]
         overlay = [intersection(a, b) for a, b in pairs]
@@ -291,7 +292,7 @@ def test_transport_errors(g1):
         transport_inverse(moved, g1, 1)  # flipping edge 1 of g1 does not give moved.base
     with pytest.raises(BaseMismatch):
         transport_inverse(moved, moved.base, 0)
-    walked, _ = random_flip_walk(g1, 3, 10)
+    walked = flip_walk(g1, random.Random(3), 10)[0][-1]
     e = next(e for e in range(walked.n_edges) if not walked.is_flippable(e))
     b = enumerate_arcs(walked, 2)[-1]
     with pytest.raises(UnflippableEdge):
@@ -452,11 +453,57 @@ def _straighten_by_transport(a):
         assert len(flips) < 40 * (len(a) + 2)
         base = word.base
         e = edge_of(word.crossings[0])
-        if not base.is_flippable(e):
-            e = next(x for x in map(edge_of, base.triangles[word.start.tri]) if base.is_flippable(x))
+        assert base.is_flippable(e)  # an embedded arc never starts across a folded edge
         flips.append(e)
         word = transport(word, e)
     return flips, edge_of(word.base.side(word.start))
+
+
+def test_straightening_refuses_a_non_embedded_arc_before_any_flip(monkeypatch):
+    """A word whose first crossing is a folded edge crosses itself: both the
+    straightening and the flip oracle refuse it before they flip anything."""
+    t = Triangulation(1, [(1, 2, -2), (-1, -6, 5), (3, 4, 6), (-3, -4, -5)], p1_corner=(0, 0))
+    a = ArcWord(t, Corner(0, 0), (2, 1, -6, 3, -5, -1), Corner(0, 2))
+    assert not t.is_flippable(edge_of(a.crossings[0])) and self_intersection(a) == 2
+    flip = Triangulation.flip
+    calls = []
+    monkeypatch.setattr(Triangulation, "flip", lambda self, e: calls.append(e) or flip(self, e))
+    for straighten in (straighten_to_edge, lambda a: intersection_via_flips(a, a)):
+        with pytest.raises(PreconditionError, match="straighten_to_edge: the arc is not embedded"):
+            straighten(a)
+    assert calls == []
+
+
+def _folded_tables(genus):
+    """The first two 25-step walks from the standard table that hold a
+    self-folded triangle, each also relabelled so that the other marked
+    point is its inner vertex."""
+    base = build_standard_triangulation(genus)
+    walked = (flip_walk(base, random.Random(seed), 25)[0][-1] for seed in itertools.count())
+    folded = (t for t in walked if not all(map(t.is_flippable, range(t.n_edges))))
+    out = []
+    for t in itertools.islice(folded, 2):
+        out += [t, Triangulation(genus, t.triangles, p1_corner=t.corners_at(P2)[0])]
+    return out
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_no_embedded_arc_starts_across_a_folded_edge(genus):
+    """Why the straightening never meets an unflippable first edge: with
+    either marked point inside the self-folded triangle, no enumerated or
+    random arc starts across the folded edge, though arcs do cross it, and
+    both oracles agree on pairs of these arcs."""
+    tables = _folded_tables(genus)
+    assert [len(t.corners_at(P1)) == 1 for t in tables].count(True) == 2  # each vertex inner once per walk
+    rng = random.Random(f"folded-{genus}")
+    for t in tables:
+        folded = {e for e in range(t.n_edges) if not t.is_flippable(e)}
+        arcs = enumerate_arcs(t, 7) + [random_arc(t, seed, 5 + seed % 36) for seed in range(300)]
+        assert not [a for a in arcs if a.crossings and edge_of(a.crossings[0]) in folded]
+        assert any(edge_of(c) in folded for a in arcs for c in a.crossings)
+        for _ in range(100):
+            v, w = rng.sample(arcs, 2)
+            assert intersection(v, w) == intersection_via_flips(v, w)
 
 
 @pytest.mark.parametrize("genus, long_walk", [(1, 60), (2, 120), (3, 200), (4, 200)])

@@ -16,7 +16,7 @@ import arcdist
 from arcdist import build_standard_triangulation, serialize
 from arcdist.arc import ArcWord, edge_word, random_arc
 from arcdist.cli import main
-from arcdist.corpus import build_examples, corpus_json_bytes, load_bundled_examples, run_examples
+from arcdist.corpus import load_bundled_examples, run_examples
 from arcdist.distance import ShadowPairInput, classify
 from arcdist.errors import SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
@@ -25,7 +25,8 @@ from arcdist.render import render_levels_svg
 from arcdist.surface import Corner, Triangulation
 from arcdist.surgery import path_between, surgery_step
 
-from conftest import inlined_schema, seeded_pairs, self_crossing_word
+from conftest import arc_file_dict, inlined_schema, seeded_pairs, self_crossing_word
+from corpus_build import build_examples, corpus_json_bytes
 
 
 @pytest.fixture()
@@ -33,8 +34,8 @@ def workdir(tmp_path, g1):
     v = random_arc(g1, 31002, 30)
     w = random_arc(g1, 31003, 30)
     serialize.write_doc(tmp_path / "pair.json", serialize.pair_dict(v, w))
-    serialize.write_doc(tmp_path / "v.json", serialize.arc_file_dict(v))
-    serialize.write_doc(tmp_path / "w.json", serialize.arc_file_dict(w))
+    serialize.write_doc(tmp_path / "v.json", arc_file_dict(v))
+    serialize.write_doc(tmp_path / "w.json", arc_file_dict(w))
     serialize.write_doc(
         tmp_path / "shadows.json", ShadowPairInput(g1, (v,), (w,)).to_json_dict()
     )
@@ -89,6 +90,32 @@ def test_render_pair(workdir):
     assert (svgdir / "pair.svg").read_text().startswith("<svg")
 
 
+def test_render_draws_the_pair_of_a_distance_0_report(tmp_path, g1, capsys):
+    """A distance-0 level report has no level certificate: render draws its
+    distance certificate as ``pair.svg``, through the loader and so the
+    checks of a distance certificate file."""
+    a = edge_word(g1, 2)
+    report = level_number_report(ShadowPairInput(g1, (a,), (a,)))
+    assert report["level_number"] == {"kind": "trivial"} and "level_certificate" not in report
+    serialize.write_doc(tmp_path / "report.json", report)
+    serialize.write_doc(tmp_path / "cert.json", report["distance"])
+    for name in ("report", "cert"):
+        assert main(["render", str(tmp_path / f"{name}.json"), "--svg", str(tmp_path / name)]) == 0
+    assert os.listdir(tmp_path / "report") == ["pair.svg"]
+    assert (tmp_path / "report" / "pair.svg").read_text() == (tmp_path / "cert" / "pair.svg").read_text()
+    capsys.readouterr()
+    report["distance"]["pair"]["v"] = self_crossing_word(g1).to_json_dict()
+    serialize.write_doc(tmp_path / "bad.json", report)
+    assert main(["render", str(tmp_path / "bad.json"), "--svg", str(tmp_path / "figs")]) == 5
+    assert f"{tmp_path / 'bad.json'}.distance.pair.v" in capsys.readouterr().err
+    report = _level_report(g1, 2, 3)
+    del report["level_certificate"]
+    serialize.write_doc(tmp_path / "bad.json", report)
+    assert main(["render", str(tmp_path / "bad.json"), "--svg", str(tmp_path / "figs")]) == 1
+    assert capsys.readouterr().err == f"verification failed: {tmp_path / 'bad.json'}: level certificate missing\n"
+    assert not (tmp_path / "figs").exists()
+
+
 def test_a_refused_render_leaves_no_directory(workdir, g1, capsys):
     """``--svg DIR`` is made only for a document that passes its checks: a
     format with no renderer (exit 5) and a pair with no triangulation
@@ -120,7 +147,7 @@ def test_exit_codes(tmp_path, workdir):
     # base mismatch between arc files
     g2 = build_standard_triangulation(2)
     other = tmp_path / "w2.json"
-    serialize.write_doc(other, serialize.arc_file_dict(random_arc(g2, 3, 4)))
+    serialize.write_doc(other, arc_file_dict(random_arc(g2, 3, 4)))
     assert main(["path", str(workdir / "v.json"), str(other)]) == 4
     # tampered certificate
     cert = workdir / "c.json"
@@ -371,7 +398,7 @@ def _sequence_doc(base, arcs):
     "build, place",
     [
         (lambda g1, bad, d: (["check-cert"], classify(bad, bad).to_json_dict()), "document.pair.v"),
-        (lambda g1, bad, d: (["path", str(d / "v.json")], serialize.arc_file_dict(bad)), "{file}.arc"),
+        (lambda g1, bad, d: (["path", str(d / "v.json")], arc_file_dict(bad)), "{file}.arc"),
         (lambda g1, bad, d: (["level"], ShadowPairInput(g1, (edge_word(g1, 2),), (bad,)).to_json_dict()), "{file}.w_side[0]"),
         (lambda g1, bad, d: (["check-cert"], _sequence_doc(g1, [edge_word(g1, 2), bad])), "document.arcs[1]"),
         (lambda g1, bad, d: (["render", "--svg", str(d / "figs")], _sequence_doc(g1, [bad])), "{file}.arcs[0]"),
@@ -463,7 +490,7 @@ def test_corpus_is_byte_stable():
     from importlib import resources
 
     bundled = resources.files("arcdist.data").joinpath("examples/corpus.json").read_bytes()
-    assert corpus_json_bytes() == bundled
+    assert corpus_json_bytes(load_bundled_examples()) == bundled
     assert corpus_json_bytes(build_examples()) == bundled
 
 
@@ -495,9 +522,7 @@ def test_outputs_match_schemas(workdir):
     main(["level", str(workdir / "shadows.json"), "-o", str(rep)])
     check(json.loads(rep.read_text()))
     check(build_standard_triangulation(1).to_json_dict())
-    from arcdist.corpus import corpus_json_bytes
-
-    check(json.loads(corpus_json_bytes()))
+    check(json.loads(corpus_json_bytes(build_examples())))
 
 
 def _crossing_pair(g1):
@@ -771,8 +796,8 @@ def test_unknown_field_is_a_schema_violation(tmp_path, g1, valid_docs, fmt):
     input format is exit 3, at the top level and nested."""
     if fmt == "arc-file":
         v, w = _bounds_pair(g1)
-        doc, argv = serialize.arc_file_dict(w), ["path", str(tmp_path / "v.json")]
-        serialize.write_doc(tmp_path / "v.json", serialize.arc_file_dict(v))
+        doc, argv = arc_file_dict(w), ["path", str(tmp_path / "v.json")]
+        serialize.write_doc(tmp_path / "v.json", arc_file_dict(v))
     elif fmt == "triangulation":
         doc, argv = g1.to_json_dict(), ["check-cert"]
     elif fmt == "tri-check":

@@ -9,7 +9,6 @@ from arcdist.distance import (
     ShadowPairInput,
     bounded_search,
     classify,
-    common_neighbor_scan,
     pair_set_distance,
     verify_certificate,
 )
@@ -17,7 +16,7 @@ from arcdist.leveling import level_number_report, validate_sequence
 from arcdist.overlay import OverlayFace, Realization, _OverlayBuilder, complement_components, intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document, write_doc
 
-from conftest import seeded_pairs, self_crossing_word
+from conftest import common_neighbor_scan, seeded_pairs, self_crossing_word
 
 
 def test_exact_zero(g1):

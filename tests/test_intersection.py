@@ -10,7 +10,6 @@ from arcdist import BaseMismatch, InconsistentWord, VerificationError, build_sta
 from arcdist import arc as arc_module
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport
 from arcdist.distance import classify
-from arcdist.leveling import proposition_bound
 from arcdist.overlay import (
     Realization,
     _OverlayBuilder,
@@ -143,7 +142,7 @@ def test_disjoint_edges(g1):
 
 def test_base_mismatch_rejected(g1, g2):
     v, w = edge_word(g1, 2), edge_word(g2, 4)
-    for check in (intersection, intersection_via_flips, classify, proposition_bound, Realization):
+    for check in (intersection, intersection_via_flips, classify, Realization):
         with pytest.raises(BaseMismatch, match="arcs live over different triangulations"):
             check(v, w)
 

@@ -8,7 +8,6 @@ from arcdist.leveling import (
     arcs_to_leveling,
     level_number_report,
     leveling_to_arc_sequence,
-    proposition_bound,
     sequence_to_level_certificate,
     validate_sequence,
 )
@@ -80,13 +79,12 @@ def test_cycle_closes_once(g1):
 
 def test_proposition_bound(g1, g2):
     # disjoint shadows meet only at the two endpoints: bound 1
-    assert proposition_bound(edge_word(g1, 2), edge_word(g1, 3)) == 1
+    v, w = edge_word(g1, 2), edge_word(g1, 3)
+    assert intersection(v, w) + 1 == 1
+    assert path_between(v, w).edge_count <= 1
     for base in (g1, g2):
         for v, w in seeded_pairs(base, f"prop-{base.genus}", 30):
-            n_points = intersection(v, w) + 2
-            bound = proposition_bound(v, w)
-            assert bound == n_points - 1
-            assert path_between(v, w).edge_count <= bound
+            assert path_between(v, w).edge_count <= intersection(v, w) + 1
 
 
 def test_level_certificate_verifies(g1):

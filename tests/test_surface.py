@@ -12,7 +12,6 @@ from arcdist import (
     Triangulation,
     UnflippableEdge,
     build_standard_triangulation,
-    random_flip_walk,
 )
 from arcdist.surface import flip_walk
 
@@ -99,7 +98,8 @@ def test_unflippable_edge_raises(g1):
 
 
 def test_random_walk_stays_valid(g2):
-    end, seq = random_flip_walk(g2, seed=11, steps=50)
+    tables, seq = flip_walk(g2, random.Random(11), 50)
+    end = tables[-1]
     assert len(seq) == 50
     cur = g2
     for e in seq:
@@ -116,7 +116,8 @@ def test_random_flip_walk_output_is_pinned():
         base = build_standard_triangulation(genus)
         for seed in range(20):
             for steps in (0, 1, 7, 40):
-                end, flips = random_flip_walk(base, seed, steps)
+                tables, flips = flip_walk(base, random.Random(seed), steps)
+                end = tables[-1]
                 digest.update(repr((flips, end.triangulation_id())).encode())
                 digest.update(b";")
     assert digest.hexdigest() == "f382af82d79ba2a0923c9c7b640fda90ac21325ee6db442b5aa763a865e29dde"
@@ -140,7 +141,7 @@ def test_flip_walk_keeps_every_table_and_draws_from_the_callers_rng(g):
 def test_flip_builds_no_corner(g, built_corners):
     """A flip fills the quad's side entries and its P1 anchor from the
     table's shared Corner tuple."""
-    cur = random_flip_walk(build_standard_triangulation(g), g, 10)[0]
+    cur = flip_walk(build_standard_triangulation(g), random.Random(g), 10)[0][-1]
     built_corners.clear()
     rng = random.Random(f"no-corner-{g}")
     for _ in range(200):
@@ -149,7 +150,7 @@ def test_flip_builds_no_corner(g, built_corners):
 
 
 def test_flip_walk_reaches_nonisomorphic_tables(g1):
-    end, _ = random_flip_walk(g1, seed=3, steps=9)
+    end = flip_walk(g1, random.Random(3), 9)[0][-1]
     assert end.validate() == []
 
 
@@ -224,7 +225,7 @@ def test_local_flip_refuses_a_tampered_quad_corner(g):
     """The flip reads the labels of four quad corners (both ends of the
     diagonal and the two apexes); a wrong one at any of them fails the
     check of the rewritten sides against their glued partners."""
-    for table in (build_standard_triangulation(g), random_flip_walk(build_standard_triangulation(g), g, 25)[0]):
+    for table in (build_standard_triangulation(g), flip_walk(build_standard_triangulation(g), random.Random(g), 25)[0][-1]):
         for e in _flippable(table):
             c_pos, c_neg = table.side_corner(e + 1), table.side_corner(-(e + 1))
             read = [Corner(c_pos.tri, (c_pos.pos + k) % 3) for k in range(3)]
@@ -277,7 +278,7 @@ def test_lookups_on_an_invalid_table_raise_invalid_triangulation():
 def test_corners_around_rotates_one_vertex(g):
     """Each corner's rotation starts at it, holds exactly the corners of its
     marked point, and is the same cycle read from any of them."""
-    for t in (build_standard_triangulation(g), random_flip_walk(build_standard_triangulation(g), g, 25)[0]):
+    for t in (build_standard_triangulation(g), flip_walk(build_standard_triangulation(g), random.Random(g), 25)[0][-1]):
         for tri in range(t.n_triangles):
             for k in range(3):
                 corner = Corner(tri, k)
