@@ -4,7 +4,9 @@
 on seeded crossing pairs of genus 1 and 2, then every file written by
 ``arcdist examples --emit``.  ``LONG_DIGEST`` covers the certificates of
 crossing pairs from long flip walks at genus 3 and 4, exact-2 witnesses
-among them.  A refactor that changes any verdict, certificate or output
+among them.  ``LEVEL_DIGEST`` covers level positions of three levels and
+more: the level reports of bounds pairs at genus 1 and 2, and the level
+certificates of surgery paths at genus 3 and 4.  A refactor that changes any verdict, certificate or output
 byte changes a digest; a deliberate format change updates it here, in
 review.
 """
@@ -17,14 +19,17 @@ from collections import Counter
 from arcdist import build_standard_triangulation
 from arcdist.arc import random_arc
 from arcdist.cli import main
-from arcdist.distance import classify
+from arcdist.distance import ShadowPairInput, classify
+from arcdist.leveling import level_number_report, sequence_to_level_certificate
 from arcdist.overlay import intersection
 from arcdist.serialize import dumps
+from arcdist.surgery import path_between
 
 from conftest import seeded_pairs
 
 DIGEST = "e0eece70024441ee93314b45e15b92dc93506d2a3c06314460d5127964535848"
 LONG_DIGEST = "945be88f7d3c5f6686e8aeaa284847ac3a5945c09e6d11c739798b339cb2707b"
+LEVEL_DIGEST = "59bdab44c337fb245c9821f610fa7a53d36ea21e4416ac0b5553eb1f134d3ed0"
 
 
 def test_output_bytes_are_pinned(tmp_path, g1, g2):
@@ -63,3 +68,24 @@ def test_genus_three_and_four_output_bytes_are_pinned():
             h.update(dumps(cert.to_json_dict()).encode())
     assert all(verdicts[genus, exact] for genus in (3, 4) for exact in (True, False))
     assert h.hexdigest() == LONG_DIGEST
+
+
+def test_level_position_bytes_are_pinned():
+    h = hashlib.sha256()
+    most_levels = Counter()
+    for genus, steps in ((1, 30), (2, 60)):
+        base = build_standard_triangulation(genus)
+        for v, w in _long_crossing_pairs(base, f"byte-contract-level-{genus}", 30, steps):
+            report = level_number_report(ShadowPairInput(base, (v,), (w,)))
+            if report["level_number"]["kind"] == "bounds":
+                n = report["level_certificate"]["level_position"]["n_levels"]
+                most_levels[genus] = max(most_levels[genus], n)
+                h.update(dumps(report).encode())
+    for genus, steps in ((3, 120), (4, 200)):
+        base = build_standard_triangulation(genus)
+        for v, w in _long_crossing_pairs(base, f"byte-contract-level-{genus}", 10, steps):
+            seq = path_between(v, w)
+            most_levels[genus] = max(most_levels[genus], seq.edge_count)
+            h.update(dumps(sequence_to_level_certificate(seq)).encode())
+    assert all(most_levels[genus] >= 3 for genus in (1, 2, 3, 4))
+    assert h.hexdigest() == LEVEL_DIGEST
