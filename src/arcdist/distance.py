@@ -217,14 +217,7 @@ def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWo
         universe.append(w)
     universe.sort(key=ArcWord.sort_key)
 
-    cache: dict[tuple, int] = {}
-
-    def disjoint(a, b):
-        key = (a.sort_key(), b.sort_key())
-        if key not in cache:
-            cache[key] = intersection(a, b)
-        return cache[key] == 0
-
+    # every arc enters the frontier once, so no pair is tested twice
     prev = {w: None}
     frontier = [w]
     for _ in range(max_depth):
@@ -233,7 +226,7 @@ def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWo
             for cand in universe:
                 if cand in prev or cand == cur:
                     continue
-                if disjoint(cur, cand):
+                if intersection(cur, cand) == 0:
                     prev[cand] = cur
                     nxt.append(cand)
             if v in prev:

@@ -4,10 +4,11 @@ A path in the arc complex (consecutive arcs disjoint) converts into a
 combinatorial n-level position: the knot is redrawn on n stacked copies of
 the surface joined by n-1 tubes, where level 1 carries the first arc, level
 n the last, each tube's core is one of the intermediate arcs, and the knot
-runs through each tube in two vertical strands.  The level data here is
-purely symbolic (arc words, stub labels, tube records, one strand cycle);
-it is exactly the information content of the construction, and the reverse
-reading returns the original sequence.
+runs through each tube in two vertical strands.  A ``LevelPosition`` holds
+the path and nothing else: its levels (arc words and stub labels), tube
+records and strand cycle are read off the path when asked for, so every
+position built from a path is well formed by construction, and the
+reverse reading returns the original sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arc import ArcWord, _Record
-from .errors import InvalidSequence, PreconditionError, VerificationError
+from .errors import InvalidSequence, PreconditionError
 from .realization import intersection
 from .surface import Triangulation
 
@@ -92,51 +93,79 @@ class Tube(NamedTuple):
 
 
 class LevelPosition(NamedTuple):
-    """Symbolic n-level position of a knot.
+    """Symbolic n-level position of a knot, read off its arc path s_0..s_n.
 
+    The path ``arcs`` is the one field; the rest is derived from it.
     ``levels[j]`` lists the strand pieces on surface copy j+1: a full arc
     for the first and last level (``first_arc`` and ``last_arc``), stubs
-    (ends of tube cores near the marked points) elsewhere.  ``cycle`` walks
-    the knot once through all pieces; each entry is (piece kind, label,
-    location, start point, end point).
+    (ends of tube cores near the marked points) elsewhere.  Level 1 carries
+    s_0 with the stubs of s_1; level j the stubs of s_{j-1} and s_j; level n
+    carries s_n.  Tube j thickens s_j, and the knot climbs the P1 side
+    through the alpha stubs and descends the P2 side through the beta
+    stubs, closing into a single ``cycle``; each cycle entry is (piece kind,
+    label, location, start point, end point).
     """
 
-    n_levels: int
-    surface_genus: int
-    first_arc: ArcWord
-    last_arc: ArcWord
-    levels: tuple
-    tubes: tuple
-    cycle: tuple
+    arcs: tuple[ArcWord, ...]
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.arcs) - 1
+
+    @property
+    def surface_genus(self) -> int:
+        return self.arcs[0].base.genus
 
     @property
     def ambient_genus(self) -> int:
         return self.surface_genus * self.n_levels
 
-    def validate(self) -> list[str]:
-        problems = []
+    @property
+    def first_arc(self) -> ArcWord:
+        return self.arcs[0]
+
+    @property
+    def last_arc(self) -> ArcWord:
+        return self.arcs[-1]
+
+    @property
+    def levels(self) -> tuple:
         n = self.n_levels
-        if len(self.tubes) != n - 1:
-            problems.append(f"tubes: {len(self.tubes)} records for {n} levels (expected {n - 1})")
-        if len(self.levels) != n:
-            problems.append(f"levels: {len(self.levels)} lists for n = {n}")
-            return problems
-        for j, level in enumerate(self.levels, start=1):
-            kinds = sorted(entry[0] for entry in level)
-            if n == 1:
-                want = ["arc", "arc"]  # the whole knot lies on one surface copy
-            elif j == 1 or j == n:
-                want = ["arc", "stub_alpha", "stub_beta"]
-            else:
-                want = ["stub_alpha", "stub_alpha", "stub_beta", "stub_beta"]
-            if kinds != sorted(want):
-                problems.append(f"level {j}: carries {kinds}, expected {sorted(want)}")
-        # single closed cycle: consecutive endpoints must chain up
-        for i, piece in enumerate(self.cycle):
-            nxt = self.cycle[(i + 1) % len(self.cycle)]
-            if piece[4] != nxt[3]:
-                problems.append(f"cycle: piece {i} ends at {piece[4]} but next starts at {nxt[3]}")
-        return problems
+        levels = []
+        for j in range(1, n + 1):
+            entries = []
+            if j == 1:
+                entries.append(("arc", 0, 1))
+            if j == n:
+                entries.append(("arc", n, n))
+            if j > 1:
+                entries += [("stub_alpha", j - 1, j), ("stub_beta", j - 1, j)]
+            if j < n:
+                entries += [("stub_alpha", j, j), ("stub_beta", j, j)]
+            levels.append(tuple(entries))
+        return tuple(levels)
+
+    @property
+    def tubes(self) -> tuple:
+        return tuple(Tube(j, self.arcs[j], f"p{j}", f"q{j}") for j in range(1, self.n_levels))
+
+    @property
+    def cycle(self) -> tuple:
+        # the knot runs s_0 backwards across level 1, climbs the P1 column,
+        # crosses s_n on the top level, then descends the P2 column back to
+        # the start
+        n = self.n_levels
+        cycle = [("level_arc", 0, 1, "q@1", "p@1")]
+        for j in range(1, n):
+            cycle.append(("stub_alpha", j, j, f"p@{j}", f"p{j}@{j}"))
+            cycle.append(("tube_strand", f"p{j}", j, f"p{j}@{j}", f"p{j}@{j + 1}"))
+            cycle.append(("stub_alpha", j, j + 1, f"p{j}@{j + 1}", f"p@{j + 1}"))
+        cycle.append(("level_arc", n, n, f"p@{n}", f"q@{n}"))
+        for j in range(n - 1, 0, -1):
+            cycle.append(("stub_beta", j, j + 1, f"q@{j + 1}", f"q{j}@{j + 1}"))
+            cycle.append(("tube_strand", f"q{j}", j, f"q{j}@{j + 1}", f"q{j}@{j}"))
+            cycle.append(("stub_beta", j, j, f"q{j}@{j}", f"q@{j}"))
+        return tuple(cycle)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,80 +190,27 @@ class LevelPosition(NamedTuple):
 
 
 def arcs_to_leveling(seq) -> LevelPosition:
-    """Build the n-level position certified by a path s_0..s_n.
+    """The n-level position certified by a path s_0..s_n.
 
-    Level 1 carries s_0 with the stubs of s_1; level j the stubs of s_{j-1}
-    and s_j; level n carries s_n.  Tube j thickens s_j, and the knot climbs
-    the P1 side through the alpha stubs and descends the P2 side through
-    the beta stubs, closing into a single cycle.  Accepts an ArcSequence or
-    a plain (base, arcs) pair whose path the caller has already validated.
+    Accepts an ArcSequence or a plain (base, arcs) pair whose path the
+    caller has already validated.
     """
-    base, arcs = (seq.base, seq.arcs) if isinstance(seq, ArcSequence) else seq
-    n = len(arcs) - 1
-    if n < 1:
+    _, arcs = (seq.base, seq.arcs) if isinstance(seq, ArcSequence) else seq
+    if len(arcs) < 2:
         raise PreconditionError("leveling needs at least two arcs (a 1-level position)")
-
-    def arc_entry(i, level):
-        return ("arc", i, level)
-
-    levels = []
-    for j in range(1, n + 1):
-        entries = []
-        if j == 1:
-            entries.append(arc_entry(0, 1))
-        if j == n:
-            entries.append(arc_entry(n, n))
-        if 1 <= j - 1 <= n - 1:
-            entries.append(("stub_alpha", j - 1, j))
-            entries.append(("stub_beta", j - 1, j))
-        if 1 <= j <= n - 1:
-            entries.append(("stub_alpha", j, j))
-            entries.append(("stub_beta", j, j))
-        levels.append(tuple(entries))
-
-    tubes = tuple(Tube(j, arcs[j], f"p{j}", f"q{j}") for j in range(1, n))
-
-    # pieces are (kind, label, location, start, end); the knot runs s_0
-    # backwards across level 1, climbs the P1 column, crosses s_n on the
-    # top level, then descends the P2 column back to the start
-    cycle = [("level_arc", 0, 1, "q@1", "p@1")]
-    for j in range(1, n):
-        cycle.append(("stub_alpha", j, j, f"p@{j}", f"p{j}@{j}"))
-        cycle.append(("tube_strand", f"p{j}", j, f"p{j}@{j}", f"p{j}@{j + 1}"))
-        cycle.append(("stub_alpha", j, j + 1, f"p{j}@{j + 1}", f"p@{j + 1}"))
-    cycle.append(("level_arc", n, n, f"p@{n}", f"q@{n}"))
-    for j in range(n - 1, 0, -1):
-        cycle.append(("stub_beta", j, j + 1, f"q@{j + 1}", f"q{j}@{j + 1}"))
-        cycle.append(("tube_strand", f"q{j}", j, f"q{j}@{j + 1}", f"q{j}@{j}"))
-        cycle.append(("stub_beta", j, j, f"q{j}@{j}", f"q@{j}"))
-
-    pos = LevelPosition(
-        n_levels=n,
-        surface_genus=base.genus,
-        first_arc=arcs[0],
-        last_arc=arcs[n],
-        levels=tuple(levels),
-        tubes=tubes,
-        cycle=tuple(cycle),
-    )
-    problems = pos.validate()
-    if problems:
-        raise VerificationError("constructed level position is invalid: " + "; ".join(problems))
-    return pos
+    return LevelPosition(tuple(arcs))
 
 
 def leveling_to_arc_sequence(pos: LevelPosition) -> ArcSequence:
     """Read the certifying arc path back off a level position.
 
-    The sequence is (level-1 arc, tube cores in order, level-n arc); it
-    re-validates, so a well-formed n-level position certifies arc distance
-    at most n.
+    The sequence is its path (level-1 arc, tube cores in order, level-n
+    arc); it re-validates, so an n-level position certifies arc distance at
+    most n.
     """
-    problems = pos.validate()
-    if problems:
-        raise PreconditionError("; ".join(problems))
-    arcs = (pos.first_arc, *(t.core for t in pos.tubes), pos.last_arc)
-    return ArcSequence(pos.first_arc.base, arcs)
+    if len(pos.arcs) < 2:
+        raise PreconditionError("leveling needs at least two arcs (a 1-level position)")
+    return ArcSequence(pos.first_arc.base, pos.arcs)
 
 
 def sequence_to_level_certificate(seq: ArcSequence) -> dict:
@@ -277,14 +253,7 @@ def level_number_report(shadow_input) -> dict:
         )
         return report
 
-    path = cert.witness_path()
-    seq = ArcSequence(shadow_input.base, tuple(path))
-    if verdict.kind == "exact":
-        report["level_number"] = {"kind": "exact", "value": verdict.value}
-    else:
-        report["level_number"] = {"kind": "bounds", "lower": verdict.lower, "upper": verdict.upper}
+    report["level_number"] = verdict.to_json_dict()
+    seq = ArcSequence(shadow_input.base, tuple(cert.witness_path()))
     report["level_certificate"] = sequence_to_level_certificate(seq)
-    pos = report["level_certificate"]["level_position"]
-    if pos["ambient_genus"] != shadow_input.base.genus * pos["n_levels"]:
-        raise VerificationError("ambient genus law failed")
     return report

@@ -910,22 +910,57 @@ def _foreign_triangulation(doc, g1, g2):
     doc["triangulation"] = g2.to_json_dict()
 
 
+def _trivial_flag(doc, g1, g2):
+    doc["level_number"] = {"kind": "trivial"}
+
+
+def _level_certificate_dropped(doc, g1, g2):
+    del doc["level_certificate"]
+
+
+def _level_number_raised(doc, g1, g2):
+    doc["level_number"]["value"] = 2
+
+
+def _level_number_as_bounds(doc, g1, g2):
+    doc["level_number"] = {"kind": "bounds", "lower": 1, "upper": 2}
+
+
+def _cycle_entry_moved(doc, g1, g2):
+    doc["level_certificate"]["level_position"]["cycle"][0][3] = "p@1"
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_foreign_level_certificate, "the level certificate does not run from v to w"),
-        (_foreign_triangulation, "the distance certificate is over another triangulation"),
+        (_foreign_level_certificate, "report: the level certificate does not run from v to w"),
+        (_foreign_triangulation, "report: the distance certificate is over another triangulation"),
+        (_trivial_flag, "report: trivial flag without a distance-0 verdict"),
+        (_level_certificate_dropped, "report: level certificate missing"),
+        (_level_number_raised, "report: level number disagrees with the distance verdict"),
+        (_level_number_as_bounds, "report: level bounds disagree with the distance verdict"),
+        (_cycle_entry_moved, "level certificate: stored level position disagrees with the sequence"),
     ],
-    ids=["foreign-level-certificate", "foreign-triangulation"],
+    ids=[
+        "foreign-level-certificate",
+        "foreign-triangulation",
+        "trivial-flag",
+        "level-certificate-dropped",
+        "level-number-raised",
+        "level-number-as-bounds",
+        "cycle-entry-moved",
+    ],
 )
 def test_check_cert_binds_a_level_report_to_its_parts(tmp_path, g1, g2, capsys, damage, message):
-    """A report whose level certificate belongs to another pair, or whose own
-    triangulation is another table, fails re-checking."""
+    """One edit to a valid exact-1 report fails re-checking with its own
+    message: a level certificate of another pair, another triangulation, a
+    trivial flag, a dropped level certificate, a level number or bounds
+    other than the verdict, or a cycle entry moved in the stored position."""
     doc = _level_report(g1, 2, 3)
     damage(doc, g1, g2)
     serialize.write_doc(tmp_path / "doc.json", doc)
     assert main(["check-cert", str(tmp_path / "doc.json")]) == 1
-    assert f"failed: report: {message}" in capsys.readouterr().out
+    assert f"failed: {message}" in capsys.readouterr().out.splitlines()
 
 
 def test_examples_classify_each_record_once(tmp_path, monkeypatch):

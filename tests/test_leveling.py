@@ -46,7 +46,7 @@ def test_one_level_position(g1):
     assert pos.n_levels == 1
     assert pos.tubes == ()
     assert pos.ambient_genus == g1.genus
-    assert pos.validate() == []
+    assert pos.levels == ((("arc", 0, 1), ("arc", 1, 1)),)  # the whole knot on one surface copy
     assert leveling_to_arc_sequence(pos) == seq
 
 
