@@ -935,6 +935,7 @@ def _cycle_entry_moved(doc, g1, g2):
     [
         (_foreign_level_certificate, "report: the level certificate does not run from v to w"),
         (_foreign_triangulation, "report: the distance certificate is over another triangulation"),
+        (_foreign_triangulation, "report: the level certificate is over another triangulation"),
         (_trivial_flag, "report: trivial flag without a distance-0 verdict"),
         (_level_certificate_dropped, "report: level certificate missing"),
         (_level_number_raised, "report: level number disagrees with the distance verdict"),
@@ -944,6 +945,7 @@ def _cycle_entry_moved(doc, g1, g2):
     ids=[
         "foreign-level-certificate",
         "foreign-triangulation",
+        "foreign-triangulation-level-certificate",
         "trivial-flag",
         "level-certificate-dropped",
         "level-number-raised",
@@ -952,8 +954,9 @@ def _cycle_entry_moved(doc, g1, g2):
     ],
 )
 def test_check_cert_binds_a_level_report_to_its_parts(tmp_path, g1, g2, capsys, damage, message):
-    """One edit to a valid exact-1 report fails re-checking with its own
-    message: a level certificate of another pair, another triangulation, a
+    """One edit to a valid exact-1 report fails re-checking, exit 1, with
+    the refusal named: a level certificate of another pair, a report
+    triangulation that neither certificate is over (two refusals), a
     trivial flag, a dropped level certificate, a level number or bounds
     other than the verdict, or a cycle entry moved in the stored position."""
     doc = _level_report(g1, 2, 3)
