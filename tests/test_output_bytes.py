@@ -6,7 +6,9 @@ on seeded crossing pairs of genus 1 and 2, then every file written by
 crossing pairs from long flip walks at genus 3 and 4, exact-2 witnesses
 among them.  ``LEVEL_DIGEST`` covers level positions of three levels and
 more: the level reports of bounds pairs at genus 1 and 2, and the level
-certificates of surgery paths at genus 3 and 4.  A refactor that changes any verdict, certificate or output
+certificates of surgery paths at genus 3 and 4.  ``SEARCH_DIGEST`` covers
+``bounded_search`` at three pairs of bounds, ``classify`` with search bounds
+and ``path_between`` on seeded pairs of genus 1 and 2.  A refactor that changes any verdict, certificate or output
 byte changes a digest; a deliberate format change updates it here, in
 review.
 """
@@ -19,7 +21,7 @@ from collections import Counter
 from arcdist import build_standard_triangulation
 from arcdist.arc import random_arc
 from arcdist.cli import main
-from arcdist.distance import ShadowPairInput, classify
+from arcdist.distance import ShadowPairInput, bounded_search, classify
 from arcdist.leveling import level_number_report, sequence_to_level_certificate
 from arcdist.overlay import intersection
 from arcdist.serialize import dumps
@@ -30,6 +32,7 @@ from conftest import seeded_pairs
 DIGEST = "e0eece70024441ee93314b45e15b92dc93506d2a3c06314460d5127964535848"
 LONG_DIGEST = "945be88f7d3c5f6686e8aeaa284847ac3a5945c09e6d11c739798b339cb2707b"
 LEVEL_DIGEST = "59bdab44c337fb245c9821f610fa7a53d36ea21e4416ac0b5553eb1f134d3ed0"
+SEARCH_DIGEST = "1e1c02f673e1294b65a1eeab9e29a1a828e2186b7d68cb446ef4d28c68b514ce"
 
 
 def test_output_bytes_are_pinned(tmp_path, g1, g2):
@@ -89,3 +92,28 @@ def test_level_position_bytes_are_pinned():
             h.update(dumps(sequence_to_level_certificate(seq)).encode())
     assert all(most_levels[genus] >= 3 for genus in (1, 2, 3, 4))
     assert h.hexdigest() == LEVEL_DIGEST
+
+
+def test_search_and_path_bytes_are_pinned():
+    """Crossing pairs from short walks, where the search finds paths of two
+    and three edges or none and improves some surgery bounds, and a few
+    seeded pairs that may be equal or disjoint."""
+    h = hashlib.sha256()
+    seen = Counter()
+    for genus, steps in ((1, 30), (2, 40)):
+        base = build_standard_triangulation(genus)
+        pairs = _long_crossing_pairs(base, f"byte-contract-search-{genus}", 40, steps)
+        pairs += seeded_pairs(base, f"byte-contract-search-{genus}", 5)
+        for v, w in pairs:
+            for max_len, max_depth in ((2, 2), (3, 3), (4, 2)):
+                seq = bounded_search(v, w, max_len, max_depth)
+                seen[genus, None if seq is None else seq.edge_count] += 1
+                h.update(b"none\n" if seq is None else dumps(seq.to_json_dict()).encode())
+            cert = classify(v, w, 4, 3)
+            seen[genus, cert.search_note] += 1
+            h.update(dumps(cert.to_json_dict()).encode())
+            h.update(dumps(path_between(v, w).to_json_dict()).encode())
+    improved = "search improved the bound within max_len=4, max_depth=3"
+    kept = "search within max_len=4, max_depth=3 did not improve the bound"
+    assert all(seen[genus, key] for genus in (1, 2) for key in (None, 2, 3, improved, kept))
+    assert h.hexdigest() == SEARCH_DIGEST
