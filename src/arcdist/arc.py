@@ -222,53 +222,48 @@ def tighten(base: Triangulation, start: Corner, crossings, end: Corner) -> ArcWo
 
 def _moves(base: Triangulation, start: Corner, word: list[int], end: Corner) -> tuple[Corner, list[int], Corner]:
     """Remove backtracks and endpoint corner bigons from a word that
-    ``_check_word`` has passed, editing ``word`` in place.
-
-    Returns the reduced ``(start, word, end)``, the zero-crossing case
-    written in its canonical triangle; a word that tightens to a loop at
-    one marked point raises ``InconsistentWord``.
+    ``_check_word`` has passed, editing ``word`` in place, each move once:
+    the backtrack scan steps back after a deletion, so it leaves the word
+    freely reduced; deleting an end letter makes no new adjacent pair; and
+    each strip reads only its own end.  Returns the reduced ``(start, word,
+    end)``, the zero-crossing case in its canonical triangle; a word that
+    tightens to a loop at one marked point raises ``InconsistentWord``.
     """
     triangles, side_of, corners = base.triangles, base._side_of, base._corners
 
-    changed = True
-    while changed:
-        changed = False
-        # backtracks: crossing an edge and coming straight back
-        i = 0
-        while i < len(word) - 1:
-            if word[i + 1] == -word[i]:
-                del word[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        # corner bigon at the start: first crossing uses a side touching P1
-        while word:
-            first = word[0]
-            t, p = start
-            if first == triangles[t][p]:
-                opp = side_of[-first]
-                start = corners[3 * opp.tri + (opp.pos + 1) % 3]
-            elif first == triangles[t][(p + 2) % 3]:
-                start = side_of[-first]
-            else:
-                break
-            del word[0]
-            changed = True
-        # corner bigon at the end: last crossing enters via a side touching P2
-        while word:
-            last = word[-1]
-            entered = side_of[-last]
-            t, p = end
-            if entered == end:  # P2 is the tail of the entered side
-                back = side_of[last]
-                end = corners[3 * back.tri + (back.pos + 1) % 3]
-            elif entered == corners[3 * t + (p + 2) % 3]:  # P2 is its head
-                end = side_of[last]
-            else:
-                break
-            del word[-1]
-            changed = True
+    # backtracks: crossing an edge and coming straight back
+    i = 0
+    while i < len(word) - 1:
+        if word[i + 1] == -word[i]:
+            del word[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    # corner bigon at the start: first crossing uses a side touching P1
+    while word:
+        first = word[0]
+        t, p = start
+        if first == triangles[t][p]:
+            opp = side_of[-first]
+            start = corners[3 * opp.tri + (opp.pos + 1) % 3]
+        elif first == triangles[t][(p + 2) % 3]:
+            start = side_of[-first]
+        else:
+            break
+        del word[0]
+    # corner bigon at the end: last crossing enters via a side touching P2
+    while word:
+        last = word[-1]
+        entered = side_of[-last]
+        t, p = end
+        if entered == end:  # P2 is the tail of the entered side
+            back = side_of[last]
+            end = corners[3 * back.tri + (back.pos + 1) % 3]
+        elif entered == corners[3 * t + (p + 2) % 3]:  # P2 is its head
+            end = side_of[last]
+        else:
+            break
+        del word[-1]
 
     if not word:
         if end.pos == (start.pos + 2) % 3:

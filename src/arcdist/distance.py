@@ -217,32 +217,26 @@ def _search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> tuple[ArcWo
         universe.append(w)
     universe.sort(key=ArcWord.sort_key)
 
-    # every arc enters the frontier once, so no pair is tested twice
+    # every arc enters the frontier once, so no pair is tested twice, and
+    # every frontier arc is already in prev, so it is never its own candidate
     prev = {w: None}
     frontier = [w]
     for _ in range(max_depth):
         nxt = []
         for cur in frontier:
             for cand in universe:
-                if cand in prev or cand == cur:
-                    continue
-                if intersection(cur, cand) == 0:
+                if cand not in prev and intersection(cur, cand) == 0:
                     prev[cand] = cur
                     nxt.append(cand)
             if v in prev:
-                break
-        if v in prev:
-            break
+                hops = [v]
+                while prev[hops[-1]] is not None:
+                    hops.append(prev[hops[-1]])
+                return tuple(reversed(hops))  # w ... v
         frontier = nxt
-        if not frontier:
+        if not frontier:  # ends the walk however large max_depth is
             break
-    if v not in prev:
-        return None
-    hops = [v]
-    while prev[hops[-1]] is not None:
-        hops.append(prev[hops[-1]])
-    hops.reverse()  # now w ... v
-    return tuple(hops)
+    return None
 
 
 def pair_set_distance(shadow_input: ShadowPairInput) -> DistanceCertificate:

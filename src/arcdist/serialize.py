@@ -329,10 +329,9 @@ def _verify_level_report(doc: dict) -> list[str]:
     if (lc["sequence"][0], lc["sequence"][-1]) != (distance["pair"]["v"], distance["pair"]["w"]):
         problems.append("report: the level certificate does not run from v to w")
     n = len(lc["sequence"]) - 1
-    if level["kind"] == "exact" and (t != (level["value"], level["value"]) or n != level["value"]):
-        problems.append("report: level number disagrees with the distance verdict")
-    if level["kind"] == "bounds" and (t != (level["lower"], level["upper"]) or n != level["upper"]):
-        problems.append("report: level bounds disagree with the distance verdict")
+    if level != cert.verdict.to_json_dict() or n != t[1]:  # the kind too: bounds 1..1 is not exact 1
+        what = "level number disagrees" if level["kind"] == "exact" else "level bounds disagree"
+        problems.append(f"report: {what} with the distance verdict")
     return problems
 
 

@@ -7,6 +7,8 @@ v strictly fewer times, so iterating walks w to an arc disjoint from v and
 yields a path of at most k + 1 edges in the arc complex.  Both
 postconditions, and the embeddedness of w', are re-verified on every step;
 a failure aborts with a diagnostic rather than returning an unproven trace.
+The strict descent is itself the length bound: at most k steps can run, so
+the path's length is not checked again.
 
 Each step realizes (v, w') once and hands that realization to the next
 step.  Each step's w.w' = 0 postcondition proves its hop, so ``_path``
@@ -51,12 +53,6 @@ class SurgeryTrace(NamedTuple):
         }
 
 
-def _spliced_word(v: ArcWord, w: ArcWord, v_seg: int, w_seg: int) -> ArcWord:
-    """w up to the chosen crossing, then v onward; tightened to canonical."""
-    raw = w.crossings[:w_seg] + v.crossings[v_seg:]
-    return tighten(v.base, w.start, raw, v.end)
-
-
 def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
     """The descent step at a realized pair, plus the realization of (v, w').
 
@@ -70,7 +66,8 @@ def _surgery(real: Realization) -> tuple[SurgeryTrace, Realization]:
     across_v = real.partners[0]
     v_seg = max(j for j, crossed in enumerate(across_v) if crossed)  # the last crossing along v
     w_seg = across_v[v_seg][-1]
-    w_prime = _spliced_word(v, w, v_seg, w_seg)
+    # w up to the chosen crossing, then v onward
+    w_prime = tighten(v.base, w.start, w.crossings[:w_seg] + v.crossings[v_seg:], v.end)
 
     after = Realization(v, w_prime)
     k_vw = after.count()
@@ -106,19 +103,15 @@ def surgery_step(v: ArcWord, w: ArcWord) -> SurgeryTrace:
 def _path(real: Realization) -> tuple[ArcWord, ...]:
     """The hops real.w, ..., real.v of the surgery path, each proven
     disjoint from the one before by its step's postcondition; see
-    :func:`path_between`."""
+    :func:`path_between`.  Each step raises unless v.w' strictly drops, so
+    at most v.w steps run and the path has at most v.w + 1 edges."""
     v, w = real.v, real.w
-    k0 = real.count()
     hops = [w]
     while real.count() > 0:
         trace, real = _surgery(real)
         hops.append(trace.w_prime)
     if hops[-1] != v:
         hops.append(v)
-    if len(hops) - 1 > k0 + 1:
-        raise VerificationError(
-            f"path length {len(hops) - 1} exceeds the {k0 + 1} bound"
-        )
     return tuple(hops)
 
 
@@ -127,8 +120,8 @@ def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
 
     Each surgery step checks its own postconditions: w' is embedded,
     disjoint from the arc before it, and crosses v strictly fewer times.
-    The length is checked against the i(v, w) + 1 bound, and the
-    ``ArcSequence`` constructor then validates the whole path once
-    (consecutive arcs disjoint, one base).
+    The strict descent bounds the length by i(v, w) + 1, so it needs no
+    check of its own; the ``ArcSequence`` constructor then validates the
+    whole path once (consecutive arcs disjoint, one base).
     """
     return ArcSequence(v.base, _path(Realization(v, w)))

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import arcdist
 from arcdist import build_standard_triangulation, serialize
-from arcdist.arc import ArcWord, edge_word, random_arc
+from arcdist.arc import ArcWord, edge_word, random_arc, tighten
 from arcdist.cli import main
 from arcdist.corpus import load_bundled_examples, run_examples
-from arcdist.distance import ShadowPairInput, classify
-from arcdist.errors import SchemaError
+from arcdist.distance import ShadowPairInput, Verdict, classify, verify_certificate
+from arcdist.errors import InconsistentWord, SchemaError
 from arcdist.leveling import level_number_report, sequence_to_level_certificate, validate_sequence
 from arcdist.realization import Realization
 from arcdist.render import render_levels_svg
@@ -159,6 +159,41 @@ def test_exit_codes(tmp_path, workdir):
         doc["verdict"]["value"] = (doc["verdict"]["value"] + 1) % 3
     serialize.write_doc(cert, doc)
     assert main(["check-cert", str(cert)]) == 1
+
+
+@pytest.mark.parametrize(
+    "start, crossings, end",
+    [((3, 1), (-2,), (1, 0)), ((2, 1), (-6,), (3, 0)), ((0, 1), (), (0, 0))],
+    ids=["start-corner-bigon", "end-corner-bigon", "zero-crossing-in-partner-triangle"],
+)
+def test_an_unreduced_word_is_refused(tmp_path, g1, capsys, start, crossings, end):
+    """A consistent word from P1 to P2 with a corner bigon at one end, or
+    with no crossings written in the partner triangle, is not an arc:
+    ``ArcWord`` refuses it, and ``arcdist dist`` on a pair file exits 5.
+    ``tighten`` reduces it."""
+    with pytest.raises(InconsistentWord, match="word is not reduced"):
+        ArcWord(g1, Corner(*start), crossings, Corner(*end))
+    assert tighten(g1, Corner(*start), crossings, Corner(*end)).crossings == ()
+    doc = serialize.pair_dict(edge_word(g1, 2), edge_word(g1, 3))
+    doc["v"].update(
+        start_corner=list(start),
+        crossings=[{"edge": abs(c) - 1, "side": 1 if c > 0 else -1} for c in crossings],
+        end_corner=list(end),
+    )
+    serialize.write_doc(tmp_path / "pair.json", doc)
+    assert main(["dist", str(tmp_path / "pair.json")]) == 5
+    assert capsys.readouterr().err == "invalid input: word is not reduced; use tighten() to canonicalize\n"
+
+
+def test_an_arc_naming_another_base_is_refused(tmp_path, g1, g2, capsys):
+    doc = serialize.pair_dict(edge_word(g1, 2), edge_word(g1, 3))
+    doc["v"]["base_id"] = g2.triangulation_id()
+    serialize.write_doc(tmp_path / "pair.json", doc)
+    assert main(["dist", str(tmp_path / "pair.json")]) == 4
+    assert capsys.readouterr().err == (
+        f"triangulation mismatch: arc references base {g2.triangulation_id()!r}"
+        f" but was loaded against {g1.triangulation_id()!r}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -926,6 +961,10 @@ def _level_number_as_bounds(doc, g1, g2):
     doc["level_number"] = {"kind": "bounds", "lower": 1, "upper": 2}
 
 
+def _level_number_kind(doc, g1, g2):
+    doc["level_number"] = {"kind": "bounds", "lower": 1, "upper": 1}
+
+
 def _cycle_entry_moved(doc, g1, g2):
     doc["level_certificate"]["level_position"]["cycle"][0][3] = "p@1"
 
@@ -940,6 +979,7 @@ def _cycle_entry_moved(doc, g1, g2):
         (_level_certificate_dropped, "report: level certificate missing"),
         (_level_number_raised, "report: level number disagrees with the distance verdict"),
         (_level_number_as_bounds, "report: level bounds disagree with the distance verdict"),
+        (_level_number_kind, "report: level bounds disagree with the distance verdict"),
         (_cycle_entry_moved, "level certificate: stored level position disagrees with the sequence"),
     ],
     ids=[
@@ -950,6 +990,7 @@ def _cycle_entry_moved(doc, g1, g2):
         "level-certificate-dropped",
         "level-number-raised",
         "level-number-as-bounds",
+        "level-number-kind",
         "cycle-entry-moved",
     ],
 )
@@ -958,7 +999,8 @@ def test_check_cert_binds_a_level_report_to_its_parts(tmp_path, g1, g2, capsys, 
     the refusal named: a level certificate of another pair, a report
     triangulation that neither certificate is over (two refusals), a
     trivial flag, a dropped level certificate, a level number or bounds
-    other than the verdict, or a cycle entry moved in the stored position."""
+    other than the verdict, the verdict's bounds 1..1 in place of exact 1,
+    or a cycle entry moved in the stored position."""
     doc = _level_report(g1, 2, 3)
     damage(doc, g1, g2)
     serialize.write_doc(tmp_path / "doc.json", doc)
@@ -1017,6 +1059,120 @@ def test_check_cert_realizes_an_exact_two_report_pair_once(g1, monkeypatch):
     monkeypatch.setattr(Realization, "__init__", counted)
     assert serialize.verify_document(doc) == []
     assert len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# forged certificates: one edit of a valid certificate or surgery trace per
+# refusal of verify_certificate and the trace checker.  An edit that the
+# document schema or loader refuses is made to the certificate itself.
+
+
+def _exact_one(g1):
+    return classify(edge_word(g1, 2), edge_word(g1, 3))
+
+
+def _exact_two(g1):
+    cert = classify(*_crossing_pair(g1))
+    assert (cert.verdict.value, cert.intersection_vw) == (2, 4)
+    return cert
+
+
+def _bounds(g1):
+    return classify(*_bounds_pair(g1))
+
+
+def _trace(g1):
+    trace = surgery_step(*_bounds_pair(g1)).to_json_dict()
+    assert (trace["intersections_before"], trace["intersections_after"]) == (6, 2)
+    return trace
+
+
+def _with(doc, edit):
+    edit(doc)
+    return doc
+
+
+THREE = {"kind": "bounds", "lower": 3, "upper": 3}
+# name: (forgery, its refusal, check-cert's exit code for its document)
+FORGERIES = {
+    "base-mismatch": (
+        lambda g1, g2: _exact_one(g1)._replace(w=random_arc(g2, 3, 4)),
+        "pair: base mismatch",
+        4,  # a document has one triangulation: the loader refuses the other arc
+    ),
+    "lower-above-upper": (
+        lambda g1, g2: _bounds(g1)._replace(verdict=Verdict("bounds", lower=3, upper=2)),
+        "verdict: lower exceeds upper",
+        3,
+    ),
+    "exact-three": (
+        lambda g1, g2: _bounds(g1)._replace(verdict=Verdict("exact", value=3)),
+        "exact(3): no exact criterion beyond 2",
+        3,
+    ),
+    "lower-bound-two": (
+        lambda g1, g2: _bounds(g1)._replace(verdict=Verdict("bounds", lower=2, upper=3)),
+        "bounds: lower bound must be 3 (the 0/1/2 checks)",
+        3,
+    ),
+    "crossing-pair-as-exact-one": (
+        lambda g1, g2: _with(_exact_two(g1).to_json_dict(), lambda d: d.update(verdict={"kind": "exact", "value": 1})),
+        "exact(1): arcs intersect in 4 points",
+        1,
+    ),
+    "witness-is-v": (
+        lambda g1, g2: _with(_exact_two(g1).to_json_dict(), lambda d: d["evidence"].update(witness=d["pair"]["v"])),
+        "exact(2): witness coincides with an endpoint",
+        1,
+    ),
+    "disjoint-pair-as-bounds": (
+        lambda g1, g2: _with(_exact_one(g1).to_json_dict(), lambda d: d.update(verdict=THREE)),
+        "bounds: arcs are disjoint, distance would be <= 1",
+        1,
+    ),
+    "distance-two-pair-as-bounds": (
+        lambda g1, g2: _with(_exact_two(g1).to_json_dict(), lambda d: d.update(verdict=THREE)),
+        "bounds: a distance-2 witness exists",
+        1,
+    ),
+    "path-dropped": (
+        lambda g1, g2: _with(_bounds(g1).to_json_dict(), lambda d: d["evidence"].pop("path")),
+        "bounds: path evidence missing",
+        1,
+    ),
+    "trace-after-raised": (
+        lambda g1, g2: _with(_trace(g1), lambda d: d.update(intersections_after=3)),
+        "trace: v.w' = 2, recorded 3",
+        1,
+    ),
+    "trace-w-prime-is-v": (
+        lambda g1, g2: _with(_trace(g1), lambda d: d.update(w_prime=d["v"], intersections_after=0)),
+        "trace: w and w' intersect",
+        1,
+    ),
+    "trace-w-prime-is-w": (
+        lambda g1, g2: _with(_trace(g1), lambda d: d.update(w_prime=d["w"], intersections_after=6)),
+        "trace: no strict descent",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FORGERIES))
+def test_each_certificate_refusal_is_reached_by_a_forgery(tmp_path, g1, g2, capsys, name):
+    """A forged document fails ``check-cert`` (exit 1) with the refusal
+    named.  A forgery that the schema (exit 3) or the loader (exit 4)
+    refuses as a document is a certificate, refused by
+    ``verify_certificate`` with the message."""
+    forge, message, code = FORGERIES[name]
+    doc = forge(g1, g2)
+    if code != 1:
+        assert message in verify_certificate(doc)
+        doc = doc.to_json_dict()
+    serialize.write_doc(tmp_path / "doc.json", doc)
+    assert main(["check-cert", str(tmp_path / "doc.json")]) == code
+    if code == 1:
+        assert f"failed: {message}" in capsys.readouterr().out.splitlines()
 
 
 # ----------------------------------------------------------------------
