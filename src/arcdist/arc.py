@@ -166,7 +166,6 @@ def _check_word(base: Triangulation, start, crossings, end) -> tuple[Corner, lis
     its range and chains it.  Returns the start corner, the labels as a new
     list and the end corner, the corners as the table's own objects.
     """
-    base._require_valid()
     start, end = _table_corner(base, "start", start), _table_corner(base, "end", end)
     n_edges, side_of = base._n_labels, base._side_of
     tri = start.tri

@@ -75,8 +75,7 @@ def _cmd_tri(args) -> int:
         return 0
     doc = serialize.load_doc(args.check)
     serialize.check_doc(doc, "arcdist.triangulation/1", args.check)
-    t = serialize.triangulation_table(doc)
-    problems = t.validate()
+    t, problems = serialize.check_triangulation(doc)
     if problems:
         for p in problems:
             print(f"violation: {p}")

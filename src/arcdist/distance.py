@@ -301,6 +301,7 @@ def verify_certificate(cert: DistanceCertificate) -> list[str]:
                     problems.append("exact(2): witness is not embedded")
                 if intersection(u, v) != 0 or intersection(u, w) != 0:
                     problems.append("exact(2): witness is not disjoint from both arcs")
+                # never alone: v or w as witness crosses the other of a crossing pair; a disjoint one is refused above
                 if u == v or u == w:
                     problems.append("exact(2): witness coincides with an endpoint")
         else:

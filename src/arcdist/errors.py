@@ -6,7 +6,12 @@ class ArcdistError(Exception):
 
 
 class InvalidTriangulation(ArcdistError):
-    """A triangulation table violates a structural invariant."""
+    """A triangulation table violates a structural invariant; ``problems``
+    lists each violation."""
+
+    def __init__(self, problems):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 class UnflippableEdge(ArcdistError):

@@ -79,8 +79,6 @@ def _glued_intervals(base, strands) -> list[tuple[int, int, int, int, int, int]]
             n = counts[k]
             if n != strands[t2][k2]:
                 raise VerificationError("overlay: glued sides disagree on strand count")
-            if (t2, k2) == (t, k):
-                raise VerificationError("overlay: interval glued to itself")
             if (t, k) < (t2, k2):
                 runs.append((t, starts[t][k], t2, starts[t2][k2], n, value))
     return runs

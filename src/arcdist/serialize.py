@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .arc import ArcWord
 from .distance import DistanceCertificate, ShadowPairInput, Verdict, verify_certificate
-from .errors import ArcdistError, InvalidSequence, PreconditionError, SchemaError
+from .errors import ArcdistError, InvalidSequence, InvalidTriangulation, PreconditionError, SchemaError
 from .leveling import ArcSequence, arcs_to_leveling, validate_sequence
 from .realization import intersection, self_intersection
 from .surface import Triangulation
@@ -151,10 +151,14 @@ def _problem(x, s: dict, where: str) -> str | None:
 # loaders: check the document once, then build from the checked dict
 
 
-def triangulation_table(doc: dict) -> Triangulation:
-    """The table of a checked triangulation document, built without raising:
-    a table that glues into no surface reports its defects by ``validate()``."""
-    return Triangulation(doc["genus"], doc["triangles"], p1_corner=tuple(doc["p1_corner"]))
+def check_triangulation(doc: dict) -> tuple[Triangulation | None, list[str]]:
+    """The table of a checked triangulation document and no problems, or
+    None and every violation of a table that glues into no surface, as
+    ``InvalidTriangulation.problems`` lists them."""
+    try:
+        return Triangulation.from_json_dict(doc), []
+    except InvalidTriangulation as ex:
+        return None, ex.problems
 
 
 def load_triangulation(doc: dict, where="triangulation") -> Triangulation:
@@ -341,5 +345,5 @@ _VERIFIERS = {
     "arcdist.surgery_trace/1": _verify_surgery_trace,
     "arcdist.level_certificate/1": _verify_level_certificate,
     "arcdist.level_report/1": _verify_level_report,
-    "arcdist.triangulation/1": lambda doc: triangulation_table(doc).validate(),
+    "arcdist.triangulation/1": lambda doc: check_triangulation(doc)[1],
 }

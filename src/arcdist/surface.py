@@ -17,6 +17,10 @@ Encoding conventions, used everywhere in this package:
 The marked points are the two vertex classes obtained by corner tracing.
 ``P1`` is distinguished by an anchor corner so that serialized data is
 unambiguous; arcs in this package always run from P1 to P2.
+
+A table that breaks any of these laws is refused when it is built, so
+every ``Triangulation`` that exists is valid, and its queries and the arcs
+over it check nothing about the table.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ def edge_of(label: int) -> int:
 class Triangulation:
     """An oriented two-vertex ideal triangulation, immutable after construction.
 
-    The constructor accepts any table of signed triples; structural problems
-    are reported by :meth:`validate` rather than raised, so that the
-    validator can be pointed at broken data.  Operations that need a valid
-    table (``flip``, corner queries, ...) raise ``InvalidTriangulation``.
+    The constructor analyses the table and raises ``InvalidTriangulation``
+    when it glues into no two-vertex surface of the given genus; the
+    exception's ``problems`` lists every violated invariant, in the order
+    the analysis finds them.  An instance is therefore always valid.
     """
 
     __slots__ = (
@@ -63,23 +67,15 @@ class Triangulation:
         "_corners",
         "_side_of",
         "_vertex_of_corner",
-        "_violations",
         "_hash",
         "_id",
     )
 
     def __init__(self, genus, triangles, p1_corner=None):
-        self.genus = genus
-        self.triangles = triangles
-        self._n_labels = 0
-        self._corners = None
-        self._side_of = None
-        self._vertex_of_corner = None
-        self._id = None
-        self._hash = None
-        self._p1_anchor = None
-        self._violations = []  # corners_around reads it while the analysis rotates around vertices
-        self._violations = self._analyze(p1_corner)
+        problems = self._analyze(genus, triangles, p1_corner)
+        if problems:
+            raise InvalidTriangulation(problems)
+        self._hash = self._id = None
 
     # ------------------------------------------------------------------
     # construction-time analysis
@@ -95,19 +91,22 @@ class Triangulation:
     # range themselves, because a bare list index would wrap silently; the
     # arc layer reads the three directly in its inner loops, after checking
     # its own labels and corners.
+    #
+    # The analysis returns every violation it finds, and sets each field as
+    # it is derived; ``__init__`` raises before a table with violations is
+    # handed out.
 
-    def _analyze(self, p1_corner):
+    def _analyze(self, genus, triangles, p1_corner):
         try:
-            self.triangles = tuple(map(tuple, self.triangles))
+            triangles = tuple(map(tuple, triangles))
         except TypeError:  # no rows, or a row that is no sequence
-            self.triangles = ()
             return ["shape: triangles must be triples of nonzero signed labels"]
         try:
-            self.genus = index(self.genus)
+            self.genus = index(genus)
         except TypeError:
-            return [f"genus: {self.genus!r} is not an integer"]
+            return [f"genus: {genus!r} is not an integer"]
         try:
-            self.triangles = tuple(tuple(map(index, t)) for t in self.triangles)
+            self.triangles = tuple(tuple(map(index, t)) for t in triangles)
         except TypeError:
             return ["labels: a triangle holds a label that is not an integer"]
         violations = []
@@ -136,6 +135,7 @@ class Triangulation:
 
         f = len(self.triangles)
         corners = self._corners = tuple(Corner(t, k) for t in range(f) for k in range(3))
+        self._n_labels = n_edges
         self._side_of = [None] * (2 * n_edges + 1)
         for i, s in enumerate(labels):
             self._side_of[s] = corners[i]
@@ -184,7 +184,6 @@ class Triangulation:
             vertex = [1 - x for x in vertex]
         self._vertex_of_corner = vertex
         self._p1_anchor = corners[vertex.index(P1)]
-        self._n_labels = n_edges  # the lookups answer from here on
         return []
 
     def _corner_orbits(self):
@@ -205,18 +204,6 @@ class Triangulation:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def validate(self) -> list[str]:
-        """Every violated invariant, as data; the table is valid iff empty."""
-        return list(self._violations)
-
-    @property
-    def is_valid(self) -> bool:
-        return not self._violations
-
-    def _require_valid(self):
-        if self._violations:
-            raise InvalidTriangulation("; ".join(self._violations))
 
     def _corner_index(self, corner) -> int:
         """``3 * tri + pos`` for a corner inside the table, or ``KeyError``."""
@@ -243,24 +230,21 @@ class Triangulation:
         except TypeError:
             raise PreconditionError(f"edge {e!r} is not an integer") from None
         if not 0 <= e < self._n_labels:
-            self._require_valid()
             raise PreconditionError(f"edge {e} is not in 0..{self._n_labels - 1}")
         return e
 
     def side_corner(self, label: int) -> Corner:
         """The (triangle, position) holding a signed label."""
-        n = self._n_labels  # 0 on an invalid table
+        n = self._n_labels
         try:
             if -n <= label <= n and label:
                 return self._side_of[label]
         except TypeError:  # not an integer; costs nothing on the way to a result
             pass
-        self._require_valid()
         raise KeyError(label)
 
     def vertex_of(self, corner: Corner) -> int:
         """P1 or P2 for a corner."""
-        self._require_valid()
         return self._vertex_of_corner[self._corner_index(corner)]
 
     def corners_around(self, corner: Corner) -> list[Corner]:
@@ -270,7 +254,6 @@ class Triangulation:
         corner at the same vertex in the neighbouring triangle: the head of
         the glued side.
         """
-        self._require_valid()
         triangles, side_of, corners = self.triangles, self._side_of, self._corners
         c = first = corners[self._corner_index(corner)]
         out = [c]
@@ -282,7 +265,6 @@ class Triangulation:
             out.append(c)
 
     def corners_at(self, vertex: int) -> list[Corner]:
-        self._require_valid()
         return [c for c, x in zip(self._corners, self._vertex_of_corner) if x == vertex]
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
@@ -292,7 +274,6 @@ class Triangulation:
 
     def connector_edges(self) -> list[int]:
         """Edges joining P1 to P2, in increasing order."""
-        self._require_valid()
         vertex = self._vertex_of_corner
         out = []
         for e, (tri, pos) in enumerate(self._side_of[1 : self._n_labels + 1]):
@@ -374,9 +355,9 @@ class Triangulation:
         for label, tail in ((s, w), (side_b, z), (side_c, x), (-s, z), (side_d, w), (side_a, y)):
             tri, pos = side_of[-label]
             if vertex[3 * tri + (pos + 1) % 3] != tail:
-                raise InvalidTriangulation("vertex transport: inconsistent votes")
+                raise InvalidTriangulation(["vertex transport: inconsistent votes"])
         if P1 not in vertex or P2 not in vertex:
-            raise InvalidTriangulation("vertex transport: votes do not cover both marked points")
+            raise InvalidTriangulation(["vertex transport: votes do not cover both marked points"])
 
         flipped = Triangulation.__new__(Triangulation)
         flipped.genus = self.genus
@@ -386,7 +367,6 @@ class Triangulation:
         flipped._side_of = side_of
         flipped._vertex_of_corner = vertex
         flipped._p1_anchor = corners[vertex.index(P1)]
-        flipped._violations = []
         flipped._hash = flipped._id = None
         return flipped
 
@@ -394,7 +374,6 @@ class Triangulation:
     # serialization
 
     def to_json_dict(self) -> dict:
-        self._require_valid()
         return {
             "format": "arcdist.triangulation/1",
             "genus": self.genus,
@@ -404,10 +383,7 @@ class Triangulation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Triangulation":
-        t = cls(d["genus"], d["triangles"], p1_corner=tuple(d["p1_corner"]))
-        if not t.is_valid:
-            raise InvalidTriangulation("; ".join(t._violations))
-        return t
+        return cls(d["genus"], d["triangles"], p1_corner=tuple(d["p1_corner"]))
 
     def triangulation_id(self) -> str:
         """Content hash used to tie arcs and certificates to their base.
@@ -451,9 +427,16 @@ def build_standard_triangulation(g: int) -> Triangulation:
 
     where ``w_k`` is the k-th letter of the boundary word.  This table is
     stable across releases; certificates reference it by content hash.
+
+    ``g`` must be an integer ``>= 1``; anything else raises
+    ``PreconditionError``.
     """
+    try:
+        g = index(g)
+    except TypeError:
+        raise PreconditionError(f"genus {g!r} is not an integer") from None
     if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+        raise PreconditionError(f"genus must be >= 1, got {g}")
     word = []
     for i in range(g):
         a, b = 2 * i + 1, 2 * i + 2  # 1-based signed labels of rim edges
@@ -463,10 +446,7 @@ def build_standard_triangulation(g: int) -> Triangulation:
         spoke = 2 * g + k + 1
         spoke_next = 2 * g + (k + 1) % (4 * g) + 1
         tris.append((spoke, word[k], -spoke_next))
-    t = Triangulation(g, tris, p1_corner=Corner(0, 1))
-    if not t.is_valid:
-        raise InvalidTriangulation("; ".join(t.validate()))
-    return t
+    return Triangulation(g, tris, p1_corner=Corner(0, 1))
 
 
 def flip_walk(t: Triangulation, rng: random.Random, steps: int) -> tuple[list[Triangulation], list[int]]:

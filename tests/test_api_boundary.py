@@ -1,14 +1,15 @@
 """The Python API refuses arguments outside its domain with an ``ArcdistError``.
 
 Edge indices, ``random_arc``'s seed and step count, the length and depth
-bounds of ``enumerate_arcs`` and ``bounded_search``, and a table's genus,
-labels and ``p1_corner`` are fed negative, out-of-range, float, boolean and
+bounds of ``enumerate_arcs`` and ``bounded_search``, the genus of
+``build_standard_triangulation``, and a table's genus, labels and
+``p1_corner`` are fed negative, out-of-range, float, boolean and
 wrong-length values.  Each call gives the result the equal plain int gives,
-or raises an ``ArcdistError`` subclass (a table reports a violation): never
-a bare ``KeyError`` or ``TypeError``, and never an answer about another
-edge.  Booleans pass as 0 and 1.  Shadow lists and arc sequences are fed
-values that are no sequences and members that are no arcs, and refuse
-them in the same way.
+or raises an ``ArcdistError`` subclass (a table is refused with
+``InvalidTriangulation`` listing its violations): never a bare ``KeyError``
+or ``TypeError``, and never an answer about another edge.  Booleans pass
+as 0 and 1.  Shadow lists and arc sequences are fed values that are no
+sequences and members that are no arcs, and refuse them in the same way.
 """
 
 import pytest
@@ -65,6 +66,14 @@ def _outcome(call, x):
 
 def _is_plain_int(x) -> bool:
     return type(x) in (int, bool)
+
+
+def _built(genus, triangles, **kwargs):
+    """The table ``Triangulation`` builds, or the problems it is refused with."""
+    try:
+        return Triangulation(genus, triangles, **kwargs)
+    except InvalidTriangulation as ex:
+        return ex.problems
 
 
 # what each entry point gives for every plain int in its domain, 0..n-1
@@ -125,8 +134,9 @@ CORNERS = st.one_of(
 @example(corner=(True, 2))
 def test_p1_corner_is_checked(corner):
     """A corner that is not a pair of integers inside the table is a
-    ``p1 corner:`` violation; a valid one anchors P1 where it says."""
-    t = Triangulation(2, ROWS, p1_corner=corner)
+    ``p1 corner:`` violation; a valid one anchors P1 where it says.  The
+    loader builds the same table or refuses it with the same problems."""
+    t = _built(2, ROWS, p1_corner=corner)
     valid = (
         isinstance(corner, (tuple, list))
         and len(corner) == 2
@@ -136,16 +146,17 @@ def test_p1_corner_is_checked(corner):
     )
     if valid:
         anchor = Corner(int(corner[0]), int(corner[1]))
-        assert t.is_valid and t == Triangulation(2, ROWS, p1_corner=anchor)
+        assert t == Triangulation(2, ROWS, p1_corner=anchor)
         assert t.vertex_of(anchor) == P1
     else:
-        assert [v for v in t.validate() if v.startswith("p1 corner:")] == t.validate() != []
+        assert [v for v in t if v.startswith("p1 corner:")] == t != []
     if isinstance(corner, (tuple, list)):
         doc = {"genus": 2, "triangles": [list(r) for r in ROWS], "p1_corner": corner}
         try:
-            assert Triangulation.from_json_dict(doc) == t and valid
-        except InvalidTriangulation:
-            assert not valid
+            loaded = Triangulation.from_json_dict(doc)
+        except InvalidTriangulation as ex:
+            loaded = ex.problems
+        assert loaded == _built(2, ROWS, p1_corner=tuple(corner))  # the loader passes a tuple on
 
 
 # operation arguments: each call, and which plain ints are in its domain; the
@@ -156,6 +167,7 @@ OPERATIONS = {
     "bounded_search max_len": (lambda n: bounded_search(ARC, OTHER, n, 1), lambda n: n >= 1),
     "bounded_search max_depth": (lambda n: bounded_search(ARC, OTHER, 1, n), lambda n: n >= 1),
     "random_arc seed": (lambda seed: random_arc(G2, seed, 3), lambda seed: True),
+    "build_standard_triangulation": (build_standard_triangulation, lambda g: g >= 1),
 }
 SMALL_INTS = range(-3, 3)
 OPERATION_EXPECTED = {name: {n: _outcome(call, n) for n in SMALL_INTS} for name, (call, _) in OPERATIONS.items()}
@@ -170,6 +182,10 @@ OPERATION_EXPECTED = {name: {n: _outcome(call, n) for n in SMALL_INTS} for name,
 @example(name="bounded_search max_len", x=None)
 @example(name="random_arc seed", x=[1])
 @example(name="random_arc seed", x=1.5)
+@example(name="build_standard_triangulation", x=1.5)
+@example(name="build_standard_triangulation", x=None)
+@example(name="build_standard_triangulation", x="2")
+@example(name="build_standard_triangulation", x=0)
 def test_operation_arguments_are_checked(name, x):
     call, in_domain = OPERATIONS[name]
     got = _outcome(call, x)
@@ -187,11 +203,11 @@ def test_operation_arguments_are_checked(name, x):
 def test_genus_is_checked(genus):
     """A genus that is not an integer is a ``genus:`` violation; no float
     or string is read as the standard table's genus."""
-    t = Triangulation(genus, ROWS)
+    t = _built(genus, ROWS)
     if _is_plain_int(genus):
-        assert t.is_valid is (genus == 2)
+        assert isinstance(t, Triangulation) is (genus == 2)
     else:
-        assert t.validate() == [f"genus: {genus!r} is not an integer"]
+        assert t == [f"genus: {genus!r} is not an integer"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -205,27 +221,19 @@ def test_labels_are_checked(row, pos, label):
     truncated to the integer it is near; a huge one is refused at once."""
     rows = [list(r) for r in ROWS]
     rows[row][pos] = label
-    t = Triangulation(2, rows)
+    t = _built(2, rows)
     if _is_plain_int(label):
-        assert t.is_valid is (label == ROWS[row][pos])
+        assert isinstance(t, Triangulation) is (label == ROWS[row][pos])
     else:
-        assert t.validate() == ["labels: a triangle holds a label that is not an integer"]
+        assert t == ["labels: a triangle holds a label that is not an integer"]
 
 
 def test_rows_that_are_no_sequences_are_a_shape_violation():
-    """A table given no rows, or rows that are not sequences, reports a
-    ``shape:`` violation through ``validate()``, as any other malformed
-    table does, and refuses queries: never a bare ``TypeError``."""
+    """A table given no rows, or rows that are not sequences, is refused
+    with a ``shape:`` violation, as any other malformed table is: an
+    ``InvalidTriangulation``, never a bare ``TypeError``."""
     for triangles in ([5, 6], None):
-        t = Triangulation(2, triangles)
-        assert t.validate() == ["shape: triangles must be triples of nonzero signed labels"]
-        assert not t.is_valid and t.n_triangles == 0
-        try:
-            t.side_corner(1)
-        except InvalidTriangulation as ex:
-            assert "shape:" in str(ex)
-        else:
-            raise AssertionError("an invalid table answered a query")
+        assert _built(2, triangles) == ["shape: triangles must be triples of nonzero signed labels"]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arcdist import PreconditionError
+from arcdist import PreconditionError, VerificationError, distance
 from arcdist.arc import edge_word, random_arc
 from arcdist.cli import main
 from arcdist.distance import (
@@ -58,6 +58,21 @@ def test_verify_certificate_reports_a_non_embedded_witness(g1):
     )
     cert = classify(v, w)._replace(witness=self_crossing_word(g1))
     assert "exact(2): witness is not embedded" in verify_certificate(cert)
+
+
+def test_classify_refuses_a_witness_that_fails_to_verify(g1, monkeypatch):
+    """The routed witness of an exact-2 verdict is disjoint from both arcs
+    on a working engine; an ``intersection`` that reports a crossing stands
+    in for a misrouted witness, and ``classify`` raises rather than
+    certify it."""
+    v, w = next(
+        (v, w)
+        for v, w in seeded_pairs(g1, "d2-1", 25, require_crossing=True)
+        if classify(v, w).verdict.as_tuple() == (2, 2)
+    )
+    monkeypatch.setattr(distance, "intersection", lambda a, b: 1)
+    with pytest.raises(VerificationError, match="^distance-2 witness failed to verify$"):
+        classify(v, w)
 
 
 def test_bounds_beyond_two(g1):

@@ -6,7 +6,14 @@ from collections import Counter
 
 import pytest
 
-from arcdist import BaseMismatch, InconsistentWord, VerificationError, build_standard_triangulation, realization
+from arcdist import (
+    BaseMismatch,
+    InconsistentWord,
+    VerificationError,
+    build_standard_triangulation,
+    overlay,
+    realization,
+)
 from arcdist import arc as arc_module
 from arcdist.arc import edge_word, enumerate_arcs, random_arc, transport
 from arcdist.distance import classify
@@ -423,6 +430,38 @@ def test_minimality_checks_catch_a_swapped_strand(g1, monkeypatch):
                     seen[str(signed.value)] += 1
                 monkeypatch.setattr(realization, "_order_edges", order_edges)
     assert seen.keys() == {"overlay: bigon between the arcs survived", "overlay: endpoint half-bigon survived"}
+
+
+def test_glued_intervals_refuse_sides_with_unequal_strand_counts(g1):
+    """Both sides of an edge carry its strands, so glued sides hold equal
+    counts; a count table that differs across one edge is refused."""
+    strands = [[0, 0, 0] for _ in range(g1.n_triangles)]
+    assert len(overlay._glued_intervals(g1, strands)) == g1.n_edges
+    strands[0][0] = 1
+    with pytest.raises(VerificationError, match="^overlay: glued sides disagree on strand count$"):
+        overlay._glued_intervals(g1, strands)
+
+
+def test_sign_vector_pass_refuses_a_strand_its_chords_do_not_end_on(g1):
+    """Every strand point on an edge holds one chord end; an edge order with
+    one strand more than the chords ending there is refused."""
+    v, w = seeded_pairs(g1, "swap", 1, max_steps=30, require_crossing=True)[0]
+    real = Realization(v, w)
+    e, strands = next(iter(real.edge_order.items()))
+    real.edge_order = {**real.edge_order, e: [*strands, strands[0]]}
+    with pytest.raises(VerificationError, match="^overlay: chord ends do not match the strands on the edges$"):
+        overlay.marked_route(real)
+
+
+def test_sign_vector_pass_refuses_a_wrong_euler_characteristic(g1, monkeypatch):
+    """A pass that loses the last run of glued intervals counts too few
+    glued pairs, so the surface's Euler characteristic misses 2 - 2g and
+    the minimality check refuses it before any per-component check."""
+    v, w = seeded_pairs(g1, "swap", 1, max_steps=30, require_crossing=True)[0]
+    glued = overlay._glued_intervals
+    monkeypatch.setattr(overlay, "_glued_intervals", lambda base, strands: glued(base, strands)[:-1])
+    with pytest.raises(VerificationError, match=r"^overlay: global euler characteristic \d+ != 0$"):
+        overlay.marked_route(Realization(v, w))
 
 
 def _partners_from(crossings, real):

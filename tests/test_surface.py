@@ -9,6 +9,7 @@ from arcdist import (
     P2,
     Corner,
     InvalidTriangulation,
+    PreconditionError,
     Triangulation,
     UnflippableEdge,
     build_standard_triangulation,
@@ -18,10 +19,28 @@ from arcdist.surface import flip_walk
 from conftest import is_isomorphic
 
 
+def _refused(*args, **kwargs) -> list[str]:
+    """The problems ``Triangulation(*args, **kwargs)`` is refused with; the
+    message joins them."""
+    with pytest.raises(InvalidTriangulation) as refused:
+        Triangulation(*args, **kwargs)
+    assert str(refused.value) == "; ".join(refused.value.problems)
+    return refused.value.problems
+
+
+def _assert_reanalysed(t):
+    """A full analysis of ``t``'s table accepts it and derives the same
+    anchor, side corners and marked points: a flipped table is checked by
+    its own rewrite only, so this is the check that it is valid."""
+    again = Triangulation.from_json_dict(t.to_json_dict())
+    assert again == t
+    assert (again._side_of, again._vertex_of_corner) == (t._side_of, t._vertex_of_corner)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_standard_tables_counts(g):
     t = build_standard_triangulation(g)
-    assert t.validate() == []
+    _assert_reanalysed(t)
     assert t.n_edges == 6 * g
     assert t.n_triangles == 4 * g
     assert len(t.corners_at(0)) + len(t.corners_at(1)) == 12 * g
@@ -30,7 +49,7 @@ def test_standard_tables_counts(g):
 
 
 def test_genus_zero_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="genus must be >= 1, got 0"):
         build_standard_triangulation(0)
 
 
@@ -43,28 +62,24 @@ def test_standard_tables_match_shipped_data():
 
 
 def test_validator_accepts_standard_and_reports_edge_degree():
-    t = build_standard_triangulation(1)
-    assert t.validate() == []
+    _assert_reanalysed(build_standard_triangulation(1))
     # label 3 used once (and label 2 three times)
-    broken = Triangulation(1, [(3, 1, -4), (4, 2, -5), (5, -1, -6), (6, -2, -2)])
-    assert any("edge degree" in v for v in broken.validate())
+    broken = _refused(1, [(3, 1, -4), (4, 2, -5), (5, -1, -6), (6, -2, -2)])
+    assert any("edge degree" in v for v in broken)
 
 
 def test_validator_reports_orientation():
     tris = [(3, 1, -4), (4, 2, -5), (5, 1, -6), (6, -2, -3)]
-    broken = Triangulation(1, tris)
-    assert any("orientation" in v for v in broken.validate())
+    assert any("orientation" in v for v in _refused(1, tris))
 
 
 def test_validator_reports_vertex_count():
     # the two-triangle square torus: a perfectly good one-vertex ideal
     # triangulation, rejected here because both marked points must exist
-    one_vertex = Triangulation(1, [(1, 2, -3), (3, -1, -2)])
-    violations = one_vertex.validate()
+    violations = _refused(1, [(1, 2, -3), (3, -1, -2)])
     assert any("vertex count" in v and "1 classes" in v for v in violations)
     # a vertex-splitting regluing of the standard table
-    reglued = Triangulation(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)])
-    assert any("vertex count" in v for v in reglued.validate())
+    assert any("vertex count" in v for v in _refused(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)]))
 
 
 def test_flip_preserves_counts_and_validity(g1):
@@ -72,7 +87,7 @@ def test_flip_preserves_counts_and_validity(g1):
         if not g1.is_flippable(e):
             continue
         f = g1.flip(e)
-        assert f.validate() == []
+        _assert_reanalysed(f)
         assert (f.n_edges, f.n_triangles) == (g1.n_edges, g1.n_triangles)
         assert len(f.corners_at(0)) > 0 and len(f.corners_at(1)) > 0
 
@@ -91,7 +106,7 @@ def test_unflippable_edge_raises(g1):
     cur = g1
     for e in (3, 2, 5, 5, 5, 2):
         cur = cur.flip(e)
-    assert cur.validate() == []
+    _assert_reanalysed(cur)
     assert not cur.is_flippable(4)
     with pytest.raises(UnflippableEdge):
         cur.flip(4)
@@ -104,7 +119,7 @@ def test_random_walk_stays_valid(g2):
     cur = g2
     for e in seq:
         cur = cur.flip(e)
-        assert cur.validate() == []
+        _assert_reanalysed(cur)
     assert cur == end
 
 
@@ -151,7 +166,7 @@ def test_flip_builds_no_corner(g, built_corners):
 
 def test_flip_walk_reaches_nonisomorphic_tables(g1):
     end = flip_walk(g1, random.Random(3), 9)[0][-1]
-    assert end.validate() == []
+    _assert_reanalysed(end)
 
 
 def test_serialization_round_trip(g1):
@@ -181,7 +196,7 @@ def test_canonical_form_stable_under_relabelling(g1):
 
     tris = [tuple(mapped(s) for s in t) for t in g1.triangles]
     relabeled = Triangulation(1, tris, p1_corner=(0, 1))
-    assert relabeled.validate() == []
+    _assert_reanalysed(relabeled)
     assert is_isomorphic(relabeled, g1)
 
 
@@ -206,7 +221,6 @@ def test_local_flip_matches_a_table_built_from_scratch(g):
         full = Triangulation(g, flipped.triangles, p1_corner=outside)
         if cur.vertex_of(outside) == P2:  # anchor at a corner of the other class
             full = Triangulation(g, flipped.triangles, p1_corner=full.corners_at(P2)[0])
-        assert full.validate() == []
         for s in range(1, flipped.n_edges + 1):
             assert flipped.side_corner(s) == full.side_corner(s)
             assert flipped.side_corner(-s) == full.side_corner(-s)
@@ -264,14 +278,17 @@ def test_lookups_outside_the_table_raise_key_error(g):
                     lookup(corner)
 
 
-def test_lookups_on_an_invalid_table_raise_invalid_triangulation():
+def test_a_table_that_splits_a_marked_point_is_refused_when_built():
     """A table that glues edge by edge but splits a marked point has its
-    side table built during the analysis; the lookups must still refuse it."""
-    reglued = Triangulation(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)])
-    assert any("vertex count" in v for v in reglued.validate())
-    for query in (lambda: reglued.side_corner(1), lambda: reglued.vertex_of((0, 0)), lambda: reglued.flip(1)):
-        with pytest.raises(InvalidTriangulation):
-            query()
+    side table built during the analysis; the constructor still refuses it,
+    so no lookup or flip can reach it, and the loader refuses it alike."""
+    rows = [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)]
+    problems = ["vertex count: corner tracing yields 4 classes (expected 2)", "euler: V-E+F = 2 but 2-2g = 0"]
+    assert _refused(1, rows) == problems
+    doc = {"genus": 1, "triangles": [list(r) for r in rows], "p1_corner": [0, 0]}
+    with pytest.raises(InvalidTriangulation) as refused:
+        Triangulation.from_json_dict(doc)
+    assert refused.value.problems == problems
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -287,6 +304,3 @@ def test_corners_around_rotates_one_vertex(g):
                 assert sorted(around) == t.corners_at(t.vertex_of(corner))
                 for i, other in enumerate(around):
                     assert t.corners_around(other) == around[i:] + around[:i]
-    reglued = Triangulation(1, [(4, 1, -4), (3, 2, -5), (5, -1, -6), (6, -2, -3)])
-    with pytest.raises(InvalidTriangulation):
-        reglued.corners_around(Corner(0, 0))

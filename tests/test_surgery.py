@@ -1,6 +1,6 @@
 import pytest
 
-from arcdist import PreconditionError, build_standard_triangulation
+from arcdist import PreconditionError, VerificationError, build_standard_triangulation, surgery
 from arcdist.arc import edge_word
 from arcdist.leveling import validate_sequence
 from arcdist.overlay import Realization, intersection
@@ -14,6 +14,18 @@ def test_surgery_requires_crossing(g1):
     v = edge_word(g1, 2)
     w = edge_word(g1, 3)
     with pytest.raises(PreconditionError):
+        surgery_step(v, w)
+
+
+def test_surgery_refuses_a_failed_postcondition(g1, monkeypatch):
+    """The postconditions hold on a working engine; an ``intersection`` that
+    reports w and w' crossing once stands in for a defect, and the step
+    raises rather than return an unproven trace."""
+    v, w = seeded_pairs(g1, "surgery-1", 1, require_crossing=True)[0]
+    k = intersection(v, w)
+    monkeypatch.setattr(surgery, "intersection", lambda a, b: 1)
+    refusal = rf"^surgery postcondition failed: w\.w'=1, v\.w'=\d+ \(was {k}\)$"
+    with pytest.raises(VerificationError, match=refusal):
         surgery_step(v, w)
 
 
