@@ -293,10 +293,14 @@ def _moves(base: Triangulation, start: Corner, word: list[int], end: Corner) -> 
 #   in the wrong new triangle.
 #
 # _step is the one way a bare (start, crossings, end) crosses a flip:
-# _quad_rewrite, _check_word over the new table, then the moves.  _carry
-# runs it over many flips and builds one ArcWord, with its full checks;
-# transport and transport_inverse are one-flip _carry calls, and
-# straighten_to_edge, which picks each flip from the last word, runs _step.
+# _quad_rewrite, then the moves.  Its input is always consistent (an
+# ArcWord's fields, an edge word or the last step's output), so the
+# rewrite checks only the stretch it edits and no step walks the whole
+# word again.  _carry runs _step over many flips and builds one ArcWord,
+# whose constructor runs every check once; transport and
+# transport_inverse are one-flip _carry calls, and straighten_to_edge,
+# which picks each flip from the last word, runs _step and builds one
+# ArcWord at the end.
 
 
 def transport(arc: ArcWord, e: int) -> ArcWord:
@@ -308,8 +312,8 @@ def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
     """Undo ``transport(-, e)``: rewrite ``arc`` over the pre-flip base.
 
     ``previous.flip(e)`` must equal ``arc.base``; that is checked by
-    flipping ``previous`` (``BaseMismatch`` otherwise), and the rewritten
-    word is checked by ``_check_word``.
+    flipping ``previous`` (``BaseMismatch`` otherwise), and the result, an
+    ``ArcWord`` over ``previous``, runs every check of the constructor.
     """
     if previous.flip(e) != arc.base:
         raise BaseMismatch("previous.flip(e) does not give the arc's base")
@@ -319,7 +323,15 @@ def transport_inverse(arc: ArcWord, previous: Triangulation, e: int) -> ArcWord:
 def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner, crossings, end: Corner):
     """The raw ``(start, crossings, end)`` over ``new`` of a consistent word
     over ``old``, the two tables differing only in ``e``'s quad; not yet
-    reduced."""
+    reduced.
+
+    The result is consistent over ``new``: outside the quad the letters
+    chain as they did over ``old``, and what the rewrite edits is checked
+    as it goes.  After each inserted diagonal the next letter, or the end
+    corner, must lie in the triangle the diagonal enters, and a
+    zero-crossing word must have two corners; a failure raises
+    ``InconsistentWord`` with ``_check_word``'s message.
+    """
     old_rows, old_side_of = old.triangles, old._side_of
     new_side_of, corners = new._side_of, new._corners
     s = e + 1
@@ -336,6 +348,12 @@ def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner,
         head = new_side_of[row[(c.pos + 2) % 3]]
         return corners[3 * head.tri + (head.pos + 1) % 3]
 
+    def diagonal(here: int) -> int:
+        """Cross the new diagonal out of triangle ``here``; the triangle entered."""
+        d = s if here == plus_tri else -s
+        out.append(d)
+        return new_side_of[-d].tri
+
     start, end = corner(start), corner(end)
     here = start.tri if start.tri in quad else None  # new triangle, while in the quad
     out = []
@@ -343,28 +361,38 @@ def _quad_rewrite(old: Triangulation, new: Triangulation, e: int, start: Corner,
         if c == s or c == -s:
             continue
         if here is not None and new_side_of[c].tri != here:
-            out.append(s if here == plus_tri else -s)
+            here = diagonal(here)
+            if new_side_of[c].tri != here:
+                raise InconsistentWord(
+                    f"crossing {len(out)}: side {c} is in triangle {new_side_of[c].tri}, arc is in {here}"
+                )
         out.append(c)
         landing = new_side_of[-c].tri
         here = landing if landing in quad else None
     if here is not None and end.tri != here:
-        out.append(s if here == plus_tri else -s)
+        here = diagonal(here)
+        if end.tri != here:
+            raise InconsistentWord(f"end corner {end} is in triangle {end.tri}, arc ends in {here}")
+    if not out and start.pos == end.pos:
+        raise InconsistentWord("zero-crossing word with equal corners")
     return start, out, end
 
 
 def _step(old: Triangulation, new: Triangulation, e: int, start: Corner, crossings, end: Corner):
-    """:func:`_quad_rewrite`'s word, checked by ``_check_word`` over ``new``
-    and tightened."""
-    return _moves(new, *_check_word(new, *_quad_rewrite(old, new, e, start, crossings, end)))
+    """A consistent word over ``old`` written over ``new`` and tightened:
+    :func:`_quad_rewrite`, which checks what it edits, then the moves."""
+    return _moves(new, *_quad_rewrite(old, new, e, start, crossings, end))
 
 
 def _carry(base: Triangulation, start: Corner, crossings, end: Corner, rewrites) -> ArcWord:
     """The word ``(start, crossings, end)`` over ``base``, carried across
     ``rewrites`` and built as one ``ArcWord`` over the last table.
 
-    Each rewrite is ``(table, next table, e)``: the word is over ``table``,
-    which differs from ``next table`` only in ``e``'s quad, and the first
-    ``table`` is ``base``.  The reduction and P1/P2 checks run once, on the
+    The word must be consistent over ``base`` (an ``ArcWord``'s fields, or
+    an edge word): no step walks it whole.  Each rewrite is ``(table, next
+    table, e)``: the word is over ``table``, which differs from ``next
+    table`` only in ``e``'s quad, and the first ``table`` is ``base``.  The
+    constructor's checks, ``_check_word`` included, run once, on the
     result.
     """
     table = base
@@ -408,10 +436,10 @@ def random_arc(base: Triangulation, seed: int, steps: int) -> ArcWord:
     construction (it is a transported triangulation edge).
 
     The walk is :func:`arcdist.surface.flip_walk`, one flip per step.  The
-    connector's word is pulled back as a bare word by :func:`_carry`, onto
-    the tables the walk built, so it makes no check flip.  Each step's
-    rewritten word is checked by ``_check_word`` and tightened, and the one
-    ``ArcWord`` built, over ``base``, runs every check of the constructor.
+    connector's edge word is pulled back as a bare word by :func:`_carry`,
+    onto the tables the walk built, so it makes no check flip.  Each step
+    checks only the stretch its quad rewrite edits, and the one ``ArcWord``
+    built, over ``base``, runs every check of the constructor once.
     """
     seed, steps = _integer("seed", seed), _integer("steps", steps)
     if steps < 0:
@@ -459,7 +487,7 @@ def enumerate_arcs(base: Triangulation, max_len: int) -> list[ArcWord]:
 # straightening: flip until an arc becomes a triangulation edge
 
 
-def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
+def straighten_to_edge(arc: ArcWord, _rewrites: list | None = None) -> tuple[list[int], int]:
     """Flip sequence turning ``arc`` into a triangulation edge.
 
     Strategy: flip the edge of the arc's first crossing -- a reduced word
@@ -471,14 +499,24 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
     the start corner faces the flippable loop side; if it is P2, the word
     ends through the loop side into the inner corner, a chord whose ends
     interleave with those of a first chord from an outer corner across the
-    folded edge.  A later passage through the quad can recreate
-    a crossing, so the length need not drop on every single flip; the guard
-    requires a new minimum length within a checkpoint window.  The word
-    crosses each flip bare, by :func:`_step`; the final zero-crossing word
-    is built as one ``ArcWord``, with every check, and certifies the result.
+    folded edge.  The word crosses each flip bare, by :func:`_step`; the
+    final zero-crossing word is built as one ``ArcWord``, with every check,
+    and certifies the result.
+
+    A later passage through the quad can recreate a crossing, so the
+    length need not drop on every flip.  The work is bounded by a budget
+    of flips, checked before each one: 40·(n + 2) in all for an n-letter
+    arc, and 4·E (E edges) without a new minimum length.  Going over
+    either raises ``PreconditionError``.  The total binds only above genus
+    1: a genus-g table has E = 6g edges, and the window alone stops a run
+    within n·(4·E + 1) flips (at most n new minima, each within 4·E + 1
+    flips of the last), which is below 40·(n + 2) when E = 6.
 
     Returns ``(flips, edge)`` with the transported word parallel to
-    ``edge`` in the final triangulation.
+    ``edge`` in the final triangulation.  When ``_rewrites`` is a list,
+    each flip's ``(table, next table, e)`` is appended to it, for
+    :func:`arcdist.realization.intersection_via_flips` to carry a second
+    word over the same tables.
     """
     table, start, word, end = arc.base, arc.start, arc.crossings, arc.end
     flips: list[int] = []
@@ -487,9 +525,14 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
     best = len(word)
     since_best = 0
     while word:
-        if len(flips) >= cap or since_best > window:
+        if len(flips) >= cap:
             raise PreconditionError(
-                f"straighten_to_edge: stalled after {len(flips)} flips (length {len(word)})"
+                f"straighten_to_edge: over its budget of {cap} flips (length {len(word)})"
+            )
+        if since_best > window:
+            raise PreconditionError(
+                f"straighten_to_edge: no new minimum length in {since_best} flips"
+                f" (length {len(word)} after {len(flips)} flips)"
             )
         e = edge_of(word[0])
         if not table.is_flippable(e):
@@ -499,6 +542,8 @@ def straighten_to_edge(arc: ArcWord) -> tuple[list[int], int]:
             )
         flips.append(e)
         old, table = table, table.flip(e)
+        if _rewrites is not None:
+            _rewrites.append((old, table, e))
         start, word, end = _step(old, table, e, start, word, end)
         if len(word) < best:
             best = len(word)

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
-from itertools import accumulate
 
 from .errors import BaseMismatch, InconsistentWord, VerificationError
-from .surface import Corner, Triangulation, edge_of
+from .surface import Corner, edge_of
 from .arc import ArcWord, _carry, straighten_to_edge
 
 
@@ -299,12 +298,13 @@ def self_intersection(word: ArcWord) -> int:
 def intersection_via_flips(v: ArcWord, w: ArcWord) -> int:
     """Independent oracle: straighten ``v`` to an edge, count ``w`` across it.
 
-    ``_carry`` takes ``w`` along the flips that straighten ``v``; its taut
-    image crosses the straightened edge once per essential intersection.
+    ``_carry`` takes ``w`` over the tables that straighten ``v``, reusing
+    the straightening's flips; its taut image crosses the straightened
+    edge once per essential intersection.
     """
     if v.base != w.base:
         raise BaseMismatch("arcs live over different triangulations")
-    flips, e = straighten_to_edge(v)
-    tables = list(accumulate(flips, Triangulation.flip, initial=w.base))  # w's base, flipped once per flip
-    moved = _carry(w.base, w.start, w.crossings, w.end, zip(tables, tables[1:], flips))
+    rewrites = []
+    _, e = straighten_to_edge(v, rewrites)
+    moved = _carry(w.base, w.start, w.crossings, w.end, rewrites)
     return sum(1 for c in moved.crossings if edge_of(c) == e)

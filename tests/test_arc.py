@@ -1,6 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import random
+import re
+import textwrap
 
 import pytest
 
@@ -340,22 +343,112 @@ def test_random_arc_long_pull_backs_are_pinned():
 @pytest.mark.parametrize("genus", [1, 2, 3, 4])
 def test_random_arc_builds_one_record_and_checks_every_step(genus, monkeypatch):
     """The pull-back carries a bare word and builds one ``ArcWord`` at the
-    end, but ``_check_word`` still walks the rewritten word of every step,
-    over that step's table, and then the result's own word."""
+    end.  Every step is checked by its own quad rewrite, over that step's
+    table, which checks only what it edits; ``_check_word`` walks the
+    result's word once.  ``transport``, ``transport_inverse`` and
+    ``straighten_to_edge`` likewise walk their one result once."""
     base = build_standard_triangulation(genus)
-    fill, check = ArcWord._fill, arc_module._check_word
-    fills, checked = [], []
+    fill, check, rewrite = ArcWord._fill, arc_module._check_word, arc_module._quad_rewrite
+    fills, checked, rewritten = [], [], []
     monkeypatch.setattr(ArcWord, "_fill", lambda self, *args: fills.append(args) or fill(self, *args))
     monkeypatch.setattr(arc_module, "_check_word", lambda table, *word: checked.append(table) or check(table, *word))
+    monkeypatch.setattr(arc_module, "_quad_rewrite", lambda old, new, *word: rewritten.append(new) or rewrite(old, new, *word))
+    e = next(e for e in range(base.n_edges) if base.is_flippable(e))
     for seed in range(5):
         for steps in (0, 1, 7, 30, 80):
-            fills.clear()
-            checked.clear()
+            for record in (fills, checked, rewritten):
+                record.clear()
             a = random_arc(base, seed, steps)
             assert len(fills) == 1
             tables, _ = flip_walk(base, random.Random(seed), steps)
-            assert checked == [*reversed(tables[:-1]), base]
+            assert rewritten == [*reversed(tables[:-1])]
+            assert checked == [base]
             assert a.base == base
+            checked.clear()
+            moved = transport(a, e)
+            assert checked == [moved.base]
+            checked.clear()
+            assert transport_inverse(moved, base, e) == a
+            assert checked == [base]
+            checked.clear()
+            rewritten.clear()
+            flips, _ = straighten_to_edge(a)
+            assert len(checked) == 1 and len(rewritten) == len(flips)
+
+
+def _inject_into_quad_rewrite(monkeypatch, old, new):
+    """Patch ``_quad_rewrite`` with the source text ``old`` replaced by
+    ``new``: a defect injected into the rewrite, whose checks stay as they
+    are."""
+    source = textwrap.dedent(inspect.getsource(arc_module._quad_rewrite))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), arc_module.__file__, "exec"), vars(arc_module).copy(), namespace)
+    monkeypatch.setattr(arc_module, "_quad_rewrite", namespace["_quad_rewrite"])
+
+
+def _rewritten_steps(base, tag):
+    """``(arc, e, new table, raw word)`` for seeded arcs over ``base`` and
+    every flippable ``e``, the raw word from the real ``_quad_rewrite``."""
+    out = []
+    for a in seeded_arcs(base, tag, 30):
+        for e in range(base.n_edges):
+            if base.is_flippable(e):
+                new = base.flip(e)
+                out.append((a, e, new, arc_module._quad_rewrite(base, new, e, a.start, a.crossings, a.end)[1]))
+    return out
+
+
+def test_a_step_refuses_a_wrong_inserted_diagonal(g2, monkeypatch):
+    """A rewrite that inserts the other side of the new diagonal leaves the
+    next letter outside the triangle it enters: the step itself refuses,
+    with ``_check_word``'s message for that letter."""
+    cases = []
+    for a, e, new, word in _rewritten_steps(g2, "wrong-diagonal"):
+        i = next((i for i, c in enumerate(word) if edge_of(c) == e), len(word))
+        if i < len(word) - 1:  # the first inserted diagonal has a letter after it
+            d, c = word[i], word[i + 1]
+            refusal = f"crossing {i + 1}: side {c} is in triangle {new._side_of[c].tri}, arc is in {new._side_of[d].tri}"
+            cases.append((a, e, new, refusal))
+    assert len(cases) > 20
+    _inject_into_quad_rewrite(monkeypatch, "d = s if here == plus_tri else -s", "d = -s if here == plus_tri else s")
+    for a, e, new, refusal in cases:
+        with pytest.raises(InconsistentWord, match=f"^{re.escape(refusal)}$"):
+            arc_module._step(g2, new, e, a.start, a.crossings, a.end)
+
+
+def test_a_step_refuses_a_dropped_closing_diagonal(g2, monkeypatch):
+    """A rewrite that leaves out the closing diagonal ends in the wrong
+    triangle: the step itself refuses, with ``_check_word``'s end-corner
+    message."""
+    cases = []
+    for a, e, new, word in _rewritten_steps(g2, "closing-diagonal"):
+        if word and edge_of(word[-1]) == e:  # an inserted closing diagonal
+            cases.append((a, e, new, new._side_of[word[-1]].tri))
+    assert len(cases) > 20
+    _inject_into_quad_rewrite(monkeypatch, "        here = diagonal(here)\n        if end.tri", "        pass\n        if end.tri")
+    for a, e, new, last in cases:
+        with pytest.raises(InconsistentWord, match=rf"^end corner Corner\(tri=(\d+), pos=\d\) is in triangle \1, arc ends in {last}$"):
+            arc_module._step(g2, new, e, a.start, a.crossings, a.end)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_a_step_refuses_a_zero_crossing_word_with_equal_corners(genus, monkeypatch):
+    """A rewrite that sends a corner on the old diagonal to the head corner
+    of its outer side, not the corner after it, gives some edge words two
+    equal corners: the step itself refuses them, before the moves would
+    read the word as a loop."""
+    base = build_standard_triangulation(genus)
+    _inject_into_quad_rewrite(monkeypatch, "return corners[3 * head.tri + (head.pos + 1) % 3]", "return head")
+    refusals = []
+    for f in base.connector_edges():
+        a = edge_word(base, f)
+        for e in range(base.n_edges):
+            try:
+                arc_module._step(base, base.flip(e), e, a.start, a.crossings, a.end)
+            except InconsistentWord as ex:
+                refusals.append(str(ex))
+    assert len(refusals) >= 4 and set(refusals) == {"zero-crossing word with equal corners"}
 
 
 @pytest.mark.parametrize("steps", [0, 1, 7, 30])
@@ -472,6 +565,71 @@ def test_straightening_refuses_a_non_embedded_arc_before_any_flip(monkeypatch):
         with pytest.raises(PreconditionError, match="straighten_to_edge: the arc is not embedded"):
             straighten(a)
     assert calls == []
+
+
+def _slow_step(every):
+    """A ``_step`` that returns its word unchanged, but for its last letter
+    dropped on every ``every``-th call (never, for ``every=0``): the first
+    letter, so the flipped edge, never changes."""
+    calls = itertools.count(1)
+
+    def step(old, new, e, start, word, end):
+        return start, word[:-1] if every and next(calls) % every == 0 else word, end
+
+    return step
+
+
+def _straighteners():
+    """``straighten_to_edge`` and the flip oracle, which straightens its first arc."""
+    return (straighten_to_edge, lambda a: intersection_via_flips(a, a))
+
+
+def test_straightening_refuses_a_run_without_a_new_minimum(monkeypatch):
+    """The window of the straightening's work budget: a step that makes no
+    progress is refused after 4·E + 1 flips without a new minimum length,
+    long before the total budget of 40·(n + 2) flips."""
+    base = build_standard_triangulation(2)
+    a = next(a for a in seeded_arcs(base, "stall", 40) if len(a) >= 5)
+    window = 4 * base.n_edges
+    for straighten in _straighteners():
+        monkeypatch.setattr(arc_module, "_step", _slow_step(0))
+        refusal = f"straighten_to_edge: no new minimum length in {window + 1} flips (length {len(a)} after {window + 1} flips)"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(refusal)}$"):
+            straighten(a)
+
+
+def test_straightening_refuses_a_run_over_its_flip_budget(monkeypatch):
+    """The total of the straightening's work budget: a step that drops a
+    letter every 4·E flips keeps making new minima inside the window, and
+    is refused after 40·(n + 2) flips.  At genus 2 (E = 12) that is reached
+    by words of more than 10 letters; at genus 1 the window binds first
+    (see the docstring)."""
+    base = build_standard_triangulation(2)
+    a = next(a for a in (random_arc(base, seed, 40) for seed in itertools.count()) if len(a) > 10)
+    window, cap = 4 * base.n_edges, 40 * (len(a) + 2)
+    assert window * len(a) > cap  # the word would empty only after the budget
+    for straighten in _straighteners():
+        monkeypatch.setattr(arc_module, "_step", _slow_step(window))
+        refusal = f"straighten_to_edge: over its budget of {cap} flips (length {len(a) - cap // window})"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(refusal)}$"):
+            straighten(a)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_the_flip_oracle_flips_each_table_once(genus, monkeypatch):
+    """The flip oracle carries ``w`` over the tables that straighten ``v``:
+    it flips exactly as often as the straightening alone does."""
+    base = build_standard_triangulation(genus)
+    pairs = [(random_arc(base, seed, 40), random_arc(base, seed + 100, 40)) for seed in range(6)]
+    straightened = [len(straighten_to_edge(v)[0]) for v, _ in pairs]
+    flip = Triangulation.flip
+    calls = []
+    monkeypatch.setattr(Triangulation, "flip", lambda self, e: calls.append(e) or flip(self, e))
+    for (v, w), flips in zip(pairs, straightened):
+        calls.clear()
+        assert intersection_via_flips(v, w) == intersection(v, w)
+        assert len(calls) == flips
+    assert sum(straightened) > 0
 
 
 def _folded_tables(genus):
