@@ -24,44 +24,10 @@ suite checks it behaviourally (random rewriting orders, flip round trips).
 from __future__ import annotations
 
 import random
-from operator import attrgetter, index
+from operator import index
 
 from .errors import BaseMismatch, InconsistentWord, PreconditionError
-from .surface import P1, P2, Corner, Triangulation, edge_of, flip_walk
-
-
-class _Record:
-    """An immutable record whose fields are its ``_fields`` (by default its
-    ``__slots__``), checked and set by the subclass's ``__init__``.  Pickling
-    and copying call the constructor again, so its checks run on every
-    copy; a slot that is no field is private state, which a copy rebuilds."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
-        cls._values = attrgetter(*cls._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values(self)
+from .surface import P1, P2, Corner, Triangulation, _integer, _Record, edge_of, flip_walk
 
 
 class ArcWord(_Record):
@@ -167,7 +133,7 @@ def _check_word(base: Triangulation, start, crossings, end) -> tuple[Corner, lis
     list and the end corner, the corners as the table's own objects.
     """
     start, end = _table_corner(base, "start", start), _table_corner(base, "end", end)
-    n_edges, side_of = base._n_labels, base._side_of
+    n_edges, side_of = base.n_edges, base._side_of
     tri = start.tri
     word = []
     for i, c in enumerate(crossings):
@@ -403,14 +369,6 @@ def _carry(base: Triangulation, start: Corner, crossings, end: Corner, rewrites)
 
 # ----------------------------------------------------------------------
 # generation
-
-
-def _integer(name: str, x) -> int:
-    """``x`` read with ``operator.index``; ``PreconditionError`` otherwise."""
-    try:
-        return index(x)
-    except TypeError:
-        raise PreconditionError(f"{name} {x!r} is not an integer") from None
 
 
 def edge_word(base: Triangulation, e: int) -> ArcWord:

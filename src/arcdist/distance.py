@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arc import ArcWord, _integer, _Record, enumerate_arcs, tighten
+from .arc import ArcWord, enumerate_arcs, tighten
 from .errors import BaseMismatch, PreconditionError, VerificationError
 from .leveling import ArcSequence, validate_sequence
 from .overlay import marked_route
 from .realization import Realization, intersection, self_intersection
-from .surface import Triangulation
+from .surface import Triangulation, _integer, _Record
 from .surgery import _path
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arc import ArcWord, _Record
+from .arc import ArcWord
 from .errors import InvalidSequence, PreconditionError
 from .realization import intersection
-from .surface import Triangulation
+from .surface import Triangulation, _Record
 
 
 class ArcSequence(_Record):

@@ -18,9 +18,11 @@ The marked points are the two vertex classes obtained by corner tracing.
 ``P1`` is distinguished by an anchor corner so that serialized data is
 unambiguous; arcs in this package always run from P1 to P2.
 
-A table that breaks any of these laws is refused when it is built, so
-every ``Triangulation`` that exists is valid, and its queries and the arcs
-over it check nothing about the table.
+A table that breaks any of these laws is refused when it is built, and a
+``Triangulation`` is an immutable record of its genus, triangles and P1
+anchor, so every table that exists is valid, and its queries and the arcs
+over it check nothing about the table.  ``_Record``, the immutable base
+class of the package's checking records, lives here, in the lowest layer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import hashlib
 import json
 import random
 from itertools import compress
-from operator import index
+from operator import attrgetter, index
 from typing import NamedTuple
 
 from .errors import InvalidTriangulation, PreconditionError, UnflippableEdge
@@ -50,8 +52,68 @@ def edge_of(label: int) -> int:
     return abs(label) - 1
 
 
-class Triangulation:
-    """An oriented two-vertex ideal triangulation, immutable after construction.
+def _integer(name: str, x) -> int:
+    """``x`` read with ``operator.index``; ``PreconditionError`` otherwise."""
+    try:
+        return index(x)
+    except TypeError:
+        raise PreconditionError(f"{name} {x!r} is not an integer") from None
+
+
+class _Record:
+    """An immutable record whose fields are its ``_fields`` (by default its
+    ``__slots__``), checked and set by the subclass's ``__init__``.  Pickling
+    and copying call the constructor again, so its checks run on every
+    copy; a slot that is no field is private state, which a copy rebuilds."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+def _rotation(triangles, side_of, corners, first: Corner) -> list[Corner]:
+    """The corners at ``first``'s vertex in rotation order, ``first`` first.
+
+    From corner (t, k), crossing the outgoing side t[k] lands on the corner
+    at the same vertex in the neighbouring triangle: the head of the glued
+    side.
+    """
+    c = first
+    out = [c]
+    while True:
+        opp = side_of[-triangles[c.tri][c.pos]]
+        c = corners[3 * opp.tri + (opp.pos + 1) % 3]
+        if c == first:
+            return out
+        out.append(c)
+
+
+class Triangulation(_Record):
+    """An oriented two-vertex ideal triangulation: an immutable record of
+    ``genus``, ``triangles`` and the P1 anchor ``p1_corner``.
 
     The constructor analyses the table and raises ``InvalidTriangulation``
     when it glues into no two-vertex surface of the given genus; the
@@ -59,42 +121,39 @@ class Triangulation:
     the analysis finds them.  An instance is therefore always valid.
     """
 
-    __slots__ = (
-        "genus",
-        "triangles",
-        "_p1_anchor",
-        "_n_labels",
-        "_corners",
-        "_side_of",
-        "_vertex_of_corner",
-        "_hash",
-        "_id",
-    )
+    _fields = ("genus", "triangles", "p1_corner")
+    __slots__ = ("genus", "triangles", "_corners", "_side_of", "_vertex_of_corner", "_hash", "_id")
 
     def __init__(self, genus, triangles, p1_corner=None):
         problems = self._analyze(genus, triangles, p1_corner)
         if problems:
             raise InvalidTriangulation(problems)
-        self._hash = self._id = None
 
     # ------------------------------------------------------------------
     # construction-time analysis
     #
-    # A valid table keeps one tuple and two flat lists.
+    # A table stores the fields genus and triangles and three tuples, all
+    # written by ``_set``, which the analysis and ``flip`` both call.
     # ``_corners[3*tri + pos]`` is Corner(tri, pos), built once by the
     # constructor: every Corner the table hands out is one of these, and a
     # flip passes the same tuple on, so all tables of a flip walk share one
     # set of Corners and a flip builds none.  ``_side_of[s]`` is the Corner
-    # holding signed label s; the list has 2E+1 slots, so Python's negative
+    # holding signed label s; the tuple has 2E+1 slots, so Python's negative
     # indexing places -s at slot 2E+1-s, and slot 0 is unused.
-    # ``_vertex_of_corner[3*tri + pos]`` is P1 or P2.  The queries check the
-    # range themselves, because a bare list index would wrap silently; the
-    # arc layer reads the three directly in its inner loops, after checking
-    # its own labels and corners.
-    #
-    # The analysis returns every violation it finds, and sets each field as
-    # it is derived; ``__init__`` raises before a table with violations is
-    # handed out.
+    # ``_vertex_of_corner[3*tri + pos]`` is P1 or P2; the P1 anchor is the
+    # first corner at P1.  The queries check the range themselves, because a
+    # bare index would wrap silently; the arc layer reads the three directly
+    # in its inner loops, after checking its own labels and corners.
+    # ``_hash`` and ``_id`` are filled on first use.  The analysis returns
+    # every violation it finds and sets the state only for a valid table.
+
+    def _set(self, genus, triangles, corners, side_of, vertex):
+        set_genus, set_triangles, set_corners, set_side_of, set_vertex = _STATE_SETTERS
+        set_genus(self, genus)
+        set_triangles(self, triangles)
+        set_corners(self, corners)
+        set_side_of(self, side_of)
+        set_vertex(self, vertex)
 
     def _analyze(self, genus, triangles, p1_corner):
         try:
@@ -102,18 +161,18 @@ class Triangulation:
         except TypeError:  # no rows, or a row that is no sequence
             return ["shape: triangles must be triples of nonzero signed labels"]
         try:
-            self.genus = index(genus)
+            genus = index(genus)
         except TypeError:
             return [f"genus: {genus!r} is not an integer"]
         try:
-            self.triangles = tuple(tuple(map(index, t)) for t in triangles)
+            triangles = tuple(tuple(map(index, t)) for t in triangles)
         except TypeError:
             return ["labels: a triangle holds a label that is not an integer"]
         violations = []
-        if self.genus < 1:
+        if genus < 1:
             violations.append("genus: must be >= 1")
-        labels = [s for t in self.triangles for s in t]
-        if any(len(t) != 3 for t in self.triangles) or 0 in labels:
+        labels = [s for t in triangles for s in t]
+        if any(len(t) != 3 for t in triangles) or 0 in labels:
             return violations + ["shape: triangles must be triples of nonzero signed labels"]
 
         n_edges = max((edge_of(s) for s in labels), default=-1) + 1
@@ -133,36 +192,36 @@ class Triangulation:
         if violations:
             return violations
 
-        f = len(self.triangles)
-        corners = self._corners = tuple(Corner(t, k) for t in range(f) for k in range(3))
-        self._n_labels = n_edges
-        self._side_of = [None] * (2 * n_edges + 1)
+        f = len(triangles)
+        corners = tuple(Corner(t, k) for t in range(f) for k in range(3))
+        side_of = [None] * (2 * n_edges + 1)
         for i, s in enumerate(labels):
-            self._side_of[s] = corners[i]
+            side_of[s] = corners[i]
 
         # Connectivity of the glued surface via triangle adjacency.
-        if self.triangles:
+        if triangles:
             seen = {0}
             stack = [0]
             while stack:
                 ti = stack.pop()
-                for s in self.triangles[ti]:
-                    tj = self._side_of[-s].tri
+                for s in triangles[ti]:
+                    tj = side_of[-s].tri
                     if tj not in seen:
                         seen.add(tj)
                         stack.append(tj)
-            if len(seen) != len(self.triangles):
+            if len(seen) != f:
                 violations.append("connectivity: surface is disconnected")
 
-        classes = list(self._corner_orbits())
+        classes = []  # the corner orbits, each traced from its least untraced corner
+        todo = set(corners)
+        while todo:
+            classes.append(_rotation(triangles, side_of, corners, min(todo)))
+            todo.difference_update(classes[-1])
         if len(classes) != 2:
             violations.append(f"vertex count: corner tracing yields {len(classes)} classes (expected 2)")
-        e = n_edges
-        v = len(classes)
-        if v - e + f != 2 - 2 * self.genus:
-            violations.append(
-                f"euler: V-E+F = {v - e + f} but 2-2g = {2 - 2 * self.genus}"
-            )
+        v, e = len(classes), n_edges
+        if v - e + f != 2 - 2 * genus:
+            violations.append(f"euler: V-E+F = {v - e + f} but 2-2g = {2 - 2 * genus}")
 
         if violations:
             return violations
@@ -182,17 +241,8 @@ class Triangulation:
                 vertex[3 * c.tri + c.pos] = ci
         if vertex[3 * p1_corner.tri + p1_corner.pos] != P1:
             vertex = [1 - x for x in vertex]
-        self._vertex_of_corner = vertex
-        self._p1_anchor = corners[vertex.index(P1)]
+        self._set(genus, triangles, corners, tuple(side_of), tuple(vertex))
         return []
-
-    def _corner_orbits(self):
-        """Partition corners into vertex classes by rotating around vertices."""
-        todo = set(self._corners)
-        while todo:
-            orbit = self.corners_around(min(todo))
-            todo.difference_update(orbit)
-            yield orbit
 
     # ------------------------------------------------------------------
     # queries
@@ -204,6 +254,11 @@ class Triangulation:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
+
+    @property
+    def p1_corner(self) -> Corner:
+        """The first corner at P1, which the JSON form stores as the anchor."""
+        return self._corners[self._vertex_of_corner.index(P1)]
 
     def _corner_index(self, corner) -> int:
         """``3 * tri + pos`` for a corner inside the table, or ``KeyError``."""
@@ -225,17 +280,14 @@ class Triangulation:
 
         A bare index would wrap: ``-(e+1)`` is a signed label too.
         """
-        try:
-            e = index(e)
-        except TypeError:
-            raise PreconditionError(f"edge {e!r} is not an integer") from None
-        if not 0 <= e < self._n_labels:
-            raise PreconditionError(f"edge {e} is not in 0..{self._n_labels - 1}")
+        e = _integer("edge", e)
+        if not 0 <= e < self.n_edges:
+            raise PreconditionError(f"edge {e} is not in 0..{self.n_edges - 1}")
         return e
 
     def side_corner(self, label: int) -> Corner:
         """The (triangle, position) holding a signed label."""
-        n = self._n_labels
+        n = self.n_edges
         try:
             if -n <= label <= n and label:
                 return self._side_of[label]
@@ -248,21 +300,8 @@ class Triangulation:
         return self._vertex_of_corner[self._corner_index(corner)]
 
     def corners_around(self, corner: Corner) -> list[Corner]:
-        """The corners at ``corner``'s vertex in rotation order, ``corner`` first.
-
-        From corner (t, k), crossing the outgoing side t[k] lands on the
-        corner at the same vertex in the neighbouring triangle: the head of
-        the glued side.
-        """
-        triangles, side_of, corners = self.triangles, self._side_of, self._corners
-        c = first = corners[self._corner_index(corner)]
-        out = [c]
-        while True:
-            opp = side_of[-triangles[c.tri][c.pos]]
-            c = corners[3 * opp.tri + (opp.pos + 1) % 3]
-            if c == first:
-                return out
-            out.append(c)
+        """The corners at ``corner``'s vertex in rotation order, ``corner`` first."""
+        return _rotation(self.triangles, self._side_of, self._corners, self._corners[self._corner_index(corner)])
 
     def corners_at(self, vertex: int) -> list[Corner]:
         return [c for c, x in zip(self._corners, self._vertex_of_corner) if x == vertex]
@@ -276,7 +315,7 @@ class Triangulation:
         """Edges joining P1 to P2, in increasing order."""
         vertex = self._vertex_of_corner
         out = []
-        for e, (tri, pos) in enumerate(self._side_of[1 : self._n_labels + 1]):
+        for e, (tri, pos) in enumerate(self._side_of[1 : self.n_edges + 1]):
             if vertex[3 * tri + pos] != vertex[3 * tri + (pos + 1) % 3]:
                 out.append(e)
         return out
@@ -324,13 +363,25 @@ class Triangulation:
         Only the two triangles of the quad change.  The new table shares
         every other triangle and the ``Corner`` tuple with this one, builds
         no ``Corner``, and rewrites the six side and corner entries of the
-        quad; its P1/P2 labels are read off the quad's corners, each
-        rewritten side's tail checked against the head of its glued
-        partner, and both labels must remain.
+        quad.  Its P1/P2 labels need no check, because this table is valid:
+
+        * Every side keeps its two endpoint labels.  With x, y, z, w the
+          labels of X, Y, Z, W: B runs z->x, C runs x->w, D runs w->y and
+          A runs y->z before and after, and the new diagonal runs w->z
+          (its -side z->w).
+        * So each glued pair still agrees, head to tail: a rewritten side's
+          partner either lies outside the quad, unchanged, or inside it,
+          rewritten with its own endpoints kept.
+        * Both new triangles together still hold x, y, z and w, and the
+          corners outside the quad keep theirs, so no marked point
+          disappears.  V-E+F is unchanged, so corner tracing still yields
+          two classes; labels constant on each and both present are the
+          two classes, with P1 where it was.
         """
         e = self._edge(e)
         s = e + 1
-        c_pos, c_neg = self._side_of[s], self._side_of[-s]
+        side_of = self._side_of
+        c_pos, c_neg = side_of[s], side_of[-s]
         t1, t2 = c_pos.tri, c_neg.tri
         if t1 == t2:
             raise UnflippableEdge(f"edge {e}: both sides lie in triangle {t1}")
@@ -346,28 +397,15 @@ class Triangulation:
         tris[t1] = (s, side_b, side_c)
         tris[t2] = (-s, side_d, side_a)
         corners = self._corners
-        side_of = self._side_of.copy()
+        side_of = list(side_of)
         side_of[s], side_of[side_b], side_of[side_c] = corners[3 * t1 : 3 * t1 + 3]
         side_of[-s], side_of[side_d], side_of[side_a] = corners[3 * t2 : 3 * t2 + 3]
-        vertex = vertex.copy()
-        vertex[3 * t1 : 3 * t1 + 3] = (w, z, x)
-        vertex[3 * t2 : 3 * t2 + 3] = (z, w, y)
-        for label, tail in ((s, w), (side_b, z), (side_c, x), (-s, z), (side_d, w), (side_a, y)):
-            tri, pos = side_of[-label]
-            if vertex[3 * tri + (pos + 1) % 3] != tail:
-                raise InvalidTriangulation(["vertex transport: inconsistent votes"])
-        if P1 not in vertex or P2 not in vertex:
-            raise InvalidTriangulation(["vertex transport: votes do not cover both marked points"])
+        vertex = list(vertex)
+        vertex[3 * t1], vertex[3 * t1 + 1], vertex[3 * t1 + 2] = w, z, x
+        vertex[3 * t2], vertex[3 * t2 + 1], vertex[3 * t2 + 2] = z, w, y
 
         flipped = Triangulation.__new__(Triangulation)
-        flipped.genus = self.genus
-        flipped.triangles = tuple(tris)
-        flipped._n_labels = self._n_labels
-        flipped._corners = corners
-        flipped._side_of = side_of
-        flipped._vertex_of_corner = vertex
-        flipped._p1_anchor = corners[vertex.index(P1)]
-        flipped._hash = flipped._id = None
+        flipped._set(self.genus, tuple(tris), corners, tuple(side_of), tuple(vertex))
         return flipped
 
     # ------------------------------------------------------------------
@@ -378,7 +416,7 @@ class Triangulation:
             "format": "arcdist.triangulation/1",
             "genus": self.genus,
             "triangles": [list(t) for t in self.triangles],
-            "p1_corner": list(self._p1_anchor),
+            "p1_corner": list(self.p1_corner),
         }
 
     @classmethod
@@ -390,28 +428,31 @@ class Triangulation:
 
         Computed on first use, then kept.
         """
-        if self._id is None:
+        try:
+            return self._id
+        except AttributeError:
             blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-            self._id = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return self._id
+            object.__setattr__(self, "_id", hashlib.sha256(blob.encode()).hexdigest()[:16])
+            return self._id
 
     # ------------------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Triangulation)
-            and self.genus == other.genus
-            and self.triangles == other.triangles
-            and self._p1_anchor == other._p1_anchor
-        )
-
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.genus, self.triangles, self._p1_anchor))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values(self)))
+            return self._hash
 
     def __repr__(self):
-        return f"Triangulation(genus={self.genus}, triangles={self.n_triangles})"
+        return f"Triangulation(genus={self.genus}, triangles={self.n_triangles}, p1_corner={tuple(self.p1_corner)})"
+
+
+# The slots' own setters, by which ``_set`` writes past ``_Record.__setattr__``;
+# they cost less than ``object.__setattr__`` by name, on every flip.
+_STATE_SETTERS = tuple(
+    Triangulation.__dict__[name].__set__ for name in ("genus", "triangles", "_corners", "_side_of", "_vertex_of_corner")
+)
 
 
 def build_standard_triangulation(g: int) -> Triangulation:
@@ -431,10 +472,7 @@ def build_standard_triangulation(g: int) -> Triangulation:
     ``g`` must be an integer ``>= 1``; anything else raises
     ``PreconditionError``.
     """
-    try:
-        g = index(g)
-    except TypeError:
-        raise PreconditionError(f"genus {g!r} is not an integer") from None
+    g = _integer("genus", g)
     if g < 1:
         raise PreconditionError(f"genus must be >= 1, got {g}")
     word = []

@@ -1120,6 +1120,19 @@ FORGERIES = {
         ("exact(1): arcs intersect in 4 points",),
         1,
     ),
+    "disjoint-pair-as-exact-two": (
+        # the verdict re-labelled, with a witness that is disjoint from both
+        lambda g1, g2: _exact_one(g1)
+        ._replace(verdict=Verdict("exact", value=2), witness=edge_word(g1, 4))
+        .to_json_dict(),
+        ("exact(2): arcs are disjoint, distance would be <= 1",),
+        1,
+    ),
+    "witness-dropped": (
+        lambda g1, g2: _with(_exact_two(g1).to_json_dict(), lambda d: d["evidence"].pop("witness")),
+        ("exact(2): witness missing",),
+        1,
+    ),
     "witness-is-v": (
         lambda g1, g2: _with(_exact_two(g1).to_json_dict(), lambda d: d["evidence"].update(witness=d["pair"]["v"])),
         ("exact(2): witness is not disjoint from both arcs", "exact(2): witness coincides with an endpoint"),
@@ -1138,6 +1151,16 @@ FORGERIES = {
     "path-dropped": (
         lambda g1, g2: _with(_bounds(g1).to_json_dict(), lambda d: d["evidence"].pop("path")),
         ("bounds: path evidence missing",),
+        1,
+    ),
+    "path-reversed": (
+        lambda g1, g2: _with(_bounds(g1).to_json_dict(), lambda d: d["evidence"]["path"].reverse()),
+        ("bounds: path does not join the pair",),
+        1,
+    ),
+    "trace-before-raised": (
+        lambda g1, g2: _with(_trace(g1), lambda d: d.update(intersections_before=7)),
+        ("trace: v.w = 6, recorded 7",),
         1,
     ),
     "trace-after-raised": (

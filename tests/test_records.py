@@ -1,9 +1,9 @@
 """The result and input records keep their value semantics.
 
 ``Verdict``, ``DistanceCertificate``, ``Tube``, ``LevelPosition``,
-``SurgeryTrace`` and ``ExampleRecord`` are ``NamedTuple``s; ``ArcWord``,
-``ArcSequence`` and ``ShadowPairInput`` are immutable classes that check
-their fields on construction.  For each: equal fields give equal records
+``SurgeryTrace`` and ``ExampleRecord`` are ``NamedTuple``s; ``Triangulation``,
+``ArcWord``, ``ArcSequence`` and ``ShadowPairInput`` are immutable classes
+that check their fields on construction.  For each: equal fields give equal records
 and equal hashes, fields cannot be assigned or deleted, ``repr`` names the
 class, and ``pickle`` and ``copy`` give an equal record.  The checking
 classes run their checks again on every copy.
@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from arcdist import BaseMismatch, InconsistentWord, InvalidSequence, PreconditionError
+from arcdist import BaseMismatch, InconsistentWord, InvalidSequence, PreconditionError, Triangulation
 from arcdist.arc import ArcWord, random_arc
 from arcdist.corpus import load_bundled_examples
 from arcdist.distance import ShadowPairInput, Verdict, classify
@@ -29,6 +29,7 @@ def _records(base):
     """Per record type, a function building a fresh record, equal on every call."""
     v, w = (lambda: random_arc(base, SEEDS[0], 30)), (lambda: random_arc(base, SEEDS[1], 30))
     return {
+        "Triangulation": lambda: base.flip(3),
         "ArcWord": v,
         "ArcSequence": lambda: path_between(v(), w()),
         "ShadowPairInput": lambda: ShadowPairInput(base, (v(),), (w(),)),
@@ -133,6 +134,44 @@ def test_copies_are_built_by_the_checking_constructor(g1, monkeypatch):
     monkeypatch.setattr(ArcWord, "__init__", counted)
     for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         assert clone(v) == v
+    assert len(calls) == 3
+
+
+def test_a_table_cannot_be_edited(g1):
+    """No field or table of a ``Triangulation`` can change after its
+    analysis: its cached hash and id stay those of a valid table."""
+    t = g1.flip(3)
+    before = (t.to_json_dict(), hash(t), t.triangulation_id())
+    with pytest.raises(AttributeError):
+        t.genus = 3
+    with pytest.raises(AttributeError):
+        t.triangles = t.triangles[:2]
+    with pytest.raises(AttributeError):
+        del t.triangles
+    with pytest.raises(TypeError):
+        t._side_of[1] = None
+    with pytest.raises(TypeError):
+        t._vertex_of_corner[0] ^= 1
+    assert (t.to_json_dict(), hash(t), t.triangulation_id()) == before
+
+
+def test_table_copies_run_the_analysis_again(g1, monkeypatch):
+    """A table pickles and copies as its fields, genus, triangles and P1
+    anchor, so every copy is analysed by the constructor."""
+    t = g1.flip(3)
+    assert t.__reduce__() == (Triangulation, (t.genus, t.triangles, t.p1_corner))
+    calls = []
+    analyze = Triangulation._analyze
+
+    def counted(self, *args):
+        calls.append(args)
+        return analyze(self, *args)
+
+    monkeypatch.setattr(Triangulation, "_analyze", counted)
+    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        c = clone(t)
+        assert c == t and hash(c) == hash(t) and c.triangulation_id() == t.triangulation_id()
+        assert (c._side_of, c._vertex_of_corner) == (t._side_of, t._vertex_of_corner)
     assert len(calls) == 3
 
 

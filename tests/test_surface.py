@@ -30,8 +30,8 @@ def _refused(*args, **kwargs) -> list[str]:
 
 def _assert_reanalysed(t):
     """A full analysis of ``t``'s table accepts it and derives the same
-    anchor, side corners and marked points: a flipped table is checked by
-    its own rewrite only, so this is the check that it is valid."""
+    anchor, side corners and marked points: a flip writes its table
+    without an analysis, so this is the check that it is valid."""
     again = Triangulation.from_json_dict(t.to_json_dict())
     assert again == t
     assert (again._side_of, again._vertex_of_corner) == (t._side_of, t._vertex_of_corner)
@@ -154,8 +154,8 @@ def test_flip_walk_keeps_every_table_and_draws_from_the_callers_rng(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_flip_builds_no_corner(g, built_corners):
-    """A flip fills the quad's side entries and its P1 anchor from the
-    table's shared Corner tuple."""
+    """A flip fills the quad's side entries from the table's shared Corner
+    tuple, from which the P1 anchor is read too."""
     cur = flip_walk(build_standard_triangulation(g), random.Random(g), 10)[0][-1]
     built_corners.clear()
     rng = random.Random(f"no-corner-{g}")
@@ -210,12 +210,22 @@ def test_local_flip_matches_a_table_built_from_scratch(g):
 
     The scratch table is anchored through a corner outside the flipped quad,
     whose label the flip did not touch, so the comparison also checks which
-    class the local flip calls P1."""
+    class the local flip calls P1.
+
+    ``flip`` checks nothing of its output, on the proof in its docstring;
+    the walks must reach the proof's harder cases, so the test counts the
+    flips whose quad holds both sides of an outer edge, and those with a
+    self-folded quad triangle (two sides of one edge in one triangle)."""
     cur = build_standard_triangulation(g)
     rng = random.Random(f"local-flip-{g}")
+    outer_pairs = self_folded = 0
     for _ in range(3000):
         e = rng.choice(_flippable(cur))
         quad = {cur.side_corner(e + 1).tri, cur.side_corner(-(e + 1)).tri}
+        rows = [[s for s in cur.triangles[t] if abs(s) != e + 1] for t in quad]
+        outer = rows[0] + rows[1]
+        outer_pairs += any(-s in outer for s in outer)
+        self_folded += any(a == -b for a, b in rows)
         outside = next(Corner(t, 0) for t in range(cur.n_triangles) if t not in quad)
         flipped = cur.flip(e)
         full = Triangulation(g, flipped.triangles, p1_corner=outside)
@@ -232,23 +242,7 @@ def test_local_flip_matches_a_table_built_from_scratch(g):
         assert flipped == full and hash(flipped) == hash(full)
         assert flipped.triangulation_id() == full.triangulation_id()
         cur = flipped
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_local_flip_refuses_a_tampered_quad_corner(g):
-    """The flip reads the labels of four quad corners (both ends of the
-    diagonal and the two apexes); a wrong one at any of them fails the
-    check of the rewritten sides against their glued partners."""
-    for table in (build_standard_triangulation(g), flip_walk(build_standard_triangulation(g), random.Random(g), 25)[0][-1]):
-        for e in _flippable(table):
-            c_pos, c_neg = table.side_corner(e + 1), table.side_corner(-(e + 1))
-            read = [Corner(c_pos.tri, (c_pos.pos + k) % 3) for k in range(3)]
-            read.append(Corner(c_neg.tri, (c_neg.pos + 2) % 3))
-            for corner in read:
-                bad = Triangulation(g, table.triangles, p1_corner=table.to_json_dict()["p1_corner"])
-                bad._vertex_of_corner[3 * corner.tri + corner.pos] ^= 1
-                with pytest.raises(InvalidTriangulation, match="vertex transport"):
-                    bad.flip(e)
+    assert outer_pairs > 0 and self_folded > 0
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
