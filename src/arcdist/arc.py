@@ -40,8 +40,8 @@ class ArcWord(_Record):
     _fields = ("base", "start", "crossings", "end")
     __slots__ = (*_fields, "_prep")  # _prep: the realization layer's cache of this word's own work
 
-    def __init__(self, base: Triangulation, start: Corner, crossings: tuple[int, ...], end: Corner):
-        self._fill(base, *_check_word(base, start, crossings, end))
+    def __new__(cls, base: Triangulation, start: Corner, crossings: tuple[int, ...], end: Corner):
+        return cls._from_consistent(base, *_check_word(base, start, crossings, end))
 
     # spelled out, crossings first: the search compares and hashes words; attrgetter is slower
     def __eq__(self, other):
@@ -56,24 +56,11 @@ class ArcWord(_Record):
 
     @classmethod
     def _from_consistent(cls, base: Triangulation, start: Corner, crossings, end: Corner) -> "ArcWord":
-        """An instance whose word is known to be locally consistent.
-
-        Skips only ``_check_word``: :func:`tighten` has walked the raw word
-        and its moves keep the word consistent.  The reduction and P1/P2
-        checks still run.
-        """
-        arc = object.__new__(cls)
-        arc._fill(base, start, crossings, end)
-        return arc
-
-    def _fill(self, base: Triangulation, start: Corner, crossings, end: Corner):
-        """Set the fields, then check that the word is reduced and runs from P1 to P2."""
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "crossings", tuple(crossings))
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "_prep", None)
-        if not _is_reduced(base, start, self.crossings, end):
+        """The instance of a locally consistent word, once it is checked to be
+        reduced and to run from P1 to P2: ``__new__`` has run ``_check_word``
+        on it, or :func:`tighten` on the raw word, whose moves keep a word
+        consistent."""
+        if not _is_reduced(base, start, crossings, end):
             raise InconsistentWord("word is not reduced; use tighten() to canonicalize")
         # start and end are corners of the table, checked by _check_word
         vertex = base._vertex_of_corner
@@ -81,6 +68,7 @@ class ArcWord(_Record):
             raise InconsistentWord(f"start corner {start} is not at P1")
         if vertex[3 * end.tri + end.pos] != P2:
             raise InconsistentWord(f"end corner {end} is not at P2")
+        return cls._make(base, start, tuple(crossings), end, None)
 
     def __len__(self):
         return len(self.crossings)

@@ -97,7 +97,7 @@ class ShadowPairInput(_Record):
 
     __slots__ = ("base", "v_side", "w_side")
 
-    def __init__(self, base: Triangulation, v_side: tuple[ArcWord, ...], w_side: tuple[ArcWord, ...]):
+    def __new__(cls, base: Triangulation, v_side: tuple[ArcWord, ...], w_side: tuple[ArcWord, ...]):
         try:
             v_side, w_side = tuple(v_side), tuple(w_side)
         except TypeError:
@@ -109,9 +109,7 @@ class ShadowPairInput(_Record):
                 raise PreconditionError(f"shadow lists must hold arcs, not {type(a).__name__}")
             if a.base != base:
                 raise BaseMismatch("shadow over a different triangulation")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "v_side", v_side)
-        object.__setattr__(self, "w_side", w_side)
+        return cls._make(base, v_side, w_side)
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,10 +185,12 @@ def bounded_search(v: ArcWord, w: ArcWord, max_len: int, max_depth: int) -> ArcS
 
     Sound but complete only relative to the bounds: None means no path was
     found inside them, never that no path exists.  Exploration order is
-    canonical, so the result is deterministic.
+    canonical, so the result is deterministic.  The search's own
+    ``intersection(cur, cand) == 0`` proves each hop, so nothing validates
+    the path again.
     """
     hops = _search(v, w, *_search_bounds(max_len, max_depth))
-    return None if hops is None else ArcSequence(v.base, hops)
+    return None if hops is None else ArcSequence._make(v.base, hops)
 
 
 def _search_bounds(max_len, max_depth) -> tuple[int, int]:

@@ -26,16 +26,14 @@ class ArcSequence(_Record):
 
     __slots__ = ("base", "arcs")
 
-    def __init__(self, base: Triangulation, arcs: tuple[ArcWord, ...]):
+    def __new__(cls, base: Triangulation, arcs: tuple[ArcWord, ...]):
         try:
             arcs = tuple(arcs)
         except TypeError:
             pass  # validate_sequence reports it
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "arcs", arcs)
-        problems = validate_sequence(self)
-        if problems:
+        if problems := validate_sequence((base, arcs)):
             raise InvalidSequence(problems)
+        return cls._make(base, arcs)
 
     def __len__(self):
         return len(self.arcs)
@@ -229,9 +227,10 @@ def level_number_report(shadow_input) -> dict:
 
     Distance 0 is reported separately (only the trivial knot attains it and
     no 0-level position is defined); for d >= 1 the witnessing path is
-    converted into a d-level position, and its ``ArcSequence`` is the one
-    validation of that path.  The level-number equality assumes the knot is
-    nontrivial.
+    converted into a d-level position, with no ``validate_sequence``: the
+    hops are proven by ``classify``'s k == 0 at exact 1, the witness checks
+    of ``_distance_two_witness`` at exact 2, and the surgery or search hops
+    for bounds.  The level-number equality assumes the knot is nontrivial.
     """
     from .distance import pair_set_distance
 
@@ -254,6 +253,6 @@ def level_number_report(shadow_input) -> dict:
         return report
 
     report["level_number"] = verdict.to_json_dict()
-    seq = ArcSequence(shadow_input.base, tuple(cert.witness_path()))
+    seq = ArcSequence._make(shadow_input.base, tuple(cert.witness_path()))
     report["level_certificate"] = sequence_to_level_certificate(seq)
     return report

@@ -21,8 +21,9 @@ unambiguous; arcs in this package always run from P1 to P2.
 A table that breaks any of these laws is refused when it is built, and a
 ``Triangulation`` is an immutable record of its genus, triangles and P1
 anchor, so every table that exists is valid, and its queries and the arcs
-over it check nothing about the table.  ``_Record``, the immutable base
-class of the package's checking records, lives here, in the lowest layer.
+over it check nothing about the table.  ``_Record``, the base class of
+the package's checking records, each built once by the checks in its
+``__new__``, lives here, in the lowest layer.
 """
 
 from __future__ import annotations
@@ -62,15 +63,28 @@ def _integer(name: str, x) -> int:
 
 class _Record:
     """An immutable record whose fields are its ``_fields`` (by default its
-    ``__slots__``), checked and set by the subclass's ``__init__``.  Pickling
-    and copying call the constructor again, so its checks run on every
-    copy; a slot that is no field is private state, which a copy rebuilds."""
+    ``__slots__``), checked by the subclass's ``__new__``, which then builds
+    it; ``__init__`` is ``object.__init__``, which changes nothing.
+    Pickling and copying call the constructor again, so its checks run on
+    every copy; a slot that is no field is private state, which a copy
+    rebuilds."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _make(cls, *values):
+        """An instance holding ``values`` in its first slots, unchecked: the
+        caller has checked or proven them.  The slots' own setters write past
+        ``__setattr__`` and cost less than ``object.__setattr__`` by name."""
+        self = object.__new__(cls)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,10 +138,11 @@ class Triangulation(_Record):
     _fields = ("genus", "triangles", "p1_corner")
     __slots__ = ("genus", "triangles", "_corners", "_side_of", "_vertex_of_corner", "_hash", "_id")
 
-    def __init__(self, genus, triangles, p1_corner=None):
-        problems = self._analyze(genus, triangles, p1_corner)
-        if problems:
+    def __new__(cls, genus, triangles, p1_corner=None):
+        table = object.__new__(cls)
+        if problems := table._analyze(genus, triangles, p1_corner):
             raise InvalidTriangulation(problems)
+        return table
 
     # ------------------------------------------------------------------
     # construction-time analysis
@@ -404,7 +419,7 @@ class Triangulation(_Record):
         vertex[3 * t1], vertex[3 * t1 + 1], vertex[3 * t1 + 2] = w, z, x
         vertex[3 * t2], vertex[3 * t2 + 1], vertex[3 * t2 + 2] = z, w, y
 
-        flipped = Triangulation.__new__(Triangulation)
+        flipped = object.__new__(Triangulation)
         flipped._set(self.genus, tuple(tris), corners, tuple(side_of), tuple(vertex))
         return flipped
 
@@ -448,11 +463,7 @@ class Triangulation(_Record):
         return f"Triangulation(genus={self.genus}, triangles={self.n_triangles}, p1_corner={tuple(self.p1_corner)})"
 
 
-# The slots' own setters, by which ``_set`` writes past ``_Record.__setattr__``;
-# they cost less than ``object.__setattr__`` by name, on every flip.
-_STATE_SETTERS = tuple(
-    Triangulation.__dict__[name].__set__ for name in ("genus", "triangles", "_corners", "_side_of", "_vertex_of_corner")
-)
+_STATE_SETTERS = Triangulation._setters[:5]  # of the five state slots, unpacked by ``_set`` on every flip
 
 
 def build_standard_triangulation(g: int) -> Triangulation:

@@ -11,11 +11,11 @@ The strict descent is itself the length bound: at most k steps can run, so
 the path's length is not checked again.
 
 Each step realizes (v, w') once and hands that realization to the next
-step.  Each step's w.w' = 0 postcondition proves its hop, so ``_path``
-returns the hops as plain arcs; ``path_between`` wraps them in the one
-``ArcSequence``, and ``distance.classify`` enters through ``_path`` with
-the realization of (v, w) it already holds and stores the hops as evidence
-for ``verify_certificate`` to check.
+step.  Each step's w.w' = 0 postcondition proves its hop, and the last
+step's v.w' = 0 the hop to v, so nothing validates them again:
+``path_between`` builds its ``ArcSequence`` unchecked, and ``classify``
+enters through ``_path`` with the realization of (v, w) it already holds
+and stores the hops as evidence for ``verify_certificate`` to check.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ def path_between(v: ArcWord, w: ArcWord) -> ArcSequence:
     """A verified path w = u_0, ..., u_m = v with m <= v.w + 1.
 
     Each surgery step checks its own postconditions: w' is embedded,
-    disjoint from the arc before it, and crosses v strictly fewer times.
-    The strict descent bounds the length by i(v, w) + 1, so it needs no
-    check of its own; the ``ArcSequence`` constructor then validates the
-    whole path once (consecutive arcs disjoint, one base).
+    disjoint from the arc before it (w.w' = 0), and crosses v strictly
+    fewer times; the last step's v.w' = 0 proves the hop to v.  So the
+    path, over v's base, needs no ``validate_sequence``, and the strict
+    descent bounds its length by i(v, w) + 1.
     """
-    return ArcSequence(v.base, _path(Realization(v, w)))
+    return ArcSequence._make(v.base, _path(Realization(v, w)))

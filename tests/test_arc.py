@@ -348,18 +348,18 @@ def test_random_arc_builds_one_record_and_checks_every_step(genus, monkeypatch):
     result's word once.  ``transport``, ``transport_inverse`` and
     ``straighten_to_edge`` likewise walk their one result once."""
     base = build_standard_triangulation(genus)
-    fill, check, rewrite = ArcWord._fill, arc_module._check_word, arc_module._quad_rewrite
-    fills, checked, rewritten = [], [], []
-    monkeypatch.setattr(ArcWord, "_fill", lambda self, *args: fills.append(args) or fill(self, *args))
+    make, check, rewrite = ArcWord._make, arc_module._check_word, arc_module._quad_rewrite
+    made, checked, rewritten = [], [], []
+    monkeypatch.setattr(ArcWord, "_make", classmethod(lambda cls, *args: made.append(args) or make(*args)))
     monkeypatch.setattr(arc_module, "_check_word", lambda table, *word: checked.append(table) or check(table, *word))
     monkeypatch.setattr(arc_module, "_quad_rewrite", lambda old, new, *word: rewritten.append(new) or rewrite(old, new, *word))
     e = next(e for e in range(base.n_edges) if base.is_flippable(e))
     for seed in range(5):
         for steps in (0, 1, 7, 30, 80):
-            for record in (fills, checked, rewritten):
+            for record in (made, checked, rewritten):
                 record.clear()
             a = random_arc(base, seed, steps)
-            assert len(fills) == 1
+            assert len(made) == 1
             tables, _ = flip_walk(base, random.Random(seed), steps)
             assert rewritten == [*reversed(tables[:-1])]
             assert checked == [base]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arcdist import PreconditionError, VerificationError, distance
+from arcdist import PreconditionError, VerificationError, distance, surgery
 from arcdist.arc import edge_word, random_arc
 from arcdist.cli import main
 from arcdist.distance import (
@@ -15,6 +15,7 @@ from arcdist.distance import (
 from arcdist.leveling import level_number_report, validate_sequence
 from arcdist.overlay import OverlayFace, Realization, _OverlayBuilder, complement_components, intersection
 from arcdist.serialize import dumps, load_distance_certificate, verify_document, write_doc
+from arcdist.surgery import path_between
 
 from conftest import common_neighbor_scan, seeded_pairs, self_crossing_word
 
@@ -112,6 +113,39 @@ def test_a_bounds_path_is_validated_once_by_its_checker(g1, monkeypatch):
     assert calls == []
     assert verify_certificate(cert) == []
     assert len(calls) == 1
+
+
+def test_engine_paths_check_each_hop_once(g1, monkeypatch):
+    """Each hop of a surgery path is proven by its step's postcondition, and
+    nothing validates the path again: ``path_between`` and
+    ``level_number_report`` make one ``intersection`` call per surgery step
+    (its w.w' = 0) and call no ``validate_sequence``.  The pair is one of
+    the seed-1 ``classify-g1`` pool (29 and 46 letters), whose 9-hop path
+    takes 8 surgery steps; validating it again would cost 9 more
+    ``intersection`` calls.  (bounded_search is pinned by
+    test_classify_search_validates_no_sequence.)"""
+    counts = {"intersection": 0, "validate_sequence": 0, "surgery step": 0}
+
+    def counting(key, function):
+        def counted(*args):
+            counts[key] += 1
+            return function(*args)
+
+        return counted
+
+    for module in ("surgery", "leveling", "distance"):
+        monkeypatch.setattr(f"arcdist.{module}.intersection", counting("intersection", intersection))
+    for module in ("leveling", "distance"):
+        monkeypatch.setattr(f"arcdist.{module}.validate_sequence", counting("validate_sequence", validate_sequence))
+    monkeypatch.setattr("arcdist.surgery._surgery", counting("surgery step", surgery._surgery))
+
+    v, w = random_arc(g1, 151724219, 35), random_arc(g1, 934543371, 48)
+    assert len(path_between(v, w)) == 10
+    assert counts == {"intersection": 8, "validate_sequence": 0, "surgery step": 8}
+    counts.update(dict.fromkeys(counts, 0))
+    report = level_number_report(ShadowPairInput(g1, (v,), (w,)))
+    assert report["level_number"] == {"kind": "bounds", "lower": 3, "upper": 9}
+    assert counts == {"intersection": 8, "validate_sequence": 0, "surgery step": 8}
 
 
 def test_criterion_agrees_with_neighbor_scan(g1, g2):
@@ -318,8 +352,8 @@ def test_run_time_builds_no_component_records(g1, monkeypatch):
 
 def test_classify_search_validates_no_sequence(g1, monkeypatch):
     """The search's own intersection test proves each hop, so classify
-    validates nothing, even when it discards the path it found;
-    bounded_search still returns one validated ArcSequence."""
+    validates nothing, even when it discards the path it found, and
+    bounded_search builds its ArcSequence without validating it again."""
     calls = []
 
     def counted(seq):
@@ -334,7 +368,7 @@ def test_classify_search_validates_no_sequence(g1, monkeypatch):
     assert cert.search_note.startswith("search within")
     assert calls == []
     assert bounded_search(v, w, max_len=4, max_depth=4) is not None
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_search_note_names_the_bounds_as_integers(g1):

@@ -125,16 +125,43 @@ def test_copies_are_built_by_the_checking_constructor(g1, monkeypatch):
     v = random_arc(g1, SEEDS[0], 30)
     assert v.__reduce__() == (ArcWord, (v.base, v.start, v.crossings, v.end))
     calls = []
-    init = ArcWord.__init__
+    new = ArcWord.__new__
 
-    def counted(self, *args):
+    def counted(cls, *args):
         calls.append(args)
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(ArcWord, "__init__", counted)
+    monkeypatch.setattr(ArcWord, "__new__", counted)
     for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         assert clone(v) == v
     assert len(calls) == 3
+
+
+CHECKING = ("Triangulation", "ArcWord", "ArcSequence", "ShadowPairInput")
+
+
+@pytest.mark.parametrize("name", CHECKING)
+def test_calling_init_again_changes_nothing(g1, name):
+    """A checking record is built once, by the checks in its ``__new__``:
+    ``__init__`` called again with another record's fields leaves its
+    fields, its hash and a table's id as they were."""
+    record = _records(g1)[name]()
+    v, w = random_arc(g1, SEEDS[0], 30), random_arc(g1, SEEDS[1], 30)
+    other = {
+        "Triangulation": g1,
+        "ArcWord": w,
+        "ArcSequence": ArcSequence(g1, (w,)),
+        "ShadowPairInput": ShadowPairInput(g1, (w,), (v,)),
+    }[name]
+    assert other != record
+
+    def observed():
+        table_id = record.triangulation_id() if name == "Triangulation" else None
+        return record._values(record), hash(record), table_id
+
+    before = observed()
+    record.__init__(*other._values(other))
+    assert observed() == before
 
 
 def test_a_table_cannot_be_edited(g1):
