@@ -43,9 +43,11 @@ def workdir(tmp_path, g1):
 
 
 def _cli_env():
-    """The environment for ``python -m arcdist.cli``, with the tested package first on its path."""
+    """The environment for ``python -m arcdist.cli``, with the tested package
+    first on its path and every warning an error."""
     src = os.path.dirname(os.path.dirname(arcdist.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
 
 
 def test_tri_standard_and_check(tmp_path, capsys):
@@ -311,8 +313,9 @@ def test_an_output_file_is_rewritten_in_place(workdir, capsys, command, old):
     reason="os.devnull is not a character device",
 )
 def test_an_output_to_a_device_is_written_and_never_cut(workdir, capsys):
-    assert main(["dist", str(workdir / "pair.json"), "-o", os.devnull]) == 0
-    assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
+    for argv in (["dist", str(workdir / "pair.json")], ["tri", "--standard", "2"]):
+        assert main([*argv, "-o", os.devnull]) == 0
+        assert capsys.readouterr() == (f"wrote {os.devnull}\n", "")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
@@ -401,9 +404,11 @@ def test_dist_rejects_a_lone_search_bound(tmp_path, g1, capsys, flag):
 @pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-5", "-1")])
 def test_dist_rejects_a_non_positive_search_bound_whatever_the_verdict(tmp_path, g1, capsys, bounds):
     """A disjoint pair, settled before any search, once exited 0 on these
-    bounds where a pair with a bounds verdict exited 5."""
+    bounds where a pair with a bounds verdict exited 5; an exact-2 pair is
+    settled before any search too."""
     pair, cert = tmp_path / "pair.json", tmp_path / "cert.json"
-    for v, w in ((edge_word(g1, 2), edge_word(g1, 3)), (random_arc(g1, 31010, 30), random_arc(g1, 31011, 30))):
+    pairs = [(edge_word(g1, 2), edge_word(g1, 3)), (random_arc(g1, 31010, 30), random_arc(g1, 31011, 30))]
+    for v, w in [*pairs, _crossing_pair(g1)]:
         serialize.write_doc(pair, serialize.pair_dict(v, w))
         assert main(["dist", str(pair), "--max-len", bounds[0], "--max-depth", bounds[1], "-o", str(cert)]) == 5
         assert capsys.readouterr().err == "invalid input: search bounds must be positive\n"
@@ -474,19 +479,25 @@ def test_examples_pass_and_emit(tmp_path, capsys):
     assert main(["examples", "--emit", str(emit)]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") >= 5 and "FAIL" not in out
-    emitted = sorted(os.listdir(emit))
-    assert any(name.endswith(".report.json") for name in emitted)
-    # every emitted report re-verifies from its serialized form alone
-    for name in emitted:
-        if name.endswith(".report.json"):
-            assert main(["check-cert", str(emit / name)]) == 0
+    names = [name.removesuffix(".report.json") for name in os.listdir(emit) if name.endswith(".report.json")]
+    assert "trivial-knot" in names
+    # every emitted report re-verifies from its serialized form alone, and
+    # draws its level position, or its pair when it has none (distance 0)
+    for name in names:
+        report, figs = emit / f"{name}.report.json", tmp_path / "figs" / name
+        assert main(["check-cert", str(report)]) == 0
+        assert main(["render", str(report), "--svg", str(figs)]) == 0
+        drawn = "levels.svg" if "level_certificate" in json.loads(report.read_text()) else "pair.svg"
+        assert os.listdir(figs) == [drawn] and (figs / drawn).read_text().startswith("<svg")
+    assert os.listdir(tmp_path / "figs" / "trivial-knot") == ["pair.svg"]
 
 
 def test_examples_seeded_spot_check(monkeypatch, capsys):
-    monkeypatch.setenv("ARCDIST_SEED", "11")
-    assert main(["examples"]) == 0
-    out = capsys.readouterr().out
-    assert "stable under transport" in out
+    for seed in ("3", "11"):
+        monkeypatch.setenv("ARCDIST_SEED", seed)
+        assert main(["examples"]) == 0
+        out = capsys.readouterr().out
+        assert "stable under transport" in out
 
 
 def test_examples_spot_check_flips_once_per_step(monkeypatch, capsys):
@@ -635,17 +646,26 @@ def test_check_cert_reports_an_empty_stored_path(tmp_path, g1, capsys):
     assert capsys.readouterr().out == "failed: sequence: empty\n"
 
 
-def test_check_cert_reports_triangulation_violations(tmp_path, capsys):
+def test_check_cert_reports_triangulation_violations(tmp_path, g1, capsys):
     """A table that glues into no surface fails check-cert as it fails
-    tri --check: exit 1 with its violations."""
-    doc = build_standard_triangulation(1).to_json_dict()
-    doc["triangles"][0] = [3, 1, 4]
-    serialize.write_doc(tmp_path / "bad.json", doc)
-    assert main(["tri", "--check", str(tmp_path / "bad.json")]) == 1
-    violations = [line.removeprefix("violation: ") for line in capsys.readouterr().out.splitlines()]
-    assert violations
-    assert main(["check-cert", str(tmp_path / "bad.json")]) == 1
-    assert capsys.readouterr().out.splitlines() == [f"failed: {p}" for p in violations]
+    tri --check: exit 1 with its violations.  The second table splits each
+    marked point in two, and a pair file over it is invalid input."""
+    bad = build_standard_triangulation(1).to_json_dict()
+    bad["triangles"][0] = [3, 1, 4]
+    split = {**bad, "p1_corner": [0, 0], "triangles": [[4, 1, -4], [3, 2, -5], [5, -1, -6], [6, -2, -3]]}
+    for doc in (bad, split):
+        serialize.write_doc(tmp_path / "bad.json", doc)
+        assert main(["tri", "--check", str(tmp_path / "bad.json")]) == 1
+        violations = [line.removeprefix("violation: ") for line in capsys.readouterr().out.splitlines()]
+        assert violations
+        assert main(["check-cert", str(tmp_path / "bad.json")]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"failed: {p}" for p in violations]
+    split_vertices = "vertex count: corner tracing yields 4 classes (expected 2)"
+    assert split_vertices in violations
+    pair = {**serialize.pair_dict(edge_word(g1, 2), edge_word(g1, 3)), "triangulation": split}
+    serialize.write_doc(tmp_path / "pair.json", pair)
+    assert main(["dist", str(tmp_path / "pair.json")]) == 5
+    assert capsys.readouterr().err.startswith(f"invalid input: {split_vertices}; euler: ")
 
 
 def test_check_cert_rejects_a_wrong_recorded_intersection(tmp_path, g1):
@@ -1211,7 +1231,7 @@ def test_importing_the_cli_loads_no_lazy_module():
     of them does not count."""
     src = os.path.dirname(os.path.dirname(arcdist.__file__))
     probe = "import sys; before = set(sys.modules); import arcdist.cli; print(*sorted(set(sys.modules) - before))"
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
